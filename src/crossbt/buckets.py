@@ -3,8 +3,9 @@
 Candidate partitions are sampled uniformly-enough (shuffle + greedy fill
 under the sector-distinctness constraint) and the one minimising a
 Mahalanobis balance score is retained. Each candidate draws from its own
-RNG substream keyed by (seed, candidate index), so parallel and serial
-candidate generation agree.
+RNG substream keyed by (seed, candidate index), so batched and serial
+candidate generation agree: ``rerandomize`` samples and scores candidates in
+vectorised blocks, and ``sample_partition`` is the single-draw reference.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from .rng import substream
 from .stats import chi2_sf
 
 COVARIATE_NAMES = ("ann_vol", "mean_corr", "log_return")
+
+# Candidates sampled and scored together by ``rerandomize``; bounds its memory.
+CANDIDATE_BLOCK = 1024
+
+# Fresh shuffles a candidate may take before the layout counts as infeasible.
+MAX_RESTARTS = 100
 
 
 class InfeasibleConstraint(ValueError):
@@ -97,6 +104,7 @@ class Partition:
             {
                 "seed": self.seed,
                 "n_candidates": self.n_candidates,
+                "pinv_fallback": self.pinv_fallback,
                 "score": self.score,
                 "buckets": [list(b) for b in self.buckets],
             },
@@ -111,6 +119,7 @@ class Partition:
             float(obj["score"]),
             int(obj["seed"]),
             int(obj["n_candidates"]),
+            bool(obj.get("pinv_fallback", False)),
         )
 
 
@@ -171,13 +180,17 @@ def sample_partition(
     n_buckets: int,
     rng: np.random.Generator,
     sector_constraint: bool = True,
-    max_restarts: int = 100,
+    max_restarts: int = MAX_RESTARTS,
 ) -> list[list[int]]:
     """One random sector-feasible partition (asset indices), or raise.
 
     Shuffles assets uniformly and fills buckets greedily, placing each asset
     in the first bucket with room whose sectors it does not collide with;
     dead ends restart with a fresh shuffle, capped at ``max_restarts``.
+
+    This is the single-draw API and the serial reference that the batched
+    sampler inside ``rerandomize`` is tested against: candidate ``i`` there
+    equals this function on ``substream(seed, i)``.
     """
     for _ in range(max_restarts):
         order = rng.permutation(n_assets)
@@ -209,6 +222,62 @@ def sample_partition(
     )
 
 
+def _sample_block(
+    seed: int,
+    first: int,
+    count: int,
+    n_assets: int,
+    sector_codes: np.ndarray | None,
+    bucket_size: int,
+    n_buckets: int,
+) -> np.ndarray:
+    """Candidates ``first`` to ``first + count - 1`` as asset indices of shape
+    (count, n_buckets, bucket_size), each equal to ``sample_partition`` on
+    ``substream(seed, candidate)``.
+
+    The greedy first-fit advances one shuffle position at a time across every
+    pending candidate. Each round gives every candidate still pending its next
+    restart, so each draws its shuffles from its own substream in the serial
+    order. ``sector_codes`` holds an integer sector per asset, or None when the
+    sector constraint is off.
+    """
+    rngs = [substream(seed, first + j) for j in range(count)]
+    members = np.empty((count, n_buckets, bucket_size), dtype=np.intp)
+    pending = np.arange(count)
+    if sector_codes is not None:
+        n_sectors = int(sector_codes.max()) + 1
+    for _ in range(MAX_RESTARTS):
+        orders = np.stack([rngs[j].permutation(n_assets) for j in pending])
+        rows = np.arange(len(pending))
+        fill = np.zeros((len(pending), n_buckets), dtype=np.intp)
+        slots = np.empty((len(pending), n_buckets, bucket_size), dtype=np.intp)
+        if sector_codes is not None:
+            occupied = np.zeros((len(pending), n_sectors, n_buckets), dtype=bool)
+        for assets in orders.T:
+            # A complete candidate has no open bucket left, so it places no
+            # more assets, just as the serial sampler stops early.
+            open_ = fill < bucket_size
+            if sector_codes is not None:
+                sector = sector_codes[assets]
+                open_ &= ~occupied[rows, sector]
+            target = open_.argmax(axis=1)
+            placed = open_[rows, target]
+            r, b = rows[placed], target[placed]
+            slots[r, b, fill[r, b]] = assets[placed]
+            fill[r, b] += 1
+            if sector_codes is not None:
+                occupied[r, sector[placed], b] = True
+        done = (fill == bucket_size).all(axis=1)
+        members[pending[done]] = slots[done]
+        pending = pending[~done]
+        if len(pending) == 0:
+            return members
+    raise InfeasibleConstraint(
+        f"no sector-feasible partition after {MAX_RESTARTS} restarts "
+        f"({n_buckets} buckets of {bucket_size})"
+    )
+
+
 def rerandomize(
     cov: CovariateTable,
     sectors: Mapping[str, str],
@@ -220,37 +289,44 @@ def rerandomize(
 ) -> Partition:
     """Draw candidate partitions and retain the one with the best balance.
 
-    Deterministic for a fixed seed; the returned score is the minimum over
-    all sampled candidates (ties keep the earliest candidate).
+    Candidate ``i`` is ``sample_partition`` on ``substream(seed, i)``.
+    Candidates are sampled and scored in blocks of ``CANDIDATE_BLOCK``, which
+    bounds memory and leaves every draw and score unchanged. Deterministic for
+    a fixed seed; the returned score is the minimum over all sampled
+    candidates (ties keep the earliest candidate).
     """
     n = len(cov.assets)
+    if bucket_size < 1 or n_buckets < 1:
+        raise ValueError("need at least one bucket of at least one asset")
     if bucket_size * n_buckets > n:
         raise ValueError("bucket_size * n_buckets exceeds universe size")
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
+    codes = None
     if sector_constraint:
-        sector_list = [sectors[a] for a in cov.assets]
-        if bucket_size > len(set(sector_list)):
+        labels, codes = np.unique([sectors[a] for a in cov.assets], return_inverse=True)
+        if bucket_size > len(labels):
             raise InfeasibleConstraint(
-                f"bucket size {bucket_size} exceeds {len(set(sector_list))} distinct sectors"
+                f"bucket size {bucket_size} exceeds {len(labels)} distinct sectors"
             )
-    else:
-        sector_list = [""] * n
     mean, inv, fallback = _scoring_matrix(cov, bucket_size)
     if fallback:
         warnings.warn("singular covariate covariance; using pseudo-inverse", RuntimeWarning)
     best_score = math.inf
-    best_buckets: list[list[int]] | None = None
-    for i in range(n_candidates):
-        rng = substream(seed, i)
-        buckets = sample_partition(
-            n, sector_list, bucket_size, n_buckets, rng, sector_constraint
-        )
-        score = _score_buckets(buckets, cov.values, mean, inv)
-        if score < best_score:
-            best_score = score
-            best_buckets = buckets
-    assert best_buckets is not None
+    best_buckets: np.ndarray | None = None
+    for first in range(0, n_candidates, CANDIDATE_BLOCK):
+        count = min(CANDIDATE_BLOCK, n_candidates - first)
+        members = _sample_block(seed, first, count, n, codes, bucket_size, n_buckets)
+        means = cov.values[members].mean(axis=2)
+        forms = bucket_quadratic_forms(means.reshape(-1, means.shape[-1]), mean, inv)
+        scores = forms.reshape(count, n_buckets).sum(axis=1)
+        # A NaN score never beats the running minimum, as in a serial scan.
+        j = int(np.argmin(np.where(np.isnan(scores), np.inf, scores)))
+        if scores[j] < best_score:
+            best_score = float(scores[j])
+            best_buckets = members[j]
+    if best_buckets is None:
+        raise ValueError("no candidate partition has a finite balance score")
     named = tuple(tuple(cov.assets[i] for i in b) for b in best_buckets)
     return Partition(named, best_score, seed, n_candidates, fallback)
 

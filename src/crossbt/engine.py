@@ -189,16 +189,35 @@ class WeightSchedule:
         object.__setattr__(self, "entries", frozen)
 
     def validate(self, prices: PriceMatrix) -> None:
+        """Raise ValueError for the first invalid entry, in entry order.
+
+        Dates and shapes are checked entry by entry up to the first failure;
+        the weight values of the entries before it are checked as one array.
+        """
         index = prices.date_index()
+        dates: list[str] = []
+        layout_error = None
         for date, w in self.entries.items():
             if date not in index:
-                raise ValueError(f"rebalance date {date!r} not in price calendar")
+                layout_error = f"rebalance date {date!r} not in price calendar"
+                break
             if w.shape != (prices.n_assets,):
-                raise ValueError(f"weight vector on {date!r} has wrong length")
-            if not np.all(np.isfinite(w)) or np.any(w < 0):
-                raise ValueError(f"weights on {date!r} must be finite and >= 0")
-            if float(np.sum(w)) > 1.0 + WEIGHT_SUM_TOL:
-                raise ValueError(f"weights on {date!r} sum past 1")
+                layout_error = f"weight vector on {date!r} has wrong length"
+                break
+            dates.append(date)
+        if dates:
+            weights = np.stack([self.entries[d] for d in dates])
+            invalid = ~np.isfinite(weights).all(axis=1) | (weights < 0).any(axis=1)
+            with np.errstate(invalid="ignore"):  # inf - inf in a row already invalid
+                over = weights.sum(axis=1) > 1.0 + WEIGHT_SUM_TOL
+            bad = np.flatnonzero(invalid | over)
+            if len(bad):
+                i = bad[0]
+                if invalid[i]:
+                    raise ValueError(f"weights on {dates[i]!r} must be finite and >= 0")
+                raise ValueError(f"weights on {dates[i]!r} sum past 1")
+        if layout_error is not None:
+            raise ValueError(layout_error)
 
     def first_entry_weight_sum(self, prices: PriceMatrix) -> float | None:
         """Weight sum at the earliest rebalance; None for an empty schedule."""

@@ -1,12 +1,21 @@
+import json
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crossbt import buckets as bucketmod
 from crossbt.buckets import (
+    CANDIDATE_BLOCK,
     CovariateTable,
     InfeasibleConstraint,
     Partition,
+    _score_buckets,
+    _scoring_matrix,
     bucket_quadratic_forms,
     compute_covariates,
     mahalanobis_score,
@@ -18,6 +27,55 @@ from crossbt.marketdata import PriceMatrix
 from crossbt.rng import substream
 
 from oracles import quadratic_balance_score
+
+
+def _serial_rerandomize(cov, sectors, bucket_size, n_buckets, n_candidates, seed,
+                        sector_constraint=True):
+    """Reference rerandomisation: one ``sample_partition`` per candidate on
+    its own substream, each scored alone, keeping the first strict minimum."""
+    if sector_constraint:
+        sector_list = [sectors[a] for a in cov.assets]
+    else:
+        sector_list = [""] * len(cov.assets)
+    mean, inv, _ = _scoring_matrix(cov, bucket_size)
+    best_score, best = math.inf, None
+    for i in range(n_candidates):
+        drawn = sample_partition(len(cov.assets), sector_list, bucket_size, n_buckets,
+                                 substream(seed, i), sector_constraint)
+        score = _score_buckets(drawn, cov.values, mean, inv)
+        if score < best_score:
+            best_score, best = score, drawn
+    return tuple(tuple(cov.assets[j] for j in b) for b in best), best_score
+
+
+def _outcome(fn, *args, **kwargs):
+    """(buckets, score) from a rerandomisation, or the infeasibility marker."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            result = fn(*args, **kwargs)
+        except InfeasibleConstraint:
+            return "infeasible"
+    if isinstance(result, Partition):
+        return result.buckets, result.score
+    return result
+
+
+@st.composite
+def _universes(draw):
+    n_assets = draw(st.integers(4, 40))
+    n_sectors = draw(st.integers(1, 9))
+    labels = draw(st.lists(st.integers(0, n_sectors - 1), min_size=n_assets,
+                           max_size=n_assets))
+    bucket_size = draw(st.integers(1, min(10, n_assets)))
+    n_buckets = draw(st.integers(1, n_assets // bucket_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(n_assets, 3)) * rng.uniform(0.01, 10.0, size=3)
+    if draw(st.booleans()):
+        values[:, 2] = values[:, 0]  # singular covariance: pseudo-inverse path
+    assets = tuple(f"A{i}" for i in range(n_assets))
+    sectors = {a: f"s{k}" for a, k in zip(assets, labels)}
+    return CovariateTable(assets, values), sectors, bucket_size, n_buckets
 
 
 def _panel(prices, sectors=None):
@@ -102,6 +160,9 @@ class TestRerandomize:
             part = rerandomize(cov, pm.sectors, 2, 2, 5, seed=0)
         assert part.score == 0.0
         assert part.pinv_fallback
+        again = Partition.from_json(part.to_json())
+        assert again.pinv_fallback
+        assert again == part
 
     def test_deterministic_for_seed(self, bucket_universe):
         cov = self._cov(bucket_universe)
@@ -141,6 +202,13 @@ class TestRerandomize:
         part = rerandomize(cov, {}, 2, 4, 10, seed=0, sector_constraint=False)
         assert sum(len(b) for b in part.buckets) == 8
 
+    @pytest.mark.parametrize("bucket_size, n_buckets", [(0, 2), (2, 0), (5, 8)])
+    def test_impossible_layout_rejected(self, bucket_universe, bucket_size, n_buckets):
+        cov = self._cov(bucket_universe)
+        with pytest.raises(ValueError, match="bucket"):
+            rerandomize(cov, bucket_universe.sectors, bucket_size, n_buckets, 3, seed=0,
+                        sector_constraint=False)
+
     def test_infeasible_sector_constraint(self):
         pm = _panel(np.full((30, 4), 3.0) + np.arange(4) + np.random.default_rng(0).normal(0, 0.01, (30, 4)),
                     sectors=["only", "only", "only", "only"])
@@ -155,6 +223,57 @@ class TestRerandomize:
         assert again.buckets == part.buckets
         assert again.score == part.score
         assert again.seed == part.seed
+        assert again.n_candidates == part.n_candidates
+        assert again.pinv_fallback is part.pinv_fallback is False
+        assert json.loads(part.to_json())["pinv_fallback"] is False
+
+    def test_partition_json_without_fallback_key_loads(self, bucket_universe):
+        cov = self._cov(bucket_universe)
+        part = rerandomize(cov, bucket_universe.sectors, 6, 5, 10, seed=2)
+        obj = json.loads(part.to_json())
+        del obj["pinv_fallback"]
+        assert Partition.from_json(json.dumps(obj)) == part
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        universe=_universes(),
+        n_candidates=st.integers(1, 40),
+        block=st.integers(1, 16),
+        seed=st.integers(0, 2**63 - 1),
+        sector_constraint=st.booleans(),
+    )
+    def test_batch_matches_serial_reference(self, universe, n_candidates, block, seed,
+                                            sector_constraint):
+        cov, sectors, bucket_size, n_buckets = universe
+        args = (cov, sectors, bucket_size, n_buckets, n_candidates, seed)
+        with mock.patch.object(bucketmod, "CANDIDATE_BLOCK", block):
+            batch = _outcome(rerandomize, *args, sector_constraint=sector_constraint)
+        serial = _outcome(_serial_rerandomize, *args, sector_constraint=sector_constraint)
+        assert batch == serial
+
+    @pytest.mark.parametrize("bucket_size, n_buckets, sector_constraint",
+                             [(6, 5, True), (9, 4, False), (8, 1, False)])
+    def test_batch_crossing_block_matches_serial(self, bucket_universe, bucket_size,
+                                                 n_buckets, sector_constraint):
+        cov = self._cov(bucket_universe)
+        n_candidates = CANDIDATE_BLOCK + 37
+        args = (cov, bucket_universe.sectors, bucket_size, n_buckets, n_candidates, 5)
+        part = rerandomize(*args, sector_constraint=sector_constraint)
+        buckets, score = _serial_rerandomize(*args, sector_constraint=sector_constraint)
+        assert part.buckets == buckets
+        assert part.score == score
+
+    def test_infeasible_layout_raises_in_batch_and_serial(self):
+        # Six of eight assets share one sector: two buckets of three cannot
+        # each avoid a repeated sector, though each bucket size fits.
+        assets = tuple(f"A{i}" for i in range(8))
+        labels = ["x"] * 6 + ["y", "z"]
+        sectors = dict(zip(assets, labels))
+        cov = CovariateTable(assets, np.random.default_rng(3).normal(size=(8, 3)))
+        with pytest.raises(InfeasibleConstraint):
+            rerandomize(cov, sectors, 3, 2, 5, seed=1)
+        with pytest.raises(InfeasibleConstraint):
+            _serial_rerandomize(cov, sectors, 3, 2, 5, seed=1)
 
 
 class TestSectorBalance:

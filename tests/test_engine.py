@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -382,6 +383,28 @@ class TestScheduleValidation:
         sched = WeightSchedule({"1": np.array([0.7, 0.7])})
         with pytest.raises(ValueError):
             run_reference(sched, tiny_panel, 1000.0, CostSpec(0.0))
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ({"99": [0.5, 0.5]}, "rebalance date '99' not in price calendar"),
+            ({"1": [0.5, 0.3, 0.2]}, "weight vector on '1' has wrong length"),
+            ({"1": [np.nan, 0.5]}, "weights on '1' must be finite and >= 0"),
+            ({"1": [-0.1, 0.5]}, "weights on '1' must be finite and >= 0"),
+            ({"1": [0.7, 0.7]}, "weights on '1' sum past 1"),
+            # Two or more bad entries: the error names the first in entry order.
+            ({"1": [0.7, 0.7], "2": [-0.1, 0.5]}, "weights on '1' sum past 1"),
+            ({"1": [np.inf, 0.0], "99": [0.5, 0.5]}, "weights on '1' must be finite"),
+            ({"99": [0.5, 0.5], "1": [np.nan, 0.0]}, "rebalance date '99' not in"),
+            ({"1": [0.5, 0.5], "2": [0.5], "3": [0.9, 0.9]}, "weight vector on '2' has"),
+        ],
+        ids=["unknown-date", "wrong-length", "nan", "negative", "sum-past-one",
+             "sum-then-negative", "inf-then-date", "date-then-nan", "length-then-sum"],
+    )
+    def test_failure_message_names_first_bad_entry(self, tiny_panel, weights, message):
+        sched = WeightSchedule({d: np.array(w) for d, w in weights.items()})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sched.validate(tiny_panel)
 
     def test_equity_serialisation_roundtrip(self, tmp_path, tiny_panel, half_half):
         series = run_reference(half_half, tiny_panel, 1000.0, CostSpec(0.01))
