@@ -142,8 +142,19 @@ def cmd_run(cfg: RunConfig, out: str, jobs: int) -> int:
     return EXIT_OK
 
 
+def _check_run_id(found: str, cfg: RunConfig, what: str) -> None:
+    """Refuse outputs that another configuration or seed produced."""
+    expected = cfg.run_id()
+    if found != expected:
+        raise ValueError(
+            f"{what} holds run {found} but the configuration is run {expected}; "
+            f"rerun the earlier stages with the same --config and --seed"
+        )
+
+
 def cmd_analyze(cfg: RunConfig, out: str, jobs: int) -> int:
     store = ResultStore.load(_store_dir(out))
+    _check_run_id(store.run_id, cfg, _store_dir(out))
     bundle = analyze(store)
     os.makedirs(os.path.dirname(_bundle_path(out)), exist_ok=True)
     with open(_bundle_path(out), "w") as f:
@@ -156,6 +167,7 @@ def cmd_analyze(cfg: RunConfig, out: str, jobs: int) -> int:
 def cmd_report(cfg: RunConfig, out: str, jobs: int) -> int:
     with open(_bundle_path(out)) as f:
         bundle = ReportBundle.from_json(f.read())
+    _check_run_id(bundle.run_id, cfg, _bundle_path(out))
     paths = emit_reports(bundle, os.path.join(out, "report"))
     print(f"wrote {len(paths)} report files -> {out}/report")
     n_findings = len(bundle.tables["validation"])

@@ -492,9 +492,13 @@ def performance_metrics(series: EquitySeries) -> PerfStats:
 
 def annual_turnover(series: EquitySeries) -> float:
     """One-sided traded notional over pre-cost value, annualised by 252/(T-1)."""
-    if len(series.equity) < 2:
+    if len(series.equity) < 2 or not series.trades:
         return 0.0
-    total = sum(tr.traded_notional / tr.pre_trade_value for tr in series.trades)
+    deltas = np.stack([tr.deltas for tr in series.trades])
+    pre = np.array([tr.pre_trade_value for tr in series.trades])
+    # Row sums reduce each trade's deltas exactly as traded_notional does;
+    # the Python sum keeps the left-to-right order over trades.
+    total = sum((np.abs(deltas).sum(axis=1) / pre).tolist())
     return float(total * TRADING_DAYS_PER_YEAR / (len(series.equity) - 1))
 
 

@@ -13,6 +13,8 @@ import logging
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -102,8 +104,13 @@ class PriceMatrix:
     def n_assets(self) -> int:
         return len(self.assets)
 
-    def date_index(self) -> dict[str, int]:
+    @cached_property
+    def _date_positions(self) -> dict[str, int]:
         return {d: i for i, d in enumerate(self.dates)}
+
+    def date_index(self) -> Mapping[str, int]:
+        """Read-only date -> day index map, built once per matrix."""
+        return MappingProxyType(self._date_positions)
 
     def subset(self, assets: Sequence[str]) -> "PriceMatrix":
         """Column subset preserving the given asset order."""

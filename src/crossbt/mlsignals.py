@@ -26,24 +26,70 @@ class NotEnoughHistory(ValueError):
     """Feature construction needs at least 126 prior days."""
 
 
+def feature_panel(pm: PriceMatrix) -> np.ndarray:
+    """Every day's feature rows as one ``(T, n, 5)`` array; days before 126 are NaN.
+
+    Each window statistic is built from whole-array passes over the shifted
+    daily-return slices, summed in the same order as ``np.std(block, axis=0,
+    ddof=1)`` on one day's return block, so row ``t`` is bit-identical to the
+    per-day formula.
+    """
+    p = pm.prices
+    n_days, n = p.shape
+    panel = np.full((n_days, n, len(FEATURE_NAMES)), np.nan)
+    m = n_days - _MIN_HISTORY
+    if m <= 0:
+        return panel
+    now = p[_MIN_HISTORY:]
+    for j, k in enumerate((21, 63, 126)):
+        panel[_MIN_HISTORY:, :, j] = now / p[_MIN_HISTORY - k : n_days - k] - 1.0
+    rets = p[1:] / p[:-1] - 1.0
+    for j, k in ((3, 20), (4, 60)):
+        lo = _MIN_HISTORY - k
+        if n == 1:
+            # numpy sums a single column pairwise rather than row by row.
+            panel[_MIN_HISTORY:, :, j] = [
+                np.std(rets[lo + s : lo + s + k], axis=0, ddof=1) for s in range(m)
+            ]
+            continue
+        total = np.zeros((m, n))
+        for i in range(k):
+            total += rets[lo + i : lo + i + m]
+        mean = total / k
+        squares = np.zeros((m, n))
+        for i in range(k):
+            dev = rets[lo + i : lo + i + m] - mean
+            squares += dev * dev
+        panel[_MIN_HISTORY:, :, j] = np.sqrt(squares / (k - 1))
+    return panel
+
+
+# One-slot cache: the walk-forward loop asks for many days of one panel in a
+# row. Holding ``pm`` itself keeps its id from being reused by another panel.
+_cached: tuple[PriceMatrix, np.ndarray] | None = None
+
+
+def _cached_panel(pm: PriceMatrix) -> np.ndarray:
+    global _cached
+    hit = _cached
+    if hit is None or hit[0] is not pm:
+        panel = feature_panel(pm)
+        panel.setflags(write=False)
+        hit = _cached = (pm, panel)
+    return hit[1]
+
+
 def build_features(pm: PriceMatrix, t: int) -> np.ndarray:
     """Per-asset feature rows at day index ``t``: trailing 21/63/126-day
-    simple returns and 20/60-day return volatilities (sample stdev)."""
+    simple returns and 20/60-day return volatilities (sample stdev).
+
+    Returns a read-only view of row ``t`` of the panel's ``feature_panel``.
+    """
     if t < _MIN_HISTORY:
         raise NotEnoughHistory(f"day index {t} has under {_MIN_HISTORY} days of history")
     if t >= pm.n_days:
         raise ValueError(f"day index {t} outside panel")
-    p = pm.prices
-
-    def ret(k: int) -> np.ndarray:
-        return p[t] / p[t - k] - 1.0
-
-    def vol(k: int) -> np.ndarray:
-        block = p[t - k : t + 1]
-        rets = block[1:] / block[:-1] - 1.0
-        return np.std(rets, axis=0, ddof=1)
-
-    return np.column_stack([ret(21), ret(63), ret(126), vol(20), vol(60)])
+    return _cached_panel(pm)[t]
 
 
 @dataclass(frozen=True)

@@ -160,3 +160,24 @@ def feature_recompute(prices, t):
         return statistics.stdev(rets)
 
     return ret(21), ret(63), ret(126), vol(20), vol(60)
+
+
+def features_per_day(prices, t):
+    """The per-day feature formula the panel must reproduce bit for bit.
+
+    ``prices`` is a ``(T, n)`` numpy array; returns the ``(n, 5)`` rows
+    (r21, r63, r126, vol20, vol60) at day ``t`` from one ``np.std`` call per
+    window. Unlike the rest of this module it uses numpy on purpose: it pins
+    the exact reduction order, not just the value.
+    """
+    import numpy as np
+
+    def ret(k):
+        return prices[t] / prices[t - k] - 1.0
+
+    def vol(k):
+        block = prices[t - k : t + 1]
+        rets = block[1:] / block[:-1] - 1.0
+        return np.std(rets, axis=0, ddof=1)
+
+    return np.column_stack([ret(21), ret(63), ret(126), vol(20), vol(60)])

@@ -353,6 +353,23 @@ class TestTurnover:
         series = run_reference(half_half, tiny_panel, 1000.0, CostSpec(0.01))
         assert annual_turnover(series) == pytest.approx(126.0, rel=1e-12)
 
+    @pytest.mark.parametrize("n_assets", [1, 2, 7, 8, 9, 17, 40])
+    @pytest.mark.parametrize(
+        "engine", ["reference", "fifo_sequential", "sells_first", "shifted_one_day"]
+    )
+    def test_equals_left_to_right_per_trade_sum(self, n_assets, engine):
+        # Hundreds of trades of every width: the array pass must not reorder
+        # either the per-trade reduction or the sum over trades.
+        universe = generate_synthetic(SynthSpec(n_assets=40, n_days=300, seed=n_assets))
+        pm = universe.subset(universe.assets[:n_assets])
+        rng = np.random.default_rng(n_assets)
+        sched = WeightSchedule({d: rng.dirichlet(np.ones(n_assets)) for d in pm.dates})
+        series = run_variant(sched, pm, 1e6, CostSpec(0.0018), CONVENTIONS[engine])
+        total = 0
+        for tr in series.trades:
+            total += tr.traded_notional / tr.pre_trade_value
+        assert annual_turnover(series) == float(total * 252 / (len(series.equity) - 1))
+
 
 class TestCostIntensity:
     def test_zero_rate(self):

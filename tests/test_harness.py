@@ -376,6 +376,23 @@ class TestCli:
         assert (tmp_path / "out" / "store" / "cells.csv").exists()
         assert (tmp_path / "out" / "report" / "divergence_summary.csv").exists()
 
+    def test_analyze_refuses_a_store_from_another_seed(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        run_id = json.loads((out / "store" / "store.json").read_text())["run_id"]
+        assert main(["analyze", "--config", cfg, "--seed", "99", "--out", str(out)]) == 1
+        assert not (out / "analysis").exists()
+        assert run_id in capsys.readouterr().err
+
+    def test_report_refuses_a_bundle_from_another_seed(self, tmp_path):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["report", "--config", cfg, "--seed", "99", "--out", str(out)]) == 1
+        assert not (out / "report").exists()
+
     def test_all_command(self, tmp_path):
         cfg = self._write_config(tmp_path)
         out = str(tmp_path / "all-out")

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -206,3 +207,28 @@ def test_subset_preserves_order_and_sectors(bucket_universe):
 def test_prices_are_read_only(tiny_panel):
     with pytest.raises(ValueError):
         tiny_panel.prices[0, 0] = 1.0
+
+
+class TestDateIndex:
+    def test_maps_each_date_to_its_row(self, tiny_panel):
+        assert dict(tiny_panel.date_index()) == {"1": 0, "2": 1, "3": 2}
+
+    def test_cannot_be_mutated(self, tiny_panel):
+        index = tiny_panel.date_index()
+        with pytest.raises(TypeError):
+            index["4"] = 3
+        with pytest.raises(TypeError):
+            del index["1"]
+        assert dict(tiny_panel.date_index()) == {"1": 0, "2": 1, "3": 2}
+
+    def test_subset_gets_its_own_index(self, bucket_universe):
+        full = bucket_universe.date_index()
+        sub = bucket_universe.subset(bucket_universe.assets[:3])
+        assert sub.date_index() == full
+        assert sub._date_positions is not bucket_universe._date_positions
+
+    def test_matrix_still_pickles_after_indexing(self, tiny_panel):
+        tiny_panel.date_index()
+        again = pickle.loads(pickle.dumps(tiny_panel))
+        assert dict(again.date_index()) == dict(tiny_panel.date_index())
+        assert np.array_equal(again.prices, tiny_panel.prices)

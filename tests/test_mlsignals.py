@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +12,13 @@ from crossbt.mlsignals import (
     NotEnoughHistory,
     WalkForwardConfig,
     build_features,
+    feature_panel,
     fit_elastic_net,
     signals_to_csv,
     walk_forward_signal,
 )
 
-from oracles import feature_recompute
+from oracles import feature_recompute, features_per_day
 
 
 def _panel(prices):
@@ -52,6 +56,113 @@ class TestFeatures:
         for i in range(3):
             expected = feature_recompute(list(pm.prices[:, i]), 128)
             assert feats[i] == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def price_panels(draw, min_days=127, max_days=400):
+    """Panels of 1-12 assets whose prices range over 1e-2..1e4.
+
+    Styles: i.i.d. log-uniform levels (jumps of many orders of magnitude),
+    random walks, and flat stretches that give zero-variance windows.
+    """
+    n_assets = draw(st.integers(1, 12))
+    n_days = draw(st.integers(min_days, max_days))
+    style = draw(st.sampled_from(["iid", "walk", "flat"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = np.log(1e-2), np.log(1e4)
+    if style == "iid":
+        logp = rng.uniform(lo, hi, size=(n_days, n_assets))
+    else:
+        steps = rng.normal(0.0, draw(st.floats(0.0, 0.1)), size=(n_days, n_assets))
+        if style == "flat":
+            steps[rng.uniform(size=n_days) < 0.7] = 0.0
+        logp = np.clip(rng.uniform(lo, hi, size=n_assets) + np.cumsum(steps, axis=0), lo, hi)
+    return _panel(np.exp(logp))
+
+
+class TestFeaturePanel:
+    @given(pm=price_panels())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_per_day_formula_bit_for_bit(self, pm):
+        panel = feature_panel(pm)
+        assert panel.shape == (pm.n_days, pm.n_assets, 5)
+        assert np.isnan(panel[:126]).all()
+        for t in range(126, pm.n_days):
+            expected = features_per_day(pm.prices, t)
+            assert np.array_equal(panel[t], expected)
+            assert np.array_equal(build_features(pm, t), expected)
+
+    @given(pm=price_panels(min_days=1, max_days=126))
+    @settings(max_examples=20, deadline=None)
+    def test_short_panel_is_all_missing_and_rows_still_refused(self, pm):
+        panel = feature_panel(pm)
+        assert panel.shape == (pm.n_days, pm.n_assets, 5)
+        assert np.isnan(panel).all()
+        for t in (0, pm.n_days - 1):
+            with pytest.raises(NotEnoughHistory):
+                build_features(pm, t)
+
+    def test_day_past_the_panel_rejected(self):
+        pm = _panel(np.full((130, 2), 5.0))
+        with pytest.raises(ValueError):
+            build_features(pm, 130)
+
+    def test_rows_are_read_only(self):
+        pm = generate_synthetic(SynthSpec(n_assets=3, n_days=140, seed=2))
+        row = build_features(pm, 130)
+        with pytest.raises(ValueError):
+            row[0, 0] = 1.0
+
+    def test_alternating_panels_each_get_their_own_rows(self):
+        a = generate_synthetic(SynthSpec(n_assets=4, n_days=160, seed=1, annual_vol=0.3))
+        b = generate_synthetic(SynthSpec(n_assets=4, n_days=160, seed=2, annual_vol=0.3))
+        for t in range(126, 160, 3):
+            for pm in (a, b, a):
+                assert np.array_equal(build_features(pm, t), features_per_day(pm.prices, t))
+
+    def test_cache_keeps_its_panel_alive(self):
+        # Rows are cached by panel identity; holding the panel itself means a
+        # freed panel's id can never be handed to a new one and hit its rows.
+        prices = np.exp(np.random.default_rng(5).normal(0.0, 0.02, size=(140, 3)).cumsum(axis=0))
+        pm = _panel(prices)
+        got = np.array(build_features(pm, 139))
+        alive = weakref.ref(pm)
+        del pm
+        gc.collect()
+        assert alive() is not None
+        assert np.array_equal(got, features_per_day(prices, 139))
+
+
+def _reference_signal(pm, rebalances, wf, net):
+    """Walk-forward loop rebuilt from the per-day feature oracle."""
+    p = pm.prices
+    n = pm.n_assets
+    out = []
+    for t in rebalances:
+        days = range(t - wf.gap - wf.train_window + 1, t - wf.gap + 1)
+        X = np.vstack([features_per_day(p, s) for s in days])
+        y = np.concatenate([p[s + wf.horizon] / p[s] - 1.0 for s in days])
+        if float(np.std(y)) == 0.0:
+            out.append((np.zeros(n), tuple(range(n))))
+            continue
+        pred = fit_elastic_net(X, y, net).predict(features_per_day(p, t - 1))
+        out.append((pred, tuple(int(i) for i in np.lexsort((np.arange(n), -pred)))))
+    return out
+
+
+class TestWalkForwardAgainstOracle:
+    @given(pm=price_panels(min_days=273, max_days=340), data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_predictions_and_rankings_match_per_day_rows(self, pm, data):
+        wf = WalkForwardConfig()
+        net = ElasticNetConfig()
+        rebalances = data.draw(
+            st.lists(st.integers(wf.min_history, pm.n_days - 1), min_size=1, max_size=3)
+        )
+        got = walk_forward_signal(pm, rebalances, wf, net)
+        for sig, (pred, ranking) in zip(got, _reference_signal(pm, rebalances, wf, net)):
+            assert np.array_equal(sig.predicted, pred)
+            assert sig.ranking == ranking
 
 
 class TestElasticNet:
