@@ -187,13 +187,20 @@ class WeightSchedule:
             arr.setflags(write=False)
             frozen[str(date)] = arr
         object.__setattr__(self, "entries", frozen)
+        # The price matrix the last successful ``validate`` passed on. Holding
+        # it (not its id) keeps a freed matrix's id from matching another.
+        object.__setattr__(self, "_validated_on", None)
 
     def validate(self, prices: PriceMatrix) -> None:
         """Raise ValueError for the first invalid entry, in entry order.
 
         Dates and shapes are checked entry by entry up to the first failure;
         the weight values of the entries before it are checked as one array.
+        A pass is remembered for that price matrix, so repeating the call on
+        it (once per engine convention) costs nothing; a failure is not.
         """
+        if self._validated_on is prices:
+            return
         index = prices.date_index()
         dates: list[str] = []
         layout_error = None
@@ -218,6 +225,7 @@ class WeightSchedule:
                 raise ValueError(f"weights on {dates[i]!r} sum past 1")
         if layout_error is not None:
             raise ValueError(layout_error)
+        object.__setattr__(self, "_validated_on", prices)
 
     def first_entry_weight_sum(self, prices: PriceMatrix) -> float | None:
         """Weight sum at the earliest rebalance; None for an empty schedule."""

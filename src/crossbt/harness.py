@@ -15,9 +15,10 @@ import csv
 import hashlib
 import json
 import os
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -61,6 +62,7 @@ from .stats import (
     pearson,
     sign_flip_permutation,
     spearman,
+    spearman_rows,
     tost,
     wilcoxon_signed_rank,
 )
@@ -71,6 +73,9 @@ __version__ = "0.1.0"
 DIVERGENCE_METRICS = PerfStats.METRICS
 
 FULLY_INVESTED_TOL = 1e-9
+
+#: Columns of the long ``equity.csv`` in a saved store.
+EQUITY_COLUMNS = ["benchmark", "bucket", "engine", "date", "equity"]
 
 #: Dollar-translation ruler rows included in every ambiguity table.
 AMBIGUITY_RULER_PCTS = (0.10, 3.71)
@@ -329,7 +334,7 @@ class ResultStore:
                     writer.writerow([c.benchmark, c.bucket, c.engine, c.error, c.n_days] + [""] * 8)
         with open(os.path.join(directory, "equity.csv"), "w", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow(["benchmark", "bucket", "engine", "date", "equity"])
+            writer.writerow(EQUITY_COLUMNS)
             for key in sorted(self.cells):
                 c = self.cells[key]
                 if c.equity is None:
@@ -348,47 +353,81 @@ class ResultStore:
         for key, value in meta["first_weight_sums"].items():
             bm, bucket = key.split("/", 1)
             fw[(bm, bucket)] = value
-        equity: dict[tuple[str, str, str], list[float]] = {}
-        with open(os.path.join(directory, "equity.csv"), newline="") as f:
-            reader = csv.DictReader(f)
-            for row in reader:
-                key = (row["benchmark"], row["bucket"], row["engine"])
-                equity.setdefault(key, []).append(float(row["equity"]))
-        cells: dict[tuple[str, str, str], CellResult] = {}
         with open(os.path.join(directory, "cells.csv"), newline="") as f:
-            reader = csv.DictReader(f)
-            for row in reader:
-                key = (row["benchmark"], row["bucket"], row["engine"])
-                if row["error"]:
-                    cells[key] = CellResult(*key, error=row["error"], n_days=int(row["n_days"]))
-                    continue
-                stats = PerfStats(
-                    float(row["total_return_pct"]),
-                    float(row["cagr_pct"]),
-                    float(row["ann_vol_pct"]),
-                    float(row["sharpe"]),
-                    float(row["max_drawdown_pct"]),
-                    float(row["growth"]),
-                    row["degenerate_sharpe"] == "true",
-                )
-                eq = np.array(equity.get(key, []), dtype=float)
-                cells[key] = CellResult(
-                    *key,
-                    stats=stats,
-                    turnover=float(row["turnover"]),
-                    n_days=int(row["n_days"]),
-                    equity=eq if len(eq) else None,
-                )
+            rows = list(csv.DictReader(f))
+        lengths = {
+            (r["benchmark"], r["bucket"], r["engine"]): int(r["n_days"]) for r in rows if not r["error"]
+        }
+        equity: dict[tuple[str, str, str], np.ndarray | None] = {}
+        eval_dates = tuple(meta["eval_dates"])
+        with open(os.path.join(directory, "equity.csv"), newline="") as f:
+            reader = csv.reader(f)
+            if next(reader, None) != EQUITY_COLUMNS:
+                raise ValueError("equity.csv: header is not " + ",".join(EQUITY_COLUMNS))
+            for key in sorted(lengths):
+                equity[key] = _read_equity(reader, key, eval_dates[: lengths[key]])
+            extra = next(reader, None)
+            if extra is not None:
+                raise ValueError(f"equity.csv: row {extra[:4]} follows the last cell")
+        cells: dict[tuple[str, str, str], CellResult] = {}
+        for row in rows:
+            key = (row["benchmark"], row["bucket"], row["engine"])
+            if row["error"]:
+                cells[key] = CellResult(*key, error=row["error"], n_days=int(row["n_days"]))
+                continue
+            stats = PerfStats(
+                float(row["total_return_pct"]),
+                float(row["cagr_pct"]),
+                float(row["ann_vol_pct"]),
+                float(row["sharpe"]),
+                float(row["max_drawdown_pct"]),
+                float(row["growth"]),
+                row["degenerate_sharpe"] == "true",
+            )
+            cells[key] = CellResult(
+                *key,
+                stats=stats,
+                turnover=float(row["turnover"]),
+                n_days=lengths[key],
+                equity=equity[key],
+            )
         return cls(
             config=config,
             run_id=meta["run_id"],
-            eval_dates=tuple(meta["eval_dates"]),
+            eval_dates=eval_dates,
             partition=partition,
             balance=balance,
             universe=meta["universe"],
             first_weight_sums=fw,
             cells=cells,
         )
+
+
+def _read_equity(
+    reader: Iterator[list[str]], key: tuple[str, str, str], dates: tuple[str, ...]
+) -> np.ndarray | None:
+    """The next ``len(dates)`` rows of ``equity.csv`` as one cell's equity.
+
+    Raises ValueError naming the cell unless every row carries the cell's
+    key and the expected date, in order. None for a cell with no days.
+    """
+    n = len(dates)
+    if n == 0:
+        return None
+    block = list(islice(reader, n))
+    columns = tuple(zip(*block))
+    if (
+        len(block) != n
+        or set(map(len, block)) != {len(EQUITY_COLUMNS)}
+        or columns[:4] != ((key[0],) * n, (key[1],) * n, (key[2],) * n, dates)
+    ):
+        raise ValueError(
+            f"equity.csv: rows for cell {'/'.join(key)} do not match its {n} evaluation days"
+        )
+    try:
+        return np.fromiter(map(float, columns[4]), dtype=float, count=n)
+    except ValueError as exc:
+        raise ValueError(f"equity.csv: cell {'/'.join(key)}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -580,14 +619,55 @@ def _metric_values(store: ResultStore, bm: str, bucket: str, metric: str) -> dic
     return values
 
 
-def _spearman_or_zero(x: Sequence[float], y: Sequence[float]) -> float:
-    try:
-        res = spearman(x, y)
-    except ValueError:
-        return 0.0
-    if res.degenerate or res.statistic != res.statistic:
-        return 0.0
-    return float(res.statistic)
+def _resampled_means(
+    table: dict[tuple[str, str], float], bm: str, buckets: Sequence[str], index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of ``table[(bm, bucket)]`` over each row of resampled bucket
+    positions, skipping buckets absent from the table.
+
+    Row i equals ``np.mean`` over the list of present values in draw order,
+    bit for bit: rows with the same count of present values are packed to
+    the front and reduced together. Returns the means and a mask of the rows
+    with at least one present value (the others read NaN).
+    """
+    present = np.array([(bm, b) in table for b in buckets], dtype=bool)
+    picked = np.array([table.get((bm, b), np.nan) for b in buckets], dtype=float)[index]
+    if present.all():
+        return picked.mean(axis=-1), np.ones(len(index), dtype=bool)
+    keep = present[index]
+    counts = keep.sum(axis=-1)
+    packed = np.take_along_axis(picked, np.argsort(~keep, axis=-1, kind="stable"), axis=-1)
+    means = np.full(len(index), np.nan)
+    for c in np.unique(counts[counts > 0]):
+        rows = counts == c
+        means[rows] = np.ascontiguousarray(packed[rows, :c]).mean(axis=-1)
+    return means, counts > 0
+
+
+def _resampled_rho(
+    index: np.ndarray,
+    buckets: Sequence[str],
+    bms: Sequence[str],
+    rates: dict[str, float],
+    turnover_by_bucket: dict[tuple[str, str], float],
+    es_by_bucket: dict[tuple[str, str], float],
+) -> np.ndarray:
+    """Spearman rho of cost intensity against engine spread for each row of
+    resampled bucket positions; 0.0 where a benchmark has no turnover or no
+    spread among the row's buckets, or where rho is undefined."""
+    if len(bms) < 3:
+        return np.zeros(len(index))
+    xs, ys = [], []
+    defined = np.ones(len(index), dtype=bool)
+    for bm in bms:
+        turnover, has_turnover = _resampled_means(turnover_by_bucket, bm, buckets, index)
+        spread, has_spread = _resampled_means(es_by_bucket, bm, buckets, index)
+        xs.append(rates[bm] * turnover)
+        ys.append(spread)
+        defined &= has_turnover & has_spread
+    rho = spearman_rows(np.stack(xs, axis=-1), np.stack(ys, axis=-1))
+    rho[~defined] = 0.0
+    return rho
 
 
 def analyze(store: ResultStore) -> ReportBundle:
@@ -877,27 +957,13 @@ def analyze(store: ResultStore) -> ReportBundle:
         bms = [r["benchmark"] for r in cost_rows]
         rates = {r["benchmark"]: r["cost_bps"] / 1e4 for r in cost_rows}
 
-        def _resampled_rho(group_buckets: list) -> float:
-            xs, ys = [], []
-            for bm in bms:
-                t_vals = [
-                    turnover_by_bucket[(bm, b)]
-                    for b in group_buckets
-                    if (bm, b) in turnover_by_bucket
-                ]
-                e_vals = [
-                    es_by_bucket[(bm, b)] for b in group_buckets if (bm, b) in es_by_bucket
-                ]
-                if not t_vals or not e_vals:
-                    return 0.0
-                xs.append(rates[bm] * float(np.mean(t_vals)))
-                ys.append(float(np.mean(e_vals)))
-            return _spearman_or_zero(xs, ys)
+        def _statistic(index: np.ndarray) -> np.ndarray:
+            return _resampled_rho(index, buckets_sorted, bms, rates, turnover_by_bucket, es_by_bucket)
 
         try:
             boot = cluster_bootstrap(
                 buckets_sorted,
-                _resampled_rho,
+                _statistic,
                 draws=cfg.bootstrap_draws,
                 seed=derived_seed(cfg.seed, "boot", "conjecture"),
             )

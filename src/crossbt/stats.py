@@ -20,6 +20,13 @@ _TINY_P = float(np.finfo(float).tiny)
 
 _EXHAUSTIVE_CAP = 16
 
+#: Sign-flip draws per chunk. The generator carries an unused 32-bit half
+#: over from one call to the next, so the chunks read the same signs as one
+#: dense draw. BLAS forms a matrix-vector product a few rows at a time, and
+#: a row in a partial block can round differently; a power of two keeps
+#: every row in the same place of those blocks as in one dense product.
+SIGN_CHUNK = 1024
+
 
 class NotEnoughClusters(ValueError):
     """Cluster bootstrap needs at least two clusters."""
@@ -93,19 +100,26 @@ class BootstrapResult:
 # Rank helpers
 # ---------------------------------------------------------------------------
 
-def average_ranks(values: Sequence[float]) -> np.ndarray:
-    """Ranks starting at 1, ties receiving their average rank."""
+def average_ranks(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Ranks starting at 1 along the last axis, ties receiving their average rank.
+
+    A 2-D input is ranked row by row. The tie group at sorted positions
+    i..j gets (i + j) / 2 + 1, which is exact in floating point, so it equals
+    the mean of the ranks it replaces. NaNs never tie.
+    """
     a = np.asarray(values, dtype=float)
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(len(a))
-    base = np.arange(1, len(a) + 1, dtype=float)
-    i = 0
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = base[i : j + 1].mean()
-        i = j + 1
+    order = np.argsort(a, axis=-1, kind="stable")
+    s = np.take_along_axis(a, order, axis=-1)
+    n = a.shape[-1]
+    pos = np.broadcast_to(np.arange(n), a.shape)
+    starts = np.ones(a.shape, dtype=bool)
+    starts[..., 1:] = s[..., 1:] != s[..., :-1]
+    ends = np.ones(a.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, pos, n)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(a.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=-1)
     return ranks
 
 
@@ -211,7 +225,8 @@ def sign_flip_permutation(
     function of (seed, draws) at any evaluation order or thread count. The
     add-one estimator keeps p strictly positive. ``exhaustive=True``
     enumerates all 2^n sign vectors instead (n capped at 16) and reports
-    the exact count.
+    the exact count. Signs are drawn ``SIGN_CHUNK`` rows at a time from one
+    generator, so memory stays flat in ``draws``.
     """
     d = np.asarray(diffs, dtype=float)
     n = len(d)
@@ -228,9 +243,13 @@ def sign_flip_permutation(
         # counts itself.
         p = float(np.count_nonzero(means >= means[-1])) / 2.0**n
         return TestResult(float(means[-1]), _clamp_p(p), "perm-exhaustive", n)
-    signs = substream(seed, 0).integers(0, 2, size=(draws, n)) * 2.0 - 1.0
-    means = np.abs(signs @ d) / n
-    hits = int(np.count_nonzero(means >= obs))
+    if draws < 0:
+        raise ValueError("draws must be >= 0")
+    gen = substream(seed, 0)
+    hits = 0
+    for start in range(0, draws, SIGN_CHUNK):
+        signs = gen.integers(0, 2, size=(min(SIGN_CHUNK, draws - start), n)) * 2.0 - 1.0
+        hits += int(np.count_nonzero(np.abs(signs @ d) / n >= obs))
     p = (hits + 1) / (draws + 1)
     return TestResult(obs, _clamp_p(p), "perm-mc", n)
 
@@ -314,32 +333,55 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> TestResult:
     return TestResult(res.statistic, res.p_value, "spearman", res.n, degenerate=res.degenerate)
 
 
+def spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Spearman rho of each row pair of two (k, n) arrays, 0.0 where undefined.
+
+    Row i equals ``spearman(x[i], y[i]).statistic`` bit for bit; a row with
+    a constant side, or n < 3, gives 0.0.
+    """
+    rx = average_ranks(x)
+    ry = average_ranks(y)
+    k, n = rx.shape
+    if n < 3:
+        return np.zeros(k)
+    sa = rx - rx.mean(axis=-1, keepdims=True)
+    sb = ry - ry.mean(axis=-1, keepdims=True)
+    na = np.sqrt((sa**2).sum(axis=-1))
+    nb = np.sqrt((sb**2).sum(axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.clip(np.vecdot(sa, sb) / (na * nb), -1.0, 1.0)
+    r[(na == 0.0) | (nb == 0.0)] = 0.0
+    return r
+
+
 # ---------------------------------------------------------------------------
 # Resampling and dependence diagnostics
 # ---------------------------------------------------------------------------
 
 def cluster_bootstrap(
     groups: Sequence,
-    statistic: Callable[[list], float],
+    statistic: Callable[[np.ndarray], np.ndarray],
     draws: int = 5000,
     seed: int = 0,
 ) -> BootstrapResult:
     """Percentile bootstrap resampling whole clusters with replacement.
 
-    ``statistic`` receives the resampled list of groups (duplicates included)
-    and returns a scalar. Resampling indices come from a counter-based
-    stream keyed by the seed with draw i reading a fixed slice, so the
-    interval is bit-reproducible for a fixed seed at any thread count.
+    ``statistic`` receives a (k, m) integer array whose rows are resampled
+    positions into ``groups`` (duplicates included) and returns the k
+    values; it is called twice, once with the identity row for the point
+    estimate and once with every draw. Resampling indices come from a
+    counter-based stream keyed by the seed with draw i reading a fixed
+    slice, so the interval is bit-reproducible for a fixed seed at any
+    thread count.
     """
-    pool = list(groups)
-    m = len(pool)
+    m = len(groups)
     if m < 2:
         raise NotEnoughClusters(f"need >= 2 clusters, got {m}")
-    point = float(statistic(pool))
+    point = float(statistic(np.arange(m)[None])[0])
     indices = substream(seed, 0).integers(0, m, size=(draws, m))
-    vals = np.empty(draws)
-    for i in range(draws):
-        vals[i] = statistic([pool[j] for j in indices[i]])
+    vals = np.asarray(statistic(indices), dtype=float)
+    if vals.shape != (draws,):
+        raise ValueError(f"statistic returned shape {vals.shape} for {draws} draws")
     lo, hi = np.percentile(vals, [2.5, 97.5])
     return BootstrapResult(point, (float(lo), float(hi)), draws, m)
 

@@ -181,3 +181,94 @@ def features_per_day(prices, t):
         return np.std(rets, axis=0, ddof=1)
 
     return np.column_stack([ret(21), ret(63), ret(126), vol(20), vol(60)])
+
+
+# ---------------------------------------------------------------------------
+# Replaced per-draw statistics. Like ``features_per_day`` these use numpy on
+# purpose: they are the loops the batched forms replaced, kept to pin the
+# exact arithmetic, not just the value.
+# ---------------------------------------------------------------------------
+
+
+def average_ranks_loop(values):
+    """Average ranks from a stable argsort and a while loop over tie groups."""
+    import numpy as np
+
+    a = np.asarray(values, dtype=float)
+    order = np.argsort(a, kind="stable")
+    ranks = np.empty(len(a))
+    base = np.arange(1, len(a) + 1, dtype=float)
+    i = 0
+    while i < len(a):
+        j = i
+        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = base[i : j + 1].mean()
+        i = j + 1
+    return ranks
+
+
+def spearman_or_zero_loop(x, y):
+    """Spearman rho of one pair of lists; 0.0 for n < 3, a constant side or NaN."""
+    import numpy as np
+
+    if len(x) < 3:
+        return 0.0
+    a = average_ranks_loop(x)
+    b = average_ranks_loop(y)
+    sa = a - a.mean()
+    sb = b - b.mean()
+    na = float(np.sqrt((sa**2).sum()))
+    nb = float(np.sqrt((sb**2).sum()))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    r = float(sa @ sb) / (na * nb)
+    r = min(max(r, -1.0), 1.0)
+    return 0.0 if r != r else r
+
+
+def resampled_rho_per_draw(group_buckets, bms, rates, turnover_by_bucket, es_by_bucket):
+    """The conjecture statistic for one resampled list of bucket ids."""
+    import numpy as np
+
+    xs, ys = [], []
+    for bm in bms:
+        t_vals = [turnover_by_bucket[(bm, b)] for b in group_buckets if (bm, b) in turnover_by_bucket]
+        e_vals = [es_by_bucket[(bm, b)] for b in group_buckets if (bm, b) in es_by_bucket]
+        if not t_vals or not e_vals:
+            return 0.0
+        xs.append(rates[bm] * float(np.mean(t_vals)))
+        ys.append(float(np.mean(e_vals)))
+    return spearman_or_zero_loop(xs, ys)
+
+
+def cluster_bootstrap_per_draw(groups, statistic, draws, seed):
+    """Percentile cluster bootstrap calling ``statistic`` on one resampled
+    list of groups per draw; returns (point, (lo, hi))."""
+    import numpy as np
+
+    from crossbt.rng import substream
+
+    pool = list(groups)
+    m = len(pool)
+    point = float(statistic(pool))
+    indices = substream(seed, 0).integers(0, m, size=(draws, m))
+    vals = np.empty(draws)
+    for i in range(draws):
+        vals[i] = statistic([pool[j] for j in indices[i]])
+    lo, hi = np.percentile(vals, [2.5, 97.5])
+    return point, (float(lo), float(hi))
+
+
+def sign_flip_one_shot(diffs, draws, seed):
+    """Monte Carlo sign-flip p-value from one dense draws x n sign matrix."""
+    import numpy as np
+
+    from crossbt.rng import substream
+
+    d = np.asarray(diffs, dtype=float)
+    n = len(d)
+    obs = abs(float(np.ones(n) @ d) / n)
+    signs = substream(seed, 0).integers(0, 2, size=(draws, n)) * 2.0 - 1.0
+    hits = int(np.count_nonzero(np.abs(signs @ d) / n >= obs))
+    return (hits + 1) / (draws + 1)

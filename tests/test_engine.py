@@ -423,6 +423,47 @@ class TestScheduleValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             sched.validate(tiny_panel)
 
+    def test_pass_is_remembered_per_matrix(self, tiny_panel, monkeypatch):
+        sched = WeightSchedule({"1": np.array([0.5, 0.5])})
+        sched.validate(tiny_panel)
+        monkeypatch.setattr(PriceMatrix, "date_index", lambda self: pytest.fail("validated twice"))
+        for _ in range(3):
+            sched.validate(tiny_panel)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            PriceMatrix(("1", "3"), ("A", "B"), np.array([[10.0, 20.0], [12.0, 18.0]])),
+            PriceMatrix(("1", "2", "3"), ("A",), np.array([[10.0], [11.0], [12.0]])),
+            PriceMatrix(("1", "2", "3"), ("A", "B", "C"), np.full((3, 3), 10.0)),
+        ],
+        ids=["other-calendar", "narrower", "wider"],
+    )
+    def test_pass_on_one_matrix_still_raises_on_another(self, tiny_panel, other):
+        sched = WeightSchedule({"2": np.array([0.5, 0.5])})
+        sched.validate(tiny_panel)
+        run_reference(sched, tiny_panel, 1000.0, CostSpec(0.0))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                sched.validate(other)
+            with pytest.raises(ValueError):
+                run_reference(sched, other, 1000.0, CostSpec(0.0))
+        sched.validate(tiny_panel)
+
+    def test_failing_schedule_raises_on_every_call(self, tiny_panel):
+        sched = WeightSchedule({"1": np.array([0.7, 0.7])})
+        for conv in CONVENTIONS.values():
+            with pytest.raises(ValueError, match="sum past 1"):
+                sched.validate(tiny_panel)
+            with pytest.raises(ValueError, match="sum past 1"):
+                run_variant(sched, tiny_panel, 1000.0, CostSpec(0.0), conv)
+
+    def test_remembered_matrix_stays_out_of_equality(self, tiny_panel):
+        a = WeightSchedule({"1": np.array([0.5, 0.5])})
+        b = WeightSchedule({"1": np.array([0.5, 0.5])})
+        a.validate(tiny_panel)
+        assert repr(a) == repr(b)
+
     def test_equity_serialisation_roundtrip(self, tmp_path, tiny_panel, half_half):
         series = run_reference(half_half, tiny_panel, 1000.0, CostSpec(0.01))
         path = tmp_path / "eq.csv"

@@ -1,11 +1,16 @@
+import copy
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from crossbt import harness
 from crossbt.cli import main
 from crossbt.harness import (
+    CellResult,
     BucketConfig,
     ReportBundle,
     ResultStore,
@@ -17,6 +22,8 @@ from crossbt.harness import (
     validate_results,
 )
 from crossbt.marketdata import SynthSpec
+from crossbt.stats import cluster_bootstrap
+from oracles import cluster_bootstrap_per_draw, resampled_rho_per_draw
 
 
 def _config(**overrides) -> RunConfig:
@@ -170,6 +177,169 @@ class TestRunSuite:
             assert np.array_equal(cell.equity, orig.equity)
         assert loaded.run_id == demo_store.run_id
         assert loaded.eval_dates == demo_store.eval_dates
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _cells_equal(a: CellResult, b: CellResult) -> bool:
+    same_equity = (a.equity is None and b.equity is None) or (
+        a.equity is not None and b.equity is not None and _bits(a.equity) == _bits(b.equity)
+    )
+    return (a.error, a.n_days, a.stats, a.turnover) == (b.error, b.n_days, b.stats, b.turnover) and same_equity
+
+
+#: Equity values that must survive the text round trip bit for bit.
+_SPECIAL_EQUITY = np.array(
+    [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+     -0.0, 0.0, np.inf, -np.inf, 1e6, 0.1]
+)
+
+
+def _equity_values(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Special values mixed with random floats spread over the whole exponent range."""
+    spread = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n).astype(float)
+    return np.where(rng.random(n) < 0.3, rng.choice(_SPECIAL_EQUITY, n), spread)
+
+
+class TestStoreFiles:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.sampled_from(["ok", "error", "truncated"]), min_size=18, max_size=18), st.integers(0, 2**32))
+    def test_save_load_roundtrip_is_bit_exact(self, tmp_path_factory, demo_store, kinds, seed):
+        rng = np.random.default_rng(seed)
+        store = copy.copy(demo_store)
+        n_eval = store.n_eval_days
+        cells = {}
+        for kind, (key, cell) in zip(kinds, sorted(demo_store.cells.items())):
+            if kind == "error":
+                cells[key] = CellResult(*key, error="RuntimeError: boom, again", n_days=int(rng.integers(0, 3)))
+                continue
+            n = n_eval if kind == "ok" else int(rng.integers(1, n_eval + 1))
+            cells[key] = CellResult(
+                *key, stats=cell.stats, turnover=cell.turnover, n_days=n, equity=_equity_values(rng, n)
+            )
+        store.cells = cells
+        directory = tmp_path_factory.mktemp("store")
+        store.save(str(directory / "a"))
+        loaded = ResultStore.load(str(directory / "a"))
+        assert list(loaded.cells) == sorted(cells)
+        assert all(_cells_equal(loaded.cells[k], cells[k]) for k in cells)
+        loaded.save(str(directory / "b"))
+        for name in ("store.json", "cells.csv", "equity.csv"):
+            assert (directory / "a" / name).read_bytes() == (directory / "b" / name).read_bytes()
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.sampled_from(["swap", "drop", "duplicate", "append", "redate", "rekey", "widen", "header", "value"]),
+        st.integers(0, 10**6),
+    )
+    def test_damaged_equity_file_raises(self, tmp_path_factory, demo_store, damage, where):
+        directory = tmp_path_factory.mktemp("store")
+        demo_store.save(str(directory))
+        path = directory / "equity.csv"
+        lines = path.read_text().splitlines()
+        i = 1 + where % (len(lines) - 1)
+        j = 1 + (where // 7) % (len(lines) - 1)
+        fields = lines[i].split(",")
+        if damage == "swap":
+            j = j if j != i else 1 + i % (len(lines) - 1)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif damage == "drop":
+            del lines[i]
+        elif damage == "duplicate":
+            lines.insert(i, lines[i])
+        elif damage == "append":
+            lines.append(lines[i])
+        elif damage == "redate":
+            lines[i] = ",".join(fields[:3] + ["1900-01-01"] + fields[4:])
+        elif damage == "rekey":
+            lines[i] = ",".join(fields[:2] + ["no_such_engine"] + fields[3:])
+        elif damage == "widen":
+            lines[i] += ",1.0"
+        elif damage == "header":
+            lines[0] = lines[0].replace("equity", "value")
+        else:
+            lines[i] = ",".join(fields[:4] + ["not-a-number"])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="equity.csv"):
+            ResultStore.load(str(directory))
+
+    def test_short_file_names_the_cell(self, tmp_path, demo_store):
+        demo_store.save(str(tmp_path))
+        path = tmp_path / "equity.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        last = "/".join(max(k for k, c in demo_store.cells.items() if c.ok))
+        with pytest.raises(ValueError, match=last):
+            ResultStore.load(str(tmp_path))
+
+
+def _tables(rng: np.random.Generator, m: int, bms: list[str], distinct: int, missing: float):
+    """Random per-(benchmark, bucket) turnover and spread tables with ties and gaps."""
+    buckets = [f"b{i:02d}" for i in range(m)]
+    tables = []
+    for _ in range(2):
+        pool = rng.uniform(0.0, 50.0, distinct)
+        tables.append(
+            {(bm, b): float(rng.choice(pool)) for bm in bms for b in buckets if rng.random() >= missing}
+        )
+    return buckets, tables[0], tables[1]
+
+
+class TestResampledRho:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.integers(0, 6),
+        st.integers(1, 300),
+        st.integers(1, 4),
+        st.sampled_from([0.0, 0.0, 0.1, 0.5, 0.9]),
+        st.integers(0, 2**32),
+    )
+    def test_batched_statistic_matches_per_draw_oracle(self, m, n_bms, draws, distinct, missing, seed):
+        rng = np.random.default_rng(seed)
+        bms = [f"bm{i:02d}" for i in range(n_bms)]
+        buckets, turnover, spread = _tables(rng, m, bms, distinct, missing)
+        rates = {bm: float(rng.choice([0.0005, 0.001, 0.0018, 0.003])) for bm in bms}
+        index = rng.integers(0, m, size=(draws, m))
+        got = harness._resampled_rho(index, buckets, bms, rates, turnover, spread)
+        expected = [
+            resampled_rho_per_draw([buckets[j] for j in row], bms, rates, turnover, spread)
+            for row in index
+        ]
+        assert _bits(got) == _bits(expected)
+
+        boot = cluster_bootstrap(
+            buckets,
+            lambda idx: harness._resampled_rho(idx, buckets, bms, rates, turnover, spread),
+            draws=draws,
+            seed=seed,
+        )
+        point, ci = cluster_bootstrap_per_draw(
+            buckets, lambda gb: resampled_rho_per_draw(gb, bms, rates, turnover, spread), draws, seed
+        )
+        assert _bits([boot.point, *boot.ci95]) == _bits([point, *ci])
+
+    def test_analyze_interval_matches_per_draw_oracle(self, demo_store, monkeypatch):
+        calls = []
+        real = harness._resampled_rho
+
+        def spy(index, *tables):
+            calls.append(tables)
+            return real(index, *tables)
+
+        monkeypatch.setattr(harness, "_resampled_rho", spy)
+        conjecture = analyze(demo_store).conjecture
+        buckets, bms, rates, turnover, spread = calls[0]
+        point, ci = cluster_bootstrap_per_draw(
+            buckets,
+            lambda gb: resampled_rho_per_draw(gb, bms, rates, turnover, spread),
+            demo_store.config.bootstrap_draws,
+            harness.derived_seed(demo_store.config.seed, "boot", "conjecture"),
+        )
+        assert len(calls) == 2
+        assert _bits([conjecture["bootstrap_point"], *conjecture["bootstrap_ci95"]]) == _bits([point, *ci])
 
 
 class TestValidate:

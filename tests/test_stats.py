@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from crossbt import stats as stats_mod
+from crossbt.rng import substream
 from crossbt.stats import (
+    SIGN_CHUNK,
     NotEnoughClusters,
     average_ranks,
     bh_fdr,
@@ -19,13 +22,22 @@ from crossbt.stats import (
     pearson,
     sign_flip_permutation,
     spearman,
+    spearman_rows,
     t_cdf,
     t_quantile,
     tost,
     wilcoxon_signed_rank,
 )
 
-from oracles import bh_threshold_enum, sign_flip_count, wilcoxon_enumeration
+from oracles import (
+    average_ranks_loop,
+    bh_threshold_enum,
+    cluster_bootstrap_per_draw,
+    sign_flip_count,
+    sign_flip_one_shot,
+    spearman_or_zero_loop,
+    wilcoxon_enumeration,
+)
 
 
 class TestKernel:
@@ -282,31 +294,71 @@ class TestCorrelations:
         assert 0.0 < res.p_value <= 1.0
 
 
+def _pooled_mean(groups):
+    """Batched statistic: the mean of the pooled observations of each row's groups."""
+    return lambda index: np.array(
+        [float(np.mean(np.concatenate([groups[j] for j in row]))) for row in index]
+    )
+
+
 class TestClusterBootstrap:
     def test_constant_statistic_zero_width(self):
         groups = [np.array([3.0, 3.0]), np.array([3.0]), np.array([3.0, 3.0, 3.0])]
-        res = cluster_bootstrap(groups, lambda gs: float(np.mean(np.concatenate(gs))), draws=200, seed=1)
+        res = cluster_bootstrap(groups, _pooled_mean(groups), draws=200, seed=1)
         assert res.point == 3.0
         assert res.ci95 == (3.0, 3.0)
 
     def test_single_cluster_raises(self):
         with pytest.raises(NotEnoughClusters):
-            cluster_bootstrap([np.array([1.0])], lambda gs: 0.0)
+            cluster_bootstrap([np.array([1.0])], lambda index: np.zeros(len(index)))
 
     def test_bit_reproducible(self):
         rng = np.random.default_rng(2)
         groups = [rng.normal(size=5) for _ in range(8)]
-        stat = lambda gs: float(np.mean(np.concatenate(gs)))
-        a = cluster_bootstrap(groups, stat, draws=500, seed=9)
-        b = cluster_bootstrap(groups, stat, draws=500, seed=9)
+        a = cluster_bootstrap(groups, _pooled_mean(groups), draws=500, seed=9)
+        b = cluster_bootstrap(groups, _pooled_mean(groups), draws=500, seed=9)
         assert a.ci95 == b.ci95
 
     def test_ci_contains_point_for_smooth_statistic(self):
         rng = np.random.default_rng(4)
         groups = [rng.normal(loc=2.0, size=6) for _ in range(12)]
-        stat = lambda gs: float(np.mean(np.concatenate(gs)))
-        res = cluster_bootstrap(groups, stat, draws=2000, seed=0)
+        res = cluster_bootstrap(groups, _pooled_mean(groups), draws=2000, seed=0)
         assert res.ci95[0] <= res.point <= res.ci95[1]
+
+    def test_statistic_sees_identity_then_every_draw(self):
+        seen = []
+
+        def stat(index):
+            seen.append(index.copy())
+            return index[:, 0].astype(float)
+
+        cluster_bootstrap(["a", "b", "c"], stat, draws=7, seed=3)
+        assert len(seen) == 2
+        assert seen[0].tolist() == [[0, 1, 2]]
+        assert seen[1].shape == (7, 3)
+        assert np.array_equal(seen[1], substream(3, 0).integers(0, 3, size=(7, 3)))
+
+    def test_wrong_length_statistic_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            cluster_bootstrap([1, 2], lambda index: np.zeros(1), draws=5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(-5, 5).map(float), min_size=1, max_size=4),
+            min_size=2,
+            max_size=12,
+        ),
+        st.integers(1, 300),
+        st.integers(0, 2**32),
+    )
+    def test_interval_matches_per_draw_oracle(self, raw_groups, draws, seed):
+        groups = [np.array(g) for g in raw_groups]
+        res = cluster_bootstrap(groups, _pooled_mean(groups), draws=draws, seed=seed)
+        point, ci = cluster_bootstrap_per_draw(
+            groups, lambda gs: float(np.mean(np.concatenate(gs))), draws, seed
+        )
+        assert np.array([res.point, *res.ci95]).tobytes() == np.array([point, *ci]).tobytes()
 
 
 class TestLag1:
@@ -334,3 +386,103 @@ class TestRanks:
         rng = np.random.default_rng(6)
         x = rng.integers(0, 5, 30).astype(float)
         assert average_ranks(x).tolist() == scipy_stats.rankdata(x).tolist()
+
+    def test_empty_input(self):
+        assert average_ranks([]).shape == (0,)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.integers(-3, 3).map(float),
+                        st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]),
+                        st.floats(-1e6, 1e6),
+                    ),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_batched_ranks_match_loop_oracle(self, rows):
+        x = np.array(rows)
+        got = average_ranks(x)
+        for row, ranks in zip(x, got):
+            assert ranks.tobytes() == average_ranks_loop(row).tobytes()
+            assert average_ranks(row).tobytes() == ranks.tobytes()
+
+
+class TestSpearmanRows:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.integers(0, 12),
+        st.integers(1, 8),
+        st.sampled_from(["ties", "floats", "special"]),
+        st.integers(0, 2**32),
+    )
+    def test_rows_match_per_draw_oracle(self, k, n, distinct, style, seed):
+        rng = np.random.default_rng(seed)
+        pool = {
+            "ties": np.arange(distinct, dtype=float),
+            "floats": rng.normal(scale=1e3, size=distinct),
+            "special": np.array([np.nan, 5e-324, -0.0, 0.0, 1e-300, np.inf, -np.inf, 1.0])[:distinct],
+        }[style]
+        x = rng.choice(pool, size=(k, n))
+        y = rng.choice(np.append(pool, rng.normal(size=3)), size=(k, n))
+        got = spearman_rows(x, y)
+        assert got.shape == (k,)
+        expected = [spearman_or_zero_loop(list(x[i]), list(y[i])) for i in range(k)]
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    def test_constant_and_short_rows_give_zero(self):
+        x = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
+        y = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
+        assert spearman_rows(x, y).tolist() == [0.0, spearman(x[1], y[1]).statistic]
+        assert spearman_rows(x[:, :2], y[:, :2]).tolist() == [0.0, 0.0]
+
+    def test_matches_spearman_statistic(self):
+        rng = np.random.default_rng(11)
+        x = rng.integers(0, 4, (50, 7)).astype(float)
+        y = rng.normal(size=(50, 7))
+        got = spearman_rows(x, y)
+        for i in range(50):
+            res = spearman(x[i], y[i])
+            assert got[i] == (0.0 if res.degenerate else res.statistic)
+
+
+class TestSignFlipChunks:
+    @pytest.mark.parametrize("draws", [1, 1023, 1025, 2049, 5003])
+    def test_chunked_equals_one_shot(self, draws):
+        rng = np.random.default_rng(draws)
+        for n in range(1, 34):
+            d = rng.normal(size=n).round(2)
+            got = sign_flip_permutation(d, draws=draws, seed=n)
+            assert got.p_value == sign_flip_one_shot(d, draws, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(-10, 10), min_size=1, max_size=33),
+        st.integers(1, 3000),
+        st.sampled_from([8, 16, 64, 256, 1024]),
+        st.integers(0, 2**32),
+    )
+    def test_any_power_of_two_chunk_equals_one_shot(self, d, draws, chunk, seed):
+        old = stats_mod.SIGN_CHUNK
+        stats_mod.SIGN_CHUNK = chunk
+        try:
+            got = sign_flip_permutation(d, draws=draws, seed=seed)
+        finally:
+            stats_mod.SIGN_CHUNK = old
+        assert got.p_value == sign_flip_one_shot(d, draws, seed)
+
+    def test_chunk_is_a_power_of_two(self):
+        assert SIGN_CHUNK >= 64 and SIGN_CHUNK & (SIGN_CHUNK - 1) == 0
+
+    def test_negative_draws_rejected(self):
+        with pytest.raises(ValueError):
+            sign_flip_permutation([1.0, 2.0], draws=-1)
