@@ -272,3 +272,456 @@ def sign_flip_one_shot(diffs, draws, seed):
     signs = substream(seed, 0).integers(0, 2, size=(draws, n)) * 2.0 - 1.0
     hits = int(np.count_nonzero(np.abs(signs @ d) / n >= obs))
     return (hits + 1) / (draws + 1)
+
+
+# ---------------------------------------------------------------------------
+# The analysis before its table builders. It calls the library's metrics and
+# tests; what it pins is the loop around them: which cells feed each table,
+# in which order every reduction runs, and how each row is spelled.
+# ---------------------------------------------------------------------------
+
+
+def _metric_values(store, bm, bucket, metric):
+    values = {}
+    for engine in store.engine_ids:
+        cell = store.cell(bm, bucket, engine)
+        if cell is not None and cell.ok:
+            values[engine] = cell.stats.metric(metric)
+    return values
+
+
+def analyze_loop(store):
+    """``harness.analyze`` as one loop over the grid with per-bucket dicts,
+    before it was split into per-table builders over a cell table."""
+    import json
+    from dataclasses import asdict
+
+    import numpy as np
+
+    from crossbt.engine import REFERENCE, CostSpec
+    from crossbt.harness import (
+        AMBIGUITY_RULER_PCTS,
+        DIVERGENCE_METRICS,
+        FULLY_INVESTED_TOL,
+        ReportBundle,
+        __version__,
+        _resampled_rho,
+        validate_results,
+    )
+    from crossbt.riskmetrics import (
+        DivergenceRecord,
+        csi,
+        dollar_ambiguity,
+        es_cv,
+        es_range,
+        floor_decomposition,
+        iui,
+        pairwise_divergence,
+    )
+    from crossbt.rng import derived_seed
+    from crossbt.stats import (
+        NotEnoughClusters,
+        bh_fdr,
+        cluster_bootstrap,
+        lag1_autocorr,
+        lin_ccc,
+        one_sample_t,
+        pearson,
+        sign_flip_permutation,
+        spearman,
+        tost,
+        wilcoxon_signed_rank,
+    )
+    from crossbt.strategies import BENCHMARKS
+
+    cfg = store.config
+    engines = store.engine_ids
+    conventions = store.conventions()
+    buckets_sorted = list(store.bucket_ids)
+    pairs = [
+        (engines[i], engines[j])
+        for i in range(len(engines))
+        for j in range(i + 1, len(engines))
+    ]
+    pairs = sorted(pairs)
+
+    findings = validate_results(store)
+
+    records_rows: list[dict] = []
+    # (bm, pair) -> ordered per-bucket total-return divergences
+    pair_series: dict[tuple[str, tuple[str, str]], list[float]] = {}
+    # (bm, metric, engine) -> per-bucket values for concordance
+    metric_by_engine: dict[tuple[str, str, str], dict[str, float]] = {}
+    # per-benchmark per-bucket spread inputs
+    es_by_bucket: dict[tuple[str, str], float] = {}
+    escv_by_bucket: dict[tuple[str, str], float | None] = {}
+    iui_by_bucket: dict[tuple[str, str], tuple[float, float]] = {}
+    csi_by_bucket: dict[tuple[str, str], int] = {}
+    turnover_by_bucket: dict[tuple[str, str], float] = {}
+
+    reference_id = REFERENCE.id
+
+    for bm in cfg.benchmarks:
+        for bucket in buckets_sorted:
+            for metric in DIVERGENCE_METRICS:
+                values = _metric_values(store, bm, bucket, metric)
+                for engine, value in values.items():
+                    metric_by_engine.setdefault((bm, metric, engine), {})[bucket] = value
+                if len(values) < 2:
+                    continue
+                for rec in pairwise_divergence(values, bm, bucket, metric):
+                    records_rows.append(
+                        {
+                            "benchmark": rec.benchmark,
+                            "bucket": rec.bucket,
+                            "metric": rec.metric,
+                            "engine_a": rec.engine_a,
+                            "engine_b": rec.engine_b,
+                            "rel_diff_pct": rec.rel_diff_pct,
+                            "absolute_fallback": rec.absolute_fallback,
+                        }
+                    )
+                    if rec.metric == "total_return":
+                        pair_series.setdefault((bm, (rec.engine_a, rec.engine_b)), []).append(
+                            rec.rel_diff_pct
+                        )
+            tr_values = _metric_values(store, bm, bucket, "total_return")
+            tr_pct = {
+                e: store.cell(bm, bucket, e).stats.total_return_pct for e in tr_values
+            }
+            if len(tr_pct) >= 2:
+                sample = np.array([tr_pct[e] for e in sorted(tr_pct)])
+                es_by_bucket[(bm, bucket)] = es_range(sample)
+                escv_by_bucket[(bm, bucket)] = es_cv(sample)
+                iui_by_bucket[(bm, bucket)] = iui(sample)
+            sharpes = _metric_values(store, bm, bucket, "sharpe")
+            if len(sharpes) >= 2:
+                csi_by_bucket[(bm, bucket)] = csi(np.array([sharpes[e] for e in sorted(sharpes)]))
+            ref_cell = store.cell(bm, bucket, reference_id)
+            if ref_cell is not None and ref_cell.ok:
+                turnover_by_bucket[(bm, bucket)] = ref_cell.turnover
+            else:
+                ok_cells = [store.cell(bm, bucket, e) for e in engines]
+                ok_cells = [c for c in ok_cells if c is not None and c.ok]
+                if ok_cells:
+                    turnover_by_bucket[(bm, bucket)] = ok_cells[0].turnover
+
+    # -- benchmark summary ---------------------------------------------------
+    summary_rows: list[dict] = []
+    es_mean: dict[str, float] = {}
+    for bm in cfg.benchmarks:
+        pair_means = {}
+        for pair in pairs:
+            series = pair_series.get((bm, pair))
+            if series:
+                pair_means[pair] = float(np.mean(series))
+        es_vals = [es_by_bucket[k] for k in es_by_bucket if k[0] == bm]
+        escv_vals = [v for k, v in escv_by_bucket.items() if k[0] == bm and v is not None]
+        iui_vals = [iui_by_bucket[k] for k in iui_by_bucket if k[0] == bm]
+        csi_vals = [csi_by_bucket[k] for k in csi_by_bucket if k[0] == bm]
+        if es_vals:
+            es_mean[bm] = float(np.mean(es_vals))
+        row = {
+            "benchmark": bm,
+            "category": BENCHMARKS[bm].category,
+            "cost_bps": cfg.benchmark_cost_bps(bm),
+            "mean_pct": float(np.mean(list(pair_means.values()))) if pair_means else None,
+            "max_pct": float(np.max(list(pair_means.values()))) if pair_means else None,
+            "n_pairs": len(pair_means),
+            "n_buckets": len(es_vals),
+            "es_range_pp": es_mean.get(bm),
+            "es_cv_pct": float(np.mean(escv_vals)) if escv_vals else None,
+            "iui_lo": float(np.mean([v[0] for v in iui_vals])) if iui_vals else None,
+            "iui_hi": float(np.mean([v[1] for v in iui_vals])) if iui_vals else None,
+            "iui_width_pp": float(np.mean([v[1] - v[0] for v in iui_vals])) if iui_vals else None,
+            "csi": int(max(csi_vals)) if csi_vals else None,
+        }
+        summary_rows.append(row)
+    ref_bm = cfg.daf_reference
+    for row in summary_rows:
+        bm = row["benchmark"]
+        if ref_bm in es_mean and es_mean[ref_bm] > 0 and bm in es_mean:
+            row["daf"] = es_mean[bm] / es_mean[ref_bm]
+        else:
+            row["daf"] = None
+
+    # -- statistics battery ---------------------------------------------------
+    stats_rows: list[dict] = []
+    t_index: list[int] = []
+    t_ps: list[float] = []
+    for bm in cfg.benchmarks:
+        for pair in pairs:
+            series = pair_series.get((bm, pair))
+            if not series or len(series) < 2:
+                continue
+            pair_label = f"{pair[0]} vs {pair[1]}"
+            base = {"benchmark": bm, "pair": pair_label, "n": len(series)}
+            t_res = one_sample_t(series)
+            stats_rows.append(
+                base | {
+                    "test": "t",
+                    "statistic": None if t_res.degenerate else t_res.statistic,
+                    "p_value": t_res.p_value,
+                    "degenerate": t_res.degenerate,
+                    "reject_fdr": None,
+                    "equivalent": None,
+                    "margin_pp": None,
+                }
+            )
+            if not t_res.degenerate and t_res.p_value is not None:
+                t_index.append(len(stats_rows) - 1)
+                t_ps.append(t_res.p_value)
+            w_res = wilcoxon_signed_rank(series)
+            stats_rows.append(
+                base | {
+                    "test": w_res.method,
+                    "statistic": None if w_res.degenerate else w_res.statistic,
+                    "p_value": w_res.p_value,
+                    "degenerate": w_res.degenerate,
+                    "reject_fdr": None,
+                    "equivalent": None,
+                    "margin_pp": None,
+                }
+            )
+            perm_seed = derived_seed(cfg.seed, "perm", bm, pair_label)
+            p_res = sign_flip_permutation(series, draws=cfg.permutation_draws, seed=perm_seed)
+            stats_rows.append(
+                base | {
+                    "test": "permutation",
+                    "statistic": p_res.statistic,
+                    "p_value": p_res.p_value,
+                    "degenerate": p_res.degenerate,
+                    "reject_fdr": None,
+                    "equivalent": None,
+                    "margin_pp": None,
+                }
+            )
+            for margin in cfg.tost_margins_pp:
+                t_eq = tost(series, margin)
+                stats_rows.append(
+                    base | {
+                        "test": "tost",
+                        "statistic": None,
+                        "p_value": t_eq.p_value,
+                        "degenerate": t_eq.degenerate,
+                        "reject_fdr": None,
+                        "equivalent": t_eq.equivalent,
+                        "margin_pp": margin,
+                    }
+                )
+            if len(series) >= 3:
+                l_res = lag1_autocorr(series)
+                stats_rows.append(
+                    base | {
+                        "test": "lag1_autocorr",
+                        "statistic": None if l_res.degenerate else l_res.statistic,
+                        "p_value": None,
+                        "degenerate": l_res.degenerate,
+                        "reject_fdr": None,
+                        "equivalent": None,
+                        "margin_pp": None,
+                    }
+                )
+    if t_ps:
+        rejected = bh_fdr(t_ps, cfg.fdr_q)
+        for pos, rej in zip(t_index, rejected):
+            stats_rows[pos]["reject_fdr"] = bool(rej)
+
+    # -- concordance -----------------------------------------------------------
+    ccc_rows: list[dict] = []
+    ccc_min_rows: list[dict] = []
+    for bm in cfg.benchmarks:
+        for metric in DIVERGENCE_METRICS:
+            per_metric = []
+            for pair in pairs:
+                va = metric_by_engine.get((bm, metric, pair[0]), {})
+                vb = metric_by_engine.get((bm, metric, pair[1]), {})
+                common = sorted(set(va) & set(vb))
+                if len(common) < 2:
+                    continue
+                value = lin_ccc([va[b] for b in common], [vb[b] for b in common])
+                per_metric.append(value)
+                ccc_rows.append(
+                    {
+                        "benchmark": bm,
+                        "metric": metric,
+                        "engine_a": pair[0],
+                        "engine_b": pair[1],
+                        "ccc": value,
+                        "n_buckets": len(common),
+                    }
+                )
+            if per_metric:
+                ccc_min_rows.append(
+                    {"benchmark": bm, "metric": metric, "ccc_min": float(np.min(per_metric))}
+                )
+
+    # -- floor decomposition ----------------------------------------------------
+    floor_rows: list[dict] = []
+    for bm in cfg.benchmarks:
+        rate = cfg.benchmark_cost_bps(bm) / 1e4
+        sums = [store.first_weight_sums.get((bm, b)) for b in buckets_sorted]
+        fully = all(s is not None and s >= 1.0 - FULLY_INVESTED_TOL for s in sums)
+        for pair in pairs:
+            series = pair_series.get((bm, pair))
+            if not series:
+                continue
+            mean_div = float(np.mean(series))
+            rec = DivergenceRecord(bm, "*", "total_return", pair[0], pair[1], mean_div)
+            split = floor_decomposition(rec, conventions, CostSpec(rate), fully)
+            floor_rows.append(
+                {
+                    "benchmark": bm,
+                    "engine_a": pair[0],
+                    "engine_b": pair[1],
+                    "mean_divergence_pct": mean_div,
+                    "floor_pct": split.floor_pct,
+                    "residual_pct": split.residual_pct,
+                    "mixed_reporting": split.mixed_reporting,
+                    "fully_invested": fully,
+                }
+            )
+
+    # -- cost-intensity scaling check ---------------------------------------------
+    cost_rows: list[dict] = []
+    score_by_bm: dict[str, float] = {}
+    for bm in cfg.benchmarks:
+        rate = cfg.benchmark_cost_bps(bm) / 1e4
+        t_vals = [turnover_by_bucket[k] for k in turnover_by_bucket if k[0] == bm]
+        if not t_vals or bm not in es_mean:
+            continue
+        turnover = float(np.mean(t_vals))
+        score = rate * turnover
+        score_by_bm[bm] = score
+        cost_rows.append(
+            {
+                "benchmark": bm,
+                "cost_bps": cfg.benchmark_cost_bps(bm),
+                "turnover_per_yr": turnover,
+                "cost_intensity": score,
+                "es_range_pp": es_mean[bm],
+            }
+        )
+    conjecture: dict = {"n_benchmarks": len(cost_rows)}
+    if len(cost_rows) >= 3:
+        scores = [r["cost_intensity"] for r in cost_rows]
+        spreads = [r["es_range_pp"] for r in cost_rows]
+        sp = spearman(scores, spreads)
+        pe = pearson(scores, spreads)
+        conjecture |= {
+            "spearman_rho": None if sp.degenerate else sp.statistic,
+            "spearman_p": sp.p_value,
+            "pearson_r": None if pe.degenerate else pe.statistic,
+            "pearson_p": pe.p_value,
+        }
+        bms = [r["benchmark"] for r in cost_rows]
+        rates = {r["benchmark"]: r["cost_bps"] / 1e4 for r in cost_rows}
+
+        def _statistic(index: np.ndarray) -> np.ndarray:
+            return _resampled_rho(index, buckets_sorted, bms, rates, turnover_by_bucket, es_by_bucket)
+
+        try:
+            boot = cluster_bootstrap(
+                buckets_sorted,
+                _statistic,
+                draws=cfg.bootstrap_draws,
+                seed=derived_seed(cfg.seed, "boot", "conjecture"),
+            )
+            conjecture |= {
+                "bootstrap_point": boot.point,
+                "bootstrap_ci95": list(boot.ci95),
+                "bootstrap_draws": boot.draws,
+                "n_clusters": boot.n_clusters,
+            }
+        except NotEnoughClusters:
+            conjecture |= {"bootstrap_point": None, "bootstrap_ci95": None}
+
+    # -- dollar translation ----------------------------------------------------
+    dollar_rows: list[dict] = []
+    for pct in AMBIGUITY_RULER_PCTS:
+        dollar_rows.append(
+            {
+                "benchmark": f"ruler_{pct:.2f}pct",
+                "max_divergence_pct": pct,
+                "aum_usd": cfg.aum,
+                "annual_ambiguity_usd": dollar_ambiguity(pct, cfg.aum),
+            }
+        )
+    for row in summary_rows:
+        if row["max_pct"] is None:
+            continue
+        dollar_rows.append(
+            {
+                "benchmark": row["benchmark"],
+                "max_divergence_pct": row["max_pct"],
+                "aum_usd": cfg.aum,
+                "annual_ambiguity_usd": dollar_ambiguity(row["max_pct"], cfg.aum),
+            }
+        )
+
+    # -- pair heatmap (plot-ready long format) -----------------------------------
+    heatmap_rows = []
+    for bm in cfg.benchmarks:
+        for pair in pairs:
+            series = pair_series.get((bm, pair))
+            if series:
+                heatmap_rows.append(
+                    {
+                        "benchmark": bm,
+                        "engine_a": pair[0],
+                        "engine_b": pair[1],
+                        "mean_divergence_pct": float(np.mean(series)),
+                        "n_buckets": len(series),
+                    }
+                )
+
+    validation_rows = [
+        {
+            "kind": f.kind,
+            "benchmark": f.benchmark,
+            "bucket": f.bucket,
+            "engine": f.engine,
+            "expected": f.expected,
+            "got": f.got,
+            "detail": f.detail,
+        }
+        for f in findings
+    ]
+
+    bucket_qc = {
+        "partition": json.loads(store.partition.to_json()),
+        "balance": asdict(store.balance) if store.balance else None,
+        "mahalanobis_score": store.partition.score,
+        "universe": store.universe,
+    }
+    metadata = {
+        "run_id": store.run_id,
+        "package_version": __version__,
+        "config": cfg.canonical_dict(),
+        "engine_conventions": {eid: eid for eid in engines},
+        "constants": {
+            "annualisation_days": 252,
+            "sharpe_risk_free_rate": 0.0,
+            "spread_stdev_ddof": 1,
+            "divergence_base": "lexicographically-first engine id in the pair",
+            "total_return_divergence_basis": "growth factor (final over first reported equity)",
+            "csi_sign_of_zero": "positive",
+            "ccc_moments": "population (divisor n)",
+            "turnover_definition": "one-sided notional / pre-cost value, annualised 252/(T-1)",
+            "wilcoxon_zero_handling": "dropped",
+            "permutation_estimator": "add-one",
+        },
+    }
+    tables = {
+        "divergence_records": records_rows,
+        "divergence_summary": summary_rows,
+        "stats_tests": stats_rows,
+        "concordance": ccc_rows,
+        "concordance_min": ccc_min_rows,
+        "floor_decomposition": floor_rows,
+        "cost_intensity": cost_rows,
+        "dollar_ambiguity": dollar_rows,
+        "pair_divergence": heatmap_rows,
+        "validation": validation_rows,
+    }
+    return ReportBundle(store.run_id, metadata, tables, bucket_qc, conjecture)

@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from crossbt import harness
 from crossbt.cli import main
+from crossbt.engine import REFERENCE
 from crossbt.harness import (
     CellResult,
     BucketConfig,
@@ -23,7 +25,7 @@ from crossbt.harness import (
 )
 from crossbt.marketdata import SynthSpec
 from crossbt.stats import cluster_bootstrap
-from oracles import cluster_bootstrap_per_draw, resampled_rho_per_draw
+from oracles import analyze_loop, cluster_bootstrap_per_draw, resampled_rho_per_draw
 
 
 def _config(**overrides) -> RunConfig:
@@ -48,6 +50,17 @@ def demo_store():
 @pytest.fixture(scope="module")
 def demo_bundle(demo_store):
     return analyze(demo_store)
+
+
+@pytest.fixture(scope="module")
+def wide_store():
+    """Four engines (six pairs) over four buckets, so damage leaves pairs behind."""
+    return run_suite(
+        _config(
+            buckets=BucketConfig(n_buckets=4, bucket_size=4, n_candidates=20),
+            engines=("reference", "pre_trade", "percent_divided", "double_commission"),
+        )
+    )
 
 
 class TestRunConfig:
@@ -488,6 +501,93 @@ class TestAnalyze:
         again = ReportBundle.from_json(demo_bundle.to_json())
         assert again.tables == demo_bundle.tables
         assert again.run_id == demo_bundle.run_id
+
+
+def _damaged(
+    store: ResultStore,
+    *,
+    errors=(),
+    truncated=(),
+    dropped=(),
+    no_reference=False,
+    failed_benchmark=None,
+    benchmarks=None,
+    n_buckets=None,
+    weight_sums=(),
+    order=None,
+) -> ResultStore:
+    """A copy of ``store`` with cells failed, shortened or removed, the
+    benchmark list cut or reordered, buckets cut, first-entry weight sums
+    changed, and the cells reinserted in ``order``."""
+    cells = dict(store.cells)
+    for key in errors:
+        cells[key] = CellResult(*key, error="RuntimeError: boom")
+    for key in truncated:
+        if cells[key].ok:
+            cells[key] = replace(cells[key], n_days=cells[key].n_days - 1)
+    for key in dropped:
+        cells.pop(key, None)
+    if no_reference:
+        cells = {k: c for k, c in cells.items() if k[2] != REFERENCE.id}
+    if failed_benchmark is not None:
+        cells |= {k: CellResult(*k, error="ValueError: all fail") for k in cells if k[0] == failed_benchmark}
+    damaged = copy.copy(store)
+    damaged.cells = {k: cells[k] for k in (order or sorted(cells)) if k in cells}
+    damaged.config = replace(store.config, benchmarks=tuple(benchmarks or store.config.benchmarks))
+    damaged.partition = replace(store.partition, buckets=store.partition.buckets[:n_buckets])
+    damaged.first_weight_sums = dict(store.first_weight_sums) | dict(weight_sums)
+    return damaged
+
+
+class TestAnalyzeOracle:
+    """``analyze`` against the pre-builder loop in ``oracles.analyze_loop``,
+    compared as bundle JSON, on whole and damaged stores."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            {},
+            {"errors": [("bm01", "B00", REFERENCE.id), ("bm09", "B02", REFERENCE.id)]},
+            {"dropped": [("bm02", "B01", REFERENCE.id), ("bm01", "B03", REFERENCE.id)]},
+            {"no_reference": True},
+            {"n_buckets": 1},
+            {"benchmarks": ("bm09", "bm01")},
+            {"failed_benchmark": "bm02"},
+        ],
+        ids=["whole", "errors", "dropped", "no_reference", "one_bucket", "two_benchmarks", "failed_benchmark"],
+    )
+    @pytest.mark.parametrize("which", ["demo_store", "wide_store"])
+    def test_named_damage(self, request, which, damage):
+        store = _damaged(request.getfixturevalue(which), **damage)
+        assert analyze(store).to_json() == analyze_loop(store).to_json()
+
+    def test_one_bucket_skips_the_bootstrap(self, demo_store):
+        conjecture = analyze(_damaged(demo_store, n_buckets=1)).conjecture
+        assert conjecture["n_benchmarks"] == 3
+        assert conjecture["bootstrap_ci95"] is None
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_damaged_store_matches_loop(self, demo_store, wide_store, data):
+        store = data.draw(st.sampled_from([demo_store, wide_store]))
+        keys = sorted(store.cells)
+        some_cells = st.lists(st.sampled_from(keys), max_size=8)
+        benchmarks = data.draw(st.permutations(store.config.benchmarks))
+        damaged = _damaged(
+            store,
+            errors=data.draw(some_cells),
+            truncated=data.draw(some_cells),
+            dropped=data.draw(some_cells),
+            no_reference=data.draw(st.booleans()),
+            failed_benchmark=data.draw(st.none() | st.sampled_from(store.config.benchmarks)),
+            benchmarks=benchmarks[: data.draw(st.integers(1, len(benchmarks)))],
+            n_buckets=data.draw(st.integers(1, len(store.bucket_ids))),
+            weight_sums=data.draw(
+                st.dictionaries(st.sampled_from(sorted(store.first_weight_sums)), st.sampled_from([None, 0.5, 1.0]))
+            ),
+            order=data.draw(st.permutations(keys)),
+        )
+        assert analyze(damaged).to_json() == analyze_loop(damaged).to_json()
 
 
 class TestEmit:
