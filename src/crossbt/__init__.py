@@ -6,6 +6,9 @@ covariate-balanced asset buckets, and the metrics and statistics needed to
 quantify how much engine choice moves a backtest.
 """
 
+# Set before the submodule imports: harness reads it while the package loads.
+__version__ = "0.1.0"
+
 from .buckets import (
     CovariateTable,
     InfeasibleConstraint,
@@ -102,5 +105,3 @@ from .stats import (
     wilcoxon_signed_rank,
 )
 from .strategies import BENCHMARKS, BenchmarkSpec
-
-__version__ = "0.1.0"

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import asdict
 
 from .buckets import compute_covariates, rerandomize, sector_balance
 from .harness import (
@@ -115,12 +116,7 @@ def cmd_buckets(cfg: RunConfig, out: str, jobs: int) -> int:
     qc = {"partition": json.loads(partition.to_json())}
     if pm.sectors is not None:
         balance = sector_balance(partition, pm.sectors)
-        qc["balance"] = {
-            "chi2": balance.chi2,
-            "p_value": balance.p_value,
-            "entropy_ratio": balance.entropy_ratio,
-            "df": balance.df,
-        }
+        qc["balance"] = asdict(balance)
     with open(os.path.join(out, "bucket_qc.json"), "w") as f:
         json.dump(qc, f, sort_keys=True, indent=2)
     print(

@@ -17,17 +17,19 @@ import json
 import os
 from collections.abc import Iterator, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
-from itertools import islice
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from itertools import combinations, islice
 
 import numpy as np
 
+from . import __version__
 from . import buckets as bucketmod
 from .engine import (
     CostSpec,
     EngineConvention,
     PerfStats,
     annual_turnover,
+    cost_intensity,
     performance_metrics,
     resolve_convention,
     run_variant,
@@ -67,8 +69,6 @@ from .stats import (
     wilcoxon_signed_rank,
 )
 from .strategies import BENCHMARKS
-
-__version__ = "0.1.0"
 
 DIVERGENCE_METRICS = PerfStats.METRICS
 
@@ -116,17 +116,26 @@ class RunConfig:
     tost_margins_pp: tuple[float, ...] = (0.10, 0.50)
     fdr_q: float = 0.05
 
+    #: The config-file key of each field not stored under its own name.
+    _KEYS = {"synth": "synthetic"}
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
         object.__setattr__(self, "engines", tuple(self.engines))
         object.__setattr__(self, "cost_regimes_bps", tuple(float(x) for x in self.cost_regimes_bps))
         object.__setattr__(self, "tost_margins_pp", tuple(float(x) for x in self.tost_margins_pp))
         object.__setattr__(self, "cost_overrides_bps", dict(self.cost_overrides_bps))
-        if len(self.roster()) < 2:
+        # Resolved once: every engine id the store and the analysis read comes
+        # from here, not from parsing the convention strings again.
+        resolved = {conv.id: conv for conv in map(resolve_convention, self.engines)}
+        object.__setattr__(self, "_roster", tuple(sorted(resolved.items())))
+        if len(self._roster) < 2:
             raise ValueError("need at least 2 distinct engine conventions")
         unknown = [b for b in self.benchmarks if b not in BENCHMARKS]
         if unknown:
             raise ValueError(f"unknown benchmarks: {unknown}")
+        if len(set(self.benchmarks)) < len(self.benchmarks):
+            raise ValueError(f"benchmarks listed twice: {self.benchmarks}")
         for b in self.benchmarks:
             if self.benchmark_cost_bps(b) not in self.cost_regimes_bps:
                 raise ValueError(
@@ -143,38 +152,11 @@ class RunConfig:
 
     def roster(self) -> list[tuple[str, EngineConvention]]:
         """(engine id, convention) pairs, deduplicated and sorted by id."""
-        seen: dict[str, EngineConvention] = {}
-        for name in self.engines:
-            conv = resolve_convention(name)
-            seen[conv.id] = conv
-        return sorted(seen.items())
+        return list(self._roster)
 
     def canonical_dict(self) -> dict:
-        d: dict = {
-            "seed": self.seed,
-            "prices_csv": self.prices_csv,
-            "sectors_csv": self.sectors_csv,
-            "buckets": asdict(self.buckets),
-            "benchmarks": list(self.benchmarks),
-            "engines": [eid for eid, _ in self.roster()],
-            "cost_regimes_bps": list(self.cost_regimes_bps),
-            "cost_overrides_bps": dict(sorted(self.cost_overrides_bps.items())),
-            "initial_capital": self.initial_capital,
-            "warmup": self.warmup,
-            "aum": self.aum,
-            "permutation_draws": self.permutation_draws,
-            "bootstrap_draws": self.bootstrap_draws,
-            "daf_reference": self.daf_reference,
-            "tost_margins_pp": list(self.tost_margins_pp),
-            "fdr_q": self.fdr_q,
-        }
-        if self.synth is not None:
-            synth = asdict(self.synth)
-            if isinstance(synth["annual_vol"], np.ndarray):
-                synth["annual_vol"] = [float(x) for x in synth["annual_vol"]]
-            d["synthetic"] = synth
-        else:
-            d["synthetic"] = None
+        d = {self._KEYS.get(f.name, f.name): _plain(getattr(self, f.name)) for f in fields(self)}
+        d["engines"] = [eid for eid, _ in self._roster]
         return d
 
     def run_id(self) -> str:
@@ -184,59 +166,46 @@ class RunConfig:
     def to_json(self) -> str:
         return json.dumps(self.canonical_dict(), sort_keys=True, indent=2)
 
-    _CONFIG_KEYS = frozenset(
-        {
-            "seed", "synthetic", "prices_csv", "sectors_csv", "buckets",
-            "benchmarks", "engines", "cost_regimes_bps", "cost_overrides_bps",
-            "initial_capital", "warmup", "aum", "permutation_draws",
-            "bootstrap_draws", "daf_reference", "tost_margins_pp", "fdr_q",
-        }
-    )
-
     @classmethod
     def from_dict(cls, obj: Mapping) -> "RunConfig":
-        obj = dict(obj)
-        unknown = sorted(set(obj) - cls._CONFIG_KEYS)
+        names = {cls._KEYS.get(f.name, f.name): f.name for f in fields(cls)}
+        unknown = sorted(set(obj) - set(names))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        seed = int(obj.get("seed", 0))
-        synth = None
-        if obj.get("synthetic"):
-            s = dict(obj["synthetic"])
+        kwargs = {names[key]: value for key, value in obj.items()}
+        seed = kwargs["seed"] = int(kwargs.get("seed", 0))
+        kwargs["buckets"] = BucketConfig(**kwargs.get("buckets", {}))
+        if kwargs.get("synth"):
+            s = dict(kwargs["synth"])
             if s.get("seed") is None:
                 s["seed"] = seed
             if s.get("annual_vol") is not None and not np.isscalar(s["annual_vol"]):
                 s["annual_vol"] = tuple(s["annual_vol"])
             if s.get("sectors") is not None:
                 s["sectors"] = tuple(s["sectors"])
-            synth = SynthSpec(**s)
-        bucket_cfg = BucketConfig(**obj.get("buckets", {}))
-        kwargs = {
-            k: obj[k]
-            for k in (
-                "prices_csv",
-                "sectors_csv",
-                "benchmarks",
-                "engines",
-                "cost_regimes_bps",
-                "cost_overrides_bps",
-                "initial_capital",
-                "warmup",
-                "aum",
-                "permutation_draws",
-                "bootstrap_draws",
-                "daf_reference",
-                "tost_margins_pp",
-                "fdr_q",
-            )
-            if k in obj
-        }
-        return cls(seed=seed, synth=synth, buckets=bucket_cfg, **kwargs)
+            kwargs["synth"] = SynthSpec(**s)
+        else:
+            kwargs["synth"] = None
+        return cls(**kwargs)
 
     @classmethod
     def from_json_file(cls, path: str) -> "RunConfig":
         with open(path) as f:
             return cls.from_dict(json.load(f))
+
+
+def _plain(value):
+    """A config value as JSON-ready data: dataclasses as dicts, tuples and
+    arrays as lists, mappings sorted by key."""
+    if is_dataclass(value):
+        return {k: _plain(v) for k, v in asdict(value).items()}
+    if isinstance(value, np.ndarray):
+        return [float(x) for x in value]
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, Mapping):
+        return dict(sorted(value.items()))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -610,13 +579,262 @@ class ReportBundle:
         return cls(obj["run_id"], obj["metadata"], obj["tables"], obj["bucket_qc"], obj["conjecture"])
 
 
-def _metric_values(store: ResultStore, bm: str, bucket: str, metric: str) -> dict[str, float]:
-    values = {}
-    for engine in store.engine_ids:
-        cell = store.cell(bm, bucket, engine)
-        if cell is not None and cell.ok:
-            values[engine] = cell.stats.metric(metric)
-    return values
+#: The columns of every report table, in order. Builders emit each row's
+#: values in this order; records and findings are rows as they are.
+TABLE_COLUMNS: dict[str, list[str]] = {
+    "divergence_records": [f.name for f in fields(DivergenceRecord)],
+    "divergence_summary": [
+        "benchmark", "category", "cost_bps", "mean_pct", "max_pct", "n_pairs",
+        "n_buckets", "es_range_pp", "es_cv_pct", "iui_lo", "iui_hi",
+        "iui_width_pp", "daf", "csi",
+    ],
+    "stats_tests": [
+        "benchmark", "pair", "test", "n", "statistic", "p_value",
+        "degenerate", "reject_fdr", "equivalent", "margin_pp",
+    ],
+    "concordance": ["benchmark", "metric", "engine_a", "engine_b", "ccc", "n_buckets"],
+    "concordance_min": ["benchmark", "metric", "ccc_min"],
+    "floor_decomposition": [
+        "benchmark", "engine_a", "engine_b", "mean_divergence_pct",
+        "floor_pct", "residual_pct", "mixed_reporting", "fully_invested",
+    ],
+    "cost_intensity": [
+        "benchmark", "cost_bps", "turnover_per_yr", "cost_intensity", "es_range_pp",
+    ],
+    "dollar_ambiguity": [
+        "benchmark", "max_divergence_pct", "aum_usd", "annual_ambiguity_usd",
+    ],
+    "pair_divergence": [
+        "benchmark", "engine_a", "engine_b", "mean_divergence_pct", "n_buckets",
+    ],
+    "validation": [f.name for f in fields(Finding)],
+}
+
+#: Conventions the report's numbers rest on, recorded in its metadata.
+REPORT_CONSTANTS = {
+    "annualisation_days": 252,
+    "sharpe_risk_free_rate": 0.0,
+    "spread_stdev_ddof": 1,
+    "divergence_base": "lexicographically-first engine id in the pair",
+    "total_return_divergence_basis": "growth factor (final over first reported equity)",
+    "csi_sign_of_zero": "positive",
+    "ccc_moments": "population (divisor n)",
+    "turnover_definition": "one-sided notional / pre-cost value, annualised 252/(T-1)",
+    "wilcoxon_zero_handling": "dropped",
+    "permutation_estimator": "add-one",
+}
+
+
+def _row(table: str, *values) -> dict:
+    """One row of ``table``, its values given in the order of its columns."""
+    return dict(zip(TABLE_COLUMNS[table], values, strict=True))
+
+
+@dataclass(frozen=True)
+class BucketCells:
+    """The ok cells of one (benchmark, bucket), reduced to what the report
+    tables read. Records and spreads need two ok engines; turnover is the
+    reference engine's, else the first ok engine's."""
+
+    benchmark: str
+    bucket: str
+    values: dict[str, dict[str, float]]  # metric -> engine -> value, engines sorted
+    records: list[DivergenceRecord]
+    turnover: float | None
+    es: float | None = None
+    es_cv: float | None = None
+    iui: tuple[float, float] | None = None
+    csi: int | None = None
+
+
+@dataclass(frozen=True)
+class CellTable:
+    """Every (benchmark, bucket) of a store in config and bucket order, and
+    each (benchmark, engine pair)'s total-return divergence over buckets."""
+
+    store: ResultStore
+    pairs: list[tuple[str, str]]
+    cells: dict[str, list[BucketCells]]
+    divergence: dict[tuple[str, tuple[str, str]], list[float]]
+    mean_divergence: dict[tuple[str, tuple[str, str]], float]
+    es_mean: dict[str, float]
+
+    def pair_means(self, bm: str) -> list[float]:
+        return [mean for (b, _), mean in self.mean_divergence.items() if b == bm]
+
+
+def _bucket_cells(store: ResultStore, engines: Sequence[str], bm: str, bucket: str) -> BucketCells:
+    ok = [c for e in engines if (c := store.cell(bm, bucket, e)) is not None and c.ok]
+    values = {m: {c.engine: c.stats.metric(m) for c in ok} for m in DIVERGENCE_METRICS}
+    source = next((c for c in ok if c.engine == REFERENCE.id), ok[0] if ok else None)
+    turnover = source.turnover if source else None
+    if len(ok) < 2:
+        return BucketCells(bm, bucket, values, [], turnover)
+    records = [r for m in DIVERGENCE_METRICS for r in pairwise_divergence(values[m], bm, bucket, m)]
+    sample = np.array([c.stats.total_return_pct for c in ok])
+    sharpes = np.array(list(values["sharpe"].values()))
+    return BucketCells(
+        bm, bucket, values, records, turnover, es_range(sample), es_cv(sample), iui(sample), csi(sharpes)
+    )
+
+
+def _cell_table(store: ResultStore) -> CellTable:
+    engines = store.engine_ids
+    pairs = list(combinations(engines, 2))
+    cells = {
+        bm: [_bucket_cells(store, engines, bm, bucket) for bucket in store.bucket_ids]
+        for bm in store.config.benchmarks
+    }
+    found: dict[tuple[str, tuple[str, str]], list[float]] = {}
+    for bm, row in cells.items():
+        for rec in (r for c in row for r in c.records):
+            if rec.metric == "total_return":
+                found.setdefault((bm, (rec.engine_a, rec.engine_b)), []).append(rec.rel_diff_pct)
+    divergence = {(bm, p): found[(bm, p)] for bm in cells for p in pairs if (bm, p) in found}
+    spreads = {bm: [c.es for c in row if c.es is not None] for bm, row in cells.items()}
+    return CellTable(
+        store,
+        pairs,
+        cells,
+        divergence,
+        {key: float(np.mean(series)) for key, series in divergence.items()},
+        {bm: float(np.mean(es)) for bm, es in spreads.items() if es},
+    )
+
+
+def _summary_rows(t: CellTable) -> list[dict]:
+    cfg = t.store.config
+    ref = t.es_mean.get(cfg.daf_reference, 0.0)
+    rows = []
+    for bm, row in t.cells.items():
+        means = t.pair_means(bm)
+        spread = [c for c in row if c.es is not None]
+        es_cvs = [c.es_cv for c in spread if c.es_cv is not None]
+        iuis = [c.iui for c in spread]
+        rows.append(
+            _row(
+                "divergence_summary",
+                bm,
+                BENCHMARKS[bm].category,
+                cfg.benchmark_cost_bps(bm),
+                float(np.mean(means)) if means else None,
+                float(np.max(means)) if means else None,
+                len(means),
+                len(spread),
+                t.es_mean.get(bm),
+                float(np.mean(es_cvs)) if es_cvs else None,
+                float(np.mean([lo for lo, _ in iuis])) if iuis else None,
+                float(np.mean([hi for _, hi in iuis])) if iuis else None,
+                float(np.mean([hi - lo for lo, hi in iuis])) if iuis else None,
+                t.es_mean[bm] / ref if ref > 0 and bm in t.es_mean else None,
+                int(max(c.csi for c in spread)) if spread else None,
+            )
+        )
+    return rows
+
+
+def _statistic(result) -> float | None:
+    return None if result.degenerate else result.statistic
+
+
+def _test_row(
+    bm: str, pair: str, n: int, test: str, result, statistic=None,
+    reject_fdr=None, equivalent=None, margin_pp=None,
+) -> dict:
+    return _row(
+        "stats_tests", bm, pair, test, n, statistic, result.p_value, result.degenerate,
+        reject_fdr, equivalent, margin_pp,
+    )
+
+
+def _stats_rows(t: CellTable) -> list[dict]:
+    """The test battery on each pair's divergence series, with the t-tests'
+    Benjamini-Hochberg rejections over all benchmarks and pairs."""
+    cfg = t.store.config
+    tested = {key: series for key, series in t.divergence.items() if len(series) >= 2}
+    t_tests = {key: one_sample_t(series) for key, series in tested.items()}
+    family = [key for key, res in t_tests.items() if not res.degenerate and res.p_value is not None]
+    rejected = {}
+    if family:
+        rejected = dict(zip(family, map(bool, bh_fdr([t_tests[k].p_value for k in family], cfg.fdr_q))))
+    rows = []
+    for (bm, pair), series in tested.items():
+        label, n = f"{pair[0]} vs {pair[1]}", len(series)
+        t_res = t_tests[(bm, pair)]
+        rows.append(_test_row(bm, label, n, "t", t_res, _statistic(t_res), rejected.get((bm, pair))))
+        w_res = wilcoxon_signed_rank(series)
+        rows.append(_test_row(bm, label, n, w_res.method, w_res, _statistic(w_res)))
+        perm_seed = derived_seed(cfg.seed, "perm", bm, label)
+        p_res = sign_flip_permutation(series, draws=cfg.permutation_draws, seed=perm_seed)
+        rows.append(_test_row(bm, label, n, "permutation", p_res, p_res.statistic))
+        for margin in cfg.tost_margins_pp:
+            t_eq = tost(series, margin)
+            rows.append(_test_row(bm, label, n, "tost", t_eq, equivalent=t_eq.equivalent, margin_pp=margin))
+        if n >= 3:
+            l_res = lag1_autocorr(series)
+            rows.append(_test_row(bm, label, n, "lag1_autocorr", l_res, _statistic(l_res)))
+    return rows
+
+
+def _concordance_rows(t: CellTable) -> tuple[list[dict], list[dict]]:
+    """Lin's CCC of each engine pair across buckets, and its minimum over
+    pairs, per benchmark and metric."""
+    rows, minima = [], []
+    for bm, row in t.cells.items():
+        for metric in DIVERGENCE_METRICS:
+            cccs = []
+            for a, b in t.pairs:
+                both = {c.bucket: c.values[metric] for c in row if {a, b} <= c.values[metric].keys()}
+                common = sorted(both)
+                if len(common) < 2:
+                    continue
+                cccs.append(lin_ccc([both[k][a] for k in common], [both[k][b] for k in common]))
+                rows.append(_row("concordance", bm, metric, a, b, cccs[-1], len(common)))
+            if cccs:
+                minima.append(_row("concordance_min", bm, metric, float(np.min(cccs))))
+    return rows, minima
+
+
+def _fully_invested(store: ResultStore, bm: str) -> bool:
+    sums = [store.first_weight_sums.get((bm, bucket)) for bucket in store.bucket_ids]
+    return all(s is not None and s >= 1.0 - FULLY_INVESTED_TOL for s in sums)
+
+
+def _floor_rows(t: CellTable) -> list[dict]:
+    """Each pair's mean divergence split into the reporting floor, which
+    needs every bucket's first schedule entry fully invested, and the rest."""
+    store = t.store
+    conventions = store.conventions()
+    fully = {bm: _fully_invested(store, bm) for bm in t.cells}
+    rows = []
+    for (bm, (a, b)), mean in t.mean_divergence.items():
+        rec = DivergenceRecord(bm, "*", "total_return", a, b, mean)
+        cost = CostSpec.from_bps(store.config.benchmark_cost_bps(bm))
+        split = floor_decomposition(rec, conventions, cost, fully[bm])
+        rows.append(
+            _row(
+                "floor_decomposition", bm, a, b, mean,
+                split.floor_pct, split.residual_pct, split.mixed_reporting, fully[bm],
+            )
+        )
+    return rows
+
+
+def _cost_rows(t: CellTable) -> tuple[list[dict], dict]:
+    """The cost-intensity table and the conjecture block: across benchmarks,
+    does the engine spread rank with cost rate times turnover?"""
+    cfg = t.store.config
+    rows, rates, scores = [], {}, []
+    for bm, row in t.cells.items():
+        turnovers = [c.turnover for c in row if c.turnover is not None]
+        if not turnovers or bm not in t.es_mean:
+            continue
+        cost = CostSpec.from_bps(cfg.benchmark_cost_bps(bm))
+        turnover = float(np.mean(turnovers))
+        rates[bm] = cost.rate
+        scores.append(cost_intensity(cost, turnover))
+        rows.append(_row("cost_intensity", bm, cfg.benchmark_cost_bps(bm), turnover, scores[-1], t.es_mean[bm]))
+    return rows, _conjecture(t, rates, scores)
 
 
 def _resampled_means(
@@ -670,364 +888,79 @@ def _resampled_rho(
     return rho
 
 
+def _conjecture(t: CellTable, rates: dict[str, float], scores: list[float]) -> dict:
+    conjecture: dict = {"n_benchmarks": len(scores)}
+    if len(scores) < 3:
+        return conjecture
+    cfg = t.store.config
+    spreads = [t.es_mean[bm] for bm in rates]
+    sp = spearman(scores, spreads)
+    pe = pearson(scores, spreads)
+    conjecture |= {
+        "spearman_rho": _statistic(sp),
+        "spearman_p": sp.p_value,
+        "pearson_r": _statistic(pe),
+        "pearson_p": pe.p_value,
+    }
+    cells = [c for row in t.cells.values() for c in row]
+    turnover = {(c.benchmark, c.bucket): c.turnover for c in cells if c.turnover is not None}
+    es = {(c.benchmark, c.bucket): c.es for c in cells if c.es is not None}
+    buckets, bms = list(t.store.bucket_ids), list(rates)
+    try:
+        boot = cluster_bootstrap(
+            buckets,
+            lambda index: _resampled_rho(index, buckets, bms, rates, turnover, es),
+            draws=cfg.bootstrap_draws,
+            seed=derived_seed(cfg.seed, "boot", "conjecture"),
+        )
+    except NotEnoughClusters:
+        return conjecture | {"bootstrap_point": None, "bootstrap_ci95": None}
+    return conjecture | {
+        "bootstrap_point": boot.point,
+        "bootstrap_ci95": list(boot.ci95),
+        "bootstrap_draws": boot.draws,
+        "n_clusters": boot.n_clusters,
+    }
+
+
+def _dollar_rows(t: CellTable) -> list[dict]:
+    """Annual dollar ambiguity of the ruler divergences and of each
+    benchmark's largest pair divergence."""
+    aum = t.store.config.aum
+    maxima = [(f"ruler_{pct:.2f}pct", pct) for pct in AMBIGUITY_RULER_PCTS]
+    maxima += [(bm, float(np.max(means))) for bm in t.cells if (means := t.pair_means(bm))]
+    return [_row("dollar_ambiguity", name, pct, aum, dollar_ambiguity(pct, aum)) for name, pct in maxima]
+
+
+def _pair_rows(t: CellTable) -> list[dict]:
+    return [
+        _row("pair_divergence", bm, a, b, mean, len(t.divergence[(bm, (a, b))]))
+        for (bm, (a, b)), mean in t.mean_divergence.items()
+    ]
+
+
 def analyze(store: ResultStore) -> ReportBundle:
     """Divergences, spread metrics, the statistics battery, floor
     decomposition, the cost-intensity scaling check, and dollar translation,
     all from a frozen store. Degenerate cells propagate as flags."""
-    cfg = store.config
-    engines = store.engine_ids
-    conventions = store.conventions()
-    buckets_sorted = list(store.bucket_ids)
-    pairs = [
-        (engines[i], engines[j])
-        for i in range(len(engines))
-        for j in range(i + 1, len(engines))
-    ]
-    pairs = sorted(pairs)
-
     findings = validate_results(store)
-
-    records_rows: list[dict] = []
-    # (bm, pair) -> ordered per-bucket total-return divergences
-    pair_series: dict[tuple[str, tuple[str, str]], list[float]] = {}
-    # (bm, metric, engine) -> per-bucket values for concordance
-    metric_by_engine: dict[tuple[str, str, str], dict[str, float]] = {}
-    # per-benchmark per-bucket spread inputs
-    es_by_bucket: dict[tuple[str, str], float] = {}
-    escv_by_bucket: dict[tuple[str, str], float | None] = {}
-    iui_by_bucket: dict[tuple[str, str], tuple[float, float]] = {}
-    csi_by_bucket: dict[tuple[str, str], int] = {}
-    turnover_by_bucket: dict[tuple[str, str], float] = {}
-
-    reference_id = REFERENCE.id
-
-    for bm in cfg.benchmarks:
-        for bucket in buckets_sorted:
-            for metric in DIVERGENCE_METRICS:
-                values = _metric_values(store, bm, bucket, metric)
-                for engine, value in values.items():
-                    metric_by_engine.setdefault((bm, metric, engine), {})[bucket] = value
-                if len(values) < 2:
-                    continue
-                for rec in pairwise_divergence(values, bm, bucket, metric):
-                    records_rows.append(
-                        {
-                            "benchmark": rec.benchmark,
-                            "bucket": rec.bucket,
-                            "metric": rec.metric,
-                            "engine_a": rec.engine_a,
-                            "engine_b": rec.engine_b,
-                            "rel_diff_pct": rec.rel_diff_pct,
-                            "absolute_fallback": rec.absolute_fallback,
-                        }
-                    )
-                    if rec.metric == "total_return":
-                        pair_series.setdefault((bm, (rec.engine_a, rec.engine_b)), []).append(
-                            rec.rel_diff_pct
-                        )
-            tr_values = _metric_values(store, bm, bucket, "total_return")
-            tr_pct = {
-                e: store.cell(bm, bucket, e).stats.total_return_pct for e in tr_values
-            }
-            if len(tr_pct) >= 2:
-                sample = np.array([tr_pct[e] for e in sorted(tr_pct)])
-                es_by_bucket[(bm, bucket)] = es_range(sample)
-                escv_by_bucket[(bm, bucket)] = es_cv(sample)
-                iui_by_bucket[(bm, bucket)] = iui(sample)
-            sharpes = _metric_values(store, bm, bucket, "sharpe")
-            if len(sharpes) >= 2:
-                csi_by_bucket[(bm, bucket)] = csi(np.array([sharpes[e] for e in sorted(sharpes)]))
-            ref_cell = store.cell(bm, bucket, reference_id)
-            if ref_cell is not None and ref_cell.ok:
-                turnover_by_bucket[(bm, bucket)] = ref_cell.turnover
-            else:
-                ok_cells = [store.cell(bm, bucket, e) for e in engines]
-                ok_cells = [c for c in ok_cells if c is not None and c.ok]
-                if ok_cells:
-                    turnover_by_bucket[(bm, bucket)] = ok_cells[0].turnover
-
-    # -- benchmark summary ---------------------------------------------------
-    summary_rows: list[dict] = []
-    es_mean: dict[str, float] = {}
-    for bm in cfg.benchmarks:
-        pair_means = {}
-        for pair in pairs:
-            series = pair_series.get((bm, pair))
-            if series:
-                pair_means[pair] = float(np.mean(series))
-        es_vals = [es_by_bucket[k] for k in es_by_bucket if k[0] == bm]
-        escv_vals = [v for k, v in escv_by_bucket.items() if k[0] == bm and v is not None]
-        iui_vals = [iui_by_bucket[k] for k in iui_by_bucket if k[0] == bm]
-        csi_vals = [csi_by_bucket[k] for k in csi_by_bucket if k[0] == bm]
-        if es_vals:
-            es_mean[bm] = float(np.mean(es_vals))
-        row = {
-            "benchmark": bm,
-            "category": BENCHMARKS[bm].category,
-            "cost_bps": cfg.benchmark_cost_bps(bm),
-            "mean_pct": float(np.mean(list(pair_means.values()))) if pair_means else None,
-            "max_pct": float(np.max(list(pair_means.values()))) if pair_means else None,
-            "n_pairs": len(pair_means),
-            "n_buckets": len(es_vals),
-            "es_range_pp": es_mean.get(bm),
-            "es_cv_pct": float(np.mean(escv_vals)) if escv_vals else None,
-            "iui_lo": float(np.mean([v[0] for v in iui_vals])) if iui_vals else None,
-            "iui_hi": float(np.mean([v[1] for v in iui_vals])) if iui_vals else None,
-            "iui_width_pp": float(np.mean([v[1] - v[0] for v in iui_vals])) if iui_vals else None,
-            "csi": int(max(csi_vals)) if csi_vals else None,
-        }
-        summary_rows.append(row)
-    ref_bm = cfg.daf_reference
-    for row in summary_rows:
-        bm = row["benchmark"]
-        if ref_bm in es_mean and es_mean[ref_bm] > 0 and bm in es_mean:
-            row["daf"] = es_mean[bm] / es_mean[ref_bm]
-        else:
-            row["daf"] = None
-
-    # -- statistics battery ---------------------------------------------------
-    stats_rows: list[dict] = []
-    t_index: list[int] = []
-    t_ps: list[float] = []
-    for bm in cfg.benchmarks:
-        for pair in pairs:
-            series = pair_series.get((bm, pair))
-            if not series or len(series) < 2:
-                continue
-            pair_label = f"{pair[0]} vs {pair[1]}"
-            base = {"benchmark": bm, "pair": pair_label, "n": len(series)}
-            t_res = one_sample_t(series)
-            stats_rows.append(
-                base | {
-                    "test": "t",
-                    "statistic": None if t_res.degenerate else t_res.statistic,
-                    "p_value": t_res.p_value,
-                    "degenerate": t_res.degenerate,
-                    "reject_fdr": None,
-                    "equivalent": None,
-                    "margin_pp": None,
-                }
-            )
-            if not t_res.degenerate and t_res.p_value is not None:
-                t_index.append(len(stats_rows) - 1)
-                t_ps.append(t_res.p_value)
-            w_res = wilcoxon_signed_rank(series)
-            stats_rows.append(
-                base | {
-                    "test": w_res.method,
-                    "statistic": None if w_res.degenerate else w_res.statistic,
-                    "p_value": w_res.p_value,
-                    "degenerate": w_res.degenerate,
-                    "reject_fdr": None,
-                    "equivalent": None,
-                    "margin_pp": None,
-                }
-            )
-            perm_seed = derived_seed(cfg.seed, "perm", bm, pair_label)
-            p_res = sign_flip_permutation(series, draws=cfg.permutation_draws, seed=perm_seed)
-            stats_rows.append(
-                base | {
-                    "test": "permutation",
-                    "statistic": p_res.statistic,
-                    "p_value": p_res.p_value,
-                    "degenerate": p_res.degenerate,
-                    "reject_fdr": None,
-                    "equivalent": None,
-                    "margin_pp": None,
-                }
-            )
-            for margin in cfg.tost_margins_pp:
-                t_eq = tost(series, margin)
-                stats_rows.append(
-                    base | {
-                        "test": "tost",
-                        "statistic": None,
-                        "p_value": t_eq.p_value,
-                        "degenerate": t_eq.degenerate,
-                        "reject_fdr": None,
-                        "equivalent": t_eq.equivalent,
-                        "margin_pp": margin,
-                    }
-                )
-            if len(series) >= 3:
-                l_res = lag1_autocorr(series)
-                stats_rows.append(
-                    base | {
-                        "test": "lag1_autocorr",
-                        "statistic": None if l_res.degenerate else l_res.statistic,
-                        "p_value": None,
-                        "degenerate": l_res.degenerate,
-                        "reject_fdr": None,
-                        "equivalent": None,
-                        "margin_pp": None,
-                    }
-                )
-    if t_ps:
-        rejected = bh_fdr(t_ps, cfg.fdr_q)
-        for pos, rej in zip(t_index, rejected):
-            stats_rows[pos]["reject_fdr"] = bool(rej)
-
-    # -- concordance -----------------------------------------------------------
-    ccc_rows: list[dict] = []
-    ccc_min_rows: list[dict] = []
-    for bm in cfg.benchmarks:
-        for metric in DIVERGENCE_METRICS:
-            per_metric = []
-            for pair in pairs:
-                va = metric_by_engine.get((bm, metric, pair[0]), {})
-                vb = metric_by_engine.get((bm, metric, pair[1]), {})
-                common = sorted(set(va) & set(vb))
-                if len(common) < 2:
-                    continue
-                value = lin_ccc([va[b] for b in common], [vb[b] for b in common])
-                per_metric.append(value)
-                ccc_rows.append(
-                    {
-                        "benchmark": bm,
-                        "metric": metric,
-                        "engine_a": pair[0],
-                        "engine_b": pair[1],
-                        "ccc": value,
-                        "n_buckets": len(common),
-                    }
-                )
-            if per_metric:
-                ccc_min_rows.append(
-                    {"benchmark": bm, "metric": metric, "ccc_min": float(np.min(per_metric))}
-                )
-
-    # -- floor decomposition ----------------------------------------------------
-    floor_rows: list[dict] = []
-    for bm in cfg.benchmarks:
-        rate = cfg.benchmark_cost_bps(bm) / 1e4
-        sums = [store.first_weight_sums.get((bm, b)) for b in buckets_sorted]
-        fully = all(s is not None and s >= 1.0 - FULLY_INVESTED_TOL for s in sums)
-        for pair in pairs:
-            series = pair_series.get((bm, pair))
-            if not series:
-                continue
-            mean_div = float(np.mean(series))
-            rec = DivergenceRecord(bm, "*", "total_return", pair[0], pair[1], mean_div)
-            split = floor_decomposition(rec, conventions, CostSpec(rate), fully)
-            floor_rows.append(
-                {
-                    "benchmark": bm,
-                    "engine_a": pair[0],
-                    "engine_b": pair[1],
-                    "mean_divergence_pct": mean_div,
-                    "floor_pct": split.floor_pct,
-                    "residual_pct": split.residual_pct,
-                    "mixed_reporting": split.mixed_reporting,
-                    "fully_invested": fully,
-                }
-            )
-
-    # -- cost-intensity scaling check ---------------------------------------------
-    cost_rows: list[dict] = []
-    score_by_bm: dict[str, float] = {}
-    for bm in cfg.benchmarks:
-        rate = cfg.benchmark_cost_bps(bm) / 1e4
-        t_vals = [turnover_by_bucket[k] for k in turnover_by_bucket if k[0] == bm]
-        if not t_vals or bm not in es_mean:
-            continue
-        turnover = float(np.mean(t_vals))
-        score = rate * turnover
-        score_by_bm[bm] = score
-        cost_rows.append(
-            {
-                "benchmark": bm,
-                "cost_bps": cfg.benchmark_cost_bps(bm),
-                "turnover_per_yr": turnover,
-                "cost_intensity": score,
-                "es_range_pp": es_mean[bm],
-            }
-        )
-    conjecture: dict = {"n_benchmarks": len(cost_rows)}
-    if len(cost_rows) >= 3:
-        scores = [r["cost_intensity"] for r in cost_rows]
-        spreads = [r["es_range_pp"] for r in cost_rows]
-        sp = spearman(scores, spreads)
-        pe = pearson(scores, spreads)
-        conjecture |= {
-            "spearman_rho": None if sp.degenerate else sp.statistic,
-            "spearman_p": sp.p_value,
-            "pearson_r": None if pe.degenerate else pe.statistic,
-            "pearson_p": pe.p_value,
-        }
-        bms = [r["benchmark"] for r in cost_rows]
-        rates = {r["benchmark"]: r["cost_bps"] / 1e4 for r in cost_rows}
-
-        def _statistic(index: np.ndarray) -> np.ndarray:
-            return _resampled_rho(index, buckets_sorted, bms, rates, turnover_by_bucket, es_by_bucket)
-
-        try:
-            boot = cluster_bootstrap(
-                buckets_sorted,
-                _statistic,
-                draws=cfg.bootstrap_draws,
-                seed=derived_seed(cfg.seed, "boot", "conjecture"),
-            )
-            conjecture |= {
-                "bootstrap_point": boot.point,
-                "bootstrap_ci95": list(boot.ci95),
-                "bootstrap_draws": boot.draws,
-                "n_clusters": boot.n_clusters,
-            }
-        except NotEnoughClusters:
-            conjecture |= {"bootstrap_point": None, "bootstrap_ci95": None}
-
-    # -- dollar translation ----------------------------------------------------
-    dollar_rows: list[dict] = []
-    for pct in AMBIGUITY_RULER_PCTS:
-        dollar_rows.append(
-            {
-                "benchmark": f"ruler_{pct:.2f}pct",
-                "max_divergence_pct": pct,
-                "aum_usd": cfg.aum,
-                "annual_ambiguity_usd": dollar_ambiguity(pct, cfg.aum),
-            }
-        )
-    for row in summary_rows:
-        if row["max_pct"] is None:
-            continue
-        dollar_rows.append(
-            {
-                "benchmark": row["benchmark"],
-                "max_divergence_pct": row["max_pct"],
-                "aum_usd": cfg.aum,
-                "annual_ambiguity_usd": dollar_ambiguity(row["max_pct"], cfg.aum),
-            }
-        )
-
-    # -- pair heatmap (plot-ready long format) -----------------------------------
-    heatmap_rows = []
-    for bm in cfg.benchmarks:
-        for pair in pairs:
-            series = pair_series.get((bm, pair))
-            if series:
-                heatmap_rows.append(
-                    {
-                        "benchmark": bm,
-                        "engine_a": pair[0],
-                        "engine_b": pair[1],
-                        "mean_divergence_pct": float(np.mean(series)),
-                        "n_buckets": len(series),
-                    }
-                )
-
-    validation_rows = [
-        {
-            "kind": f.kind,
-            "benchmark": f.benchmark,
-            "bucket": f.bucket,
-            "engine": f.engine,
-            "expected": f.expected,
-            "got": f.got,
-            "detail": f.detail,
-        }
-        for f in findings
-    ]
-
+    t = _cell_table(store)
+    concordance, concordance_min = _concordance_rows(t)
+    cost, conjecture = _cost_rows(t)
+    tables = {
+        # A record's fields are flat, so vars() copies what asdict() would
+        # without its per-field deep copy (most of analyze's time on wide grids).
+        "divergence_records": [dict(vars(r)) for row in t.cells.values() for c in row for r in c.records],
+        "divergence_summary": _summary_rows(t),
+        "stats_tests": _stats_rows(t),
+        "concordance": concordance,
+        "concordance_min": concordance_min,
+        "floor_decomposition": _floor_rows(t),
+        "cost_intensity": cost,
+        "dollar_ambiguity": _dollar_rows(t),
+        "pair_divergence": _pair_rows(t),
+        "validation": [asdict(f) for f in findings],
+    }
     bucket_qc = {
         "partition": json.loads(store.partition.to_json()),
         "balance": asdict(store.balance) if store.balance else None,
@@ -1037,32 +970,9 @@ def analyze(store: ResultStore) -> ReportBundle:
     metadata = {
         "run_id": store.run_id,
         "package_version": __version__,
-        "config": cfg.canonical_dict(),
-        "engine_conventions": {eid: eid for eid in engines},
-        "constants": {
-            "annualisation_days": 252,
-            "sharpe_risk_free_rate": 0.0,
-            "spread_stdev_ddof": 1,
-            "divergence_base": "lexicographically-first engine id in the pair",
-            "total_return_divergence_basis": "growth factor (final over first reported equity)",
-            "csi_sign_of_zero": "positive",
-            "ccc_moments": "population (divisor n)",
-            "turnover_definition": "one-sided notional / pre-cost value, annualised 252/(T-1)",
-            "wilcoxon_zero_handling": "dropped",
-            "permutation_estimator": "add-one",
-        },
-    }
-    tables = {
-        "divergence_records": records_rows,
-        "divergence_summary": summary_rows,
-        "stats_tests": stats_rows,
-        "concordance": ccc_rows,
-        "concordance_min": ccc_min_rows,
-        "floor_decomposition": floor_rows,
-        "cost_intensity": cost_rows,
-        "dollar_ambiguity": dollar_rows,
-        "pair_divergence": heatmap_rows,
-        "validation": validation_rows,
+        "config": store.config.canonical_dict(),
+        "engine_conventions": {eid: eid for eid in store.engine_ids},
+        "constants": dict(REPORT_CONSTANTS),
     }
     return ReportBundle(store.run_id, metadata, tables, bucket_qc, conjecture)
 
@@ -1070,38 +980,6 @@ def analyze(store: ResultStore) -> ReportBundle:
 # ---------------------------------------------------------------------------
 # Report emission
 # ---------------------------------------------------------------------------
-
-TABLE_COLUMNS: dict[str, list[str]] = {
-    "divergence_records": [
-        "benchmark", "bucket", "metric", "engine_a", "engine_b",
-        "rel_diff_pct", "absolute_fallback",
-    ],
-    "divergence_summary": [
-        "benchmark", "category", "cost_bps", "mean_pct", "max_pct", "n_pairs",
-        "n_buckets", "es_range_pp", "es_cv_pct", "iui_lo", "iui_hi",
-        "iui_width_pp", "daf", "csi",
-    ],
-    "stats_tests": [
-        "benchmark", "pair", "test", "n", "statistic", "p_value",
-        "degenerate", "reject_fdr", "equivalent", "margin_pp",
-    ],
-    "concordance": ["benchmark", "metric", "engine_a", "engine_b", "ccc", "n_buckets"],
-    "concordance_min": ["benchmark", "metric", "ccc_min"],
-    "floor_decomposition": [
-        "benchmark", "engine_a", "engine_b", "mean_divergence_pct",
-        "floor_pct", "residual_pct", "mixed_reporting", "fully_invested",
-    ],
-    "cost_intensity": [
-        "benchmark", "cost_bps", "turnover_per_yr", "cost_intensity", "es_range_pp",
-    ],
-    "dollar_ambiguity": [
-        "benchmark", "max_divergence_pct", "aum_usd", "annual_ambiguity_usd",
-    ],
-    "pair_divergence": [
-        "benchmark", "engine_a", "engine_b", "mean_divergence_pct", "n_buckets",
-    ],
-    "validation": ["kind", "benchmark", "bucket", "engine", "expected", "got", "detail"],
-}
 
 
 def _format_cell(value) -> str:

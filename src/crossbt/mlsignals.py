@@ -211,10 +211,6 @@ class ElasticNetLearner:
         return self.fit_.predict(X)
 
 
-#: Learner registry; other model families register here when implemented.
-LEARNERS: dict[str, type] = {"enet": ElasticNetLearner}
-
-
 @dataclass(frozen=True)
 class WalkForwardConfig:
     """Rolling training window, train/predict gap, target horizon, picks."""

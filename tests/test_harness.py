@@ -1,6 +1,6 @@
 import copy
 import json
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +88,54 @@ class TestRunConfig:
         assert again.canonical_dict() == cfg.canonical_dict()
         assert again.run_id() == cfg.run_id()
         assert _config(seed=4).run_id() != cfg.run_id()
+        # Every field away from its default survives the round trip, and the
+        # canonical JSON (hence the run id and store.json) keeps its bytes.
+        cfg = RunConfig(
+            seed=11,
+            synth=SynthSpec(
+                n_assets=4, n_days=90, seed=5, annual_drift={"S0": 0.02, "S1": 0.04},
+                annual_vol=(0.1, 0.2, 0.3, 0.4), correlation=0.2, n_sectors=2,
+                sectors=("S0", "S1", "S0", "S1"), start_price=50.0,
+            ),
+            prices_csv="prices.csv",
+            sectors_csv="sectors.csv",
+            buckets=BucketConfig(n_buckets=2, bucket_size=2, n_candidates=30, sector_constraint=False, seed=9),
+            benchmarks=("bm09", "bm02"),
+            engines=("pre_trade", "percent_divided", "reference"),
+            cost_regimes_bps=(0.0, 18.0, 25.0),
+            cost_overrides_bps={"bm02": 25.0},
+            initial_capital=5e5,
+            warmup=20,
+            aum=2e9,
+            permutation_draws=300,
+            bootstrap_draws=200,
+            daf_reference="bm02",
+            tost_margins_pp=(0.25,),
+            fdr_q=0.1,
+        )
+        for f in fields(RunConfig):
+            default = f.default if f.default is not MISSING else f.default_factory()
+            assert getattr(cfg, f.name) != default, f.name
+        again = RunConfig.from_dict(json.loads(cfg.to_json()))
+        for f in fields(RunConfig):
+            if f.name != "engines":
+                assert getattr(again, f.name) == getattr(cfg, f.name), f.name
+        assert again.roster() == cfg.roster()
+        assert again.to_json() == cfg.to_json()
+        assert cfg.run_id() == again.run_id() == "2c19f1e8d4cf"
+
+    def test_duplicate_benchmarks_rejected(self):
+        with pytest.raises(ValueError, match="twice"):
+            _config(benchmarks=("bm01", "bm09", "bm01"))
+
+    def test_analyze_resolves_no_convention(self, demo_store, monkeypatch):
+        # The roster is resolved when the config is built; reading engine ids
+        # and conventions afterwards must not parse convention strings again.
+        calls = []
+        real = harness.resolve_convention
+        monkeypatch.setattr(harness, "resolve_convention", lambda name: calls.append(name) or real(name))
+        analyze(demo_store)
+        assert calls == []
 
     def test_unknown_config_keys_rejected(self):
         obj = _config().canonical_dict()
