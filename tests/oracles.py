@@ -725,3 +725,105 @@ def analyze_loop(store):
         "validation": validation_rows,
     }
     return ReportBundle(store.run_id, metadata, tables, bucket_qc, conjecture)
+
+
+def _sequential_fill_indexed(w, h, cash, p, value, planned_cost, rate, conv, assets):
+    """``engine._sequential_fill`` as it was with numpy scalar indexing."""
+    import numpy as np
+
+    from crossbt.engine import FILL_SELLS_FIRST, trade_cost
+
+    net_value = value - planned_cost
+    targets = w * net_value
+    current = h * p
+    d = targets - current
+    sells = [i for i in range(len(d)) if d[i] < 0.0]
+    buys = [i for i in range(len(d)) if d[i] > 0.0]
+    if conv.fill_sequencing == FILL_SELLS_FIRST:
+        order = sells + buys
+    else:
+        order = sorted(sells + buys)
+    budget = cash
+    fees = 0.0
+    h_new = np.array(h)
+    executed = np.zeros(len(d))
+    skipped = []
+    for i in order:
+        fee = trade_cost(abs(float(d[i])), rate, conv)
+        if d[i] > 0.0 and fee > 0.0 and fee > budget:
+            skipped.append(assets[i])
+            continue
+        h_new[i] = targets[i] / p[i]
+        budget += -float(d[i]) - fee
+        fees += fee
+        executed[i] = d[i]
+    for i in range(len(d)):
+        if d[i] == 0.0:
+            h_new[i] = targets[i] / p[i]
+    cash_new = (value - fees) - float(h_new @ p)
+    return fees, h_new, cash_new, executed, tuple(skipped)
+
+
+def run_variant_per_day(schedule, prices, initial_capital, cost, conv, start=0):
+    """``engine.run_variant`` as one Python step per calendar day, marking
+    each non-rebalance day with its own ``float(h @ p)``."""
+    import numpy as np
+
+    from crossbt.engine import (
+        EQUITY_GROSS,
+        FILL_ATOMIC,
+        TIMING_SHIFT1,
+        EquitySeries,
+        TradeRecord,
+        trade_cost,
+    )
+
+    if initial_capital <= 0:
+        raise ValueError("initial capital must be positive")
+    if not 0 <= start < prices.n_days:
+        raise ValueError(f"start index {start} outside calendar")
+    schedule.validate(prices)
+    index = prices.date_index()
+    entries = {}
+    for date, w in schedule.entries.items():
+        t = index[date]
+        if t < start:
+            raise ValueError(f"rebalance date {date!r} precedes evaluation start")
+        entries[t] = w
+    if conv.return_timing == TIMING_SHIFT1:
+        entries = {t + 1: w for t, w in entries.items() if t + 1 < prices.n_days}
+
+    n_eval = prices.n_days - start
+    limit = n_eval if conv.truncate_after is None else min(conv.truncate_after, n_eval)
+    rate = cost.rate
+    assets = prices.assets
+    h = np.zeros(prices.n_assets)
+    cash = float(initial_capital)
+    equity = np.empty(limit)
+    trades = []
+
+    for k in range(limit):
+        t = start + k
+        p = prices.prices[t]
+        if t in entries:
+            w = entries[t]
+            value = cash + float(h @ p)
+            delta = w * value - h * p
+            traded = float(np.sum(np.abs(delta)))
+            if conv.fill_sequencing == FILL_ATOMIC:
+                fees = trade_cost(traded, rate, conv)
+                net_value = value - fees
+                h = (w * net_value) / p
+                cash = net_value - float(h @ p)
+                executed, skipped = delta, ()
+            else:
+                planned = trade_cost(traded, rate, conv)
+                fees, h, cash, executed, skipped = _sequential_fill_indexed(
+                    w, h, cash, p, value, planned, rate, conv, assets
+                )
+            equity[k] = value if conv.equity_reporting == EQUITY_GROSS else value - fees
+            trades.append(TradeRecord(prices.dates[t], executed, fees, value, skipped))
+        else:
+            equity[k] = cash + float(h @ p)
+
+    return EquitySeries(prices.dates[start : start + limit], equity, tuple(trades), conv.id)

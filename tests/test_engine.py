@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 
 from crossbt.engine import (
     CONVENTIONS,
+    EQUITY_GROSS,
+    EQUITY_POST,
+    FILL_ATOMIC,
+    FILL_FIFO,
+    FILL_SELLS_FIRST,
+    RATE_ABS,
+    RATE_DIV100,
     REFERENCE,
+    TIMING_ALIGNED,
+    TIMING_SHIFT1,
     CostSpec,
     EngineConvention,
     EquitySeries,
@@ -25,7 +34,7 @@ from crossbt.engine import (
 from crossbt.marketdata import PriceMatrix, SynthSpec, generate_synthetic
 from crossbt.strategies import equal_weight, rotation
 
-from oracles import backtest_loop
+from oracles import backtest_loop, run_variant_per_day
 
 
 @pytest.fixture
@@ -474,3 +483,106 @@ class TestScheduleValidation:
         assert values == pytest.approx(list(series.equity), rel=0, abs=0)
         log = series.trade_log_json()
         assert '"engine"' in log and '"cost"' in log
+
+
+@st.composite
+def engine_runs(draw):
+    """A price panel, a schedule on it and one point of every convention axis.
+
+    Schedules are empty, daily, sparse (optionally rebalancing on the final
+    day) or liquidating (fully invested, then all-zero entries); truncation
+    lands before, at or after the last executed rebalance, or anywhere.
+    """
+    n_assets = draw(st.integers(1, 40))
+    n_days = draw(st.integers(1, 40))
+    start = draw(st.integers(0, n_days - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    style = draw(st.sampled_from(["iid", "walk", "flat"]))
+    if style == "iid":
+        prices = np.exp(rng.uniform(0.0, np.log(1000.0), size=(n_days, n_assets)))
+    elif style == "walk":
+        prices = 50.0 * np.exp(np.cumsum(rng.normal(0.0, 0.03, size=(n_days, n_assets)), axis=0))
+    else:
+        prices = np.tile(rng.uniform(1.0, 100.0, size=n_assets), (n_days, 1))
+    pm = PriceMatrix(
+        tuple(str(i + 1) for i in range(n_days)),
+        tuple(f"A{i}" for i in range(n_assets)),
+        prices,
+    )
+    kind = draw(st.sampled_from(["empty", "daily", "sparse", "liquidating"]))
+    if kind == "empty":
+        days = []
+    elif kind == "daily":
+        days = list(range(start, n_days))
+    else:
+        days = draw(st.sets(st.integers(start, n_days - 1), min_size=1))
+        if draw(st.booleans()):
+            days.add(n_days - 1)
+        days = sorted(days)
+    entries = {}
+    for j, t in enumerate(days):
+        if kind == "liquidating":
+            invested = 1.0 if j == 0 else 0.0
+        else:
+            invested = draw(st.sampled_from([0.0, 1.0, float(rng.uniform())]))
+        raw = rng.uniform(size=n_assets) * (rng.uniform(size=n_assets) > 0.25)
+        total = raw.sum()
+        entries[pm.dates[t]] = raw / total * invested if total > 0.0 else raw
+    timing = draw(st.sampled_from([TIMING_ALIGNED, TIMING_SHIFT1]))
+    executed = [t + 1 for t in days if t + 1 < n_days] if timing == TIMING_SHIFT1 else days
+    through_last = executed[-1] - start + 1 if executed else 1
+    truncate = draw(
+        st.one_of(
+            st.none(),
+            st.sampled_from([max(1, through_last - 1), through_last, through_last + 1]),
+            st.integers(1, n_days + 2),
+        )
+    )
+    conv = EngineConvention(
+        draw(st.sampled_from([EQUITY_POST, EQUITY_GROSS])),
+        draw(st.sampled_from([RATE_ABS, RATE_DIV100])),
+        draw(st.integers(1, 3)),
+        draw(st.sampled_from([FILL_ATOMIC, FILL_FIFO, FILL_SELLS_FIRST])),
+        timing,
+        truncate,
+    )
+    rate = draw(st.one_of(st.just(0.0), st.just(0.06), st.floats(0.0, 0.06)))
+    capital = draw(st.floats(1.0, 1e7))
+    return WeightSchedule(entries), pm, capital, CostSpec(rate), conv, start
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def assert_same_run(got: EquitySeries, want: EquitySeries) -> None:
+    assert got.engine_id == want.engine_id
+    assert got.dates == want.dates
+    assert got.equity.tobytes() == want.equity.tobytes()
+    assert len(got.trades) == len(want.trades)
+    for a, b in zip(got.trades, want.trades):
+        assert a.date == b.date
+        assert a.deltas.dtype == b.deltas.dtype and a.deltas.tobytes() == b.deltas.tobytes()
+        assert _bits(a.cost) == _bits(b.cost)
+        assert _bits(a.pre_trade_value) == _bits(b.pre_trade_value)
+        assert a.skipped == b.skipped
+
+
+class TestPerDayOracle:
+    """``run_variant`` against the per-day loop, bit for bit."""
+
+    @given(run=engine_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_day_loop(self, run):
+        assert_same_run(run_variant(*run), run_variant_per_day(*run))
+
+    @pytest.mark.parametrize("name", sorted(CONVENTIONS))
+    def test_strategies_with_a_late_start_equal_the_per_day_loop(self, small_universe, name):
+        conv = CONVENTIONS[name]
+        for sched in (
+            equal_weight(small_universe, start=30, freq="daily"),
+            rotation(small_universe, start=30, freq="monthly"),
+        ):
+            for c in (conv, truncated(100, conv)):
+                args = (sched, small_universe, 1e6, CostSpec(0.0018), c, 30)
+                assert_same_run(run_variant(*args), run_variant_per_day(*args))
