@@ -14,7 +14,6 @@ never raise: detecting them is the harness's job, not the engine's.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
@@ -277,28 +276,6 @@ class EquitySeries:
         object.__setattr__(self, "equity", eq)
         object.__setattr__(self, "dates", tuple(self.dates))
 
-    def to_csv(self, path: str) -> None:
-        import csv as _csv
-
-        with open(path, "w", newline="") as f:
-            writer = _csv.writer(f)
-            writer.writerow(["date", "equity"])
-            for date, e in zip(self.dates, self.equity):
-                writer.writerow([date, repr(float(e))])
-
-    def trade_log_json(self) -> str:
-        records = [
-            {
-                "date": tr.date,
-                "deltas": [float(x) for x in tr.deltas],
-                "cost": float(tr.cost),
-                "pre_trade_value": float(tr.pre_trade_value),
-                "skipped": list(tr.skipped),
-            }
-            for tr in self.trades
-        ]
-        return json.dumps({"engine": self.engine_id, "trades": records}, sort_keys=True)
-
 
 def _sequential_fill(
     w: np.ndarray,
@@ -319,38 +296,42 @@ def _sequential_fill(
     fee funding depends on a later sell is rejected and silently skipped.
     Zero-fee orders cannot fail the check, which keeps every sequencing
     identical to the atomic fill when the cost rate is zero.
+
+    Orders are sized against the value net of the *planned* atomic charge,
+    but each is charged on its own notional as it fills, so the fees
+    actually paid fall short of the planned charge by about rate² × the
+    traded notional, which stays in cash. A sequential fill therefore
+    diverges from the atomic one by that term even when no order is
+    skipped, and the fifo-vs-reference divergence in the report includes it.
     """
     net_value = value - planned_cost
     targets = w * net_value
-    current = h * p
-    d = targets - current
-    sells = [i for i in range(len(d)) if d[i] < 0.0]
-    buys = [i for i in range(len(d)) if d[i] > 0.0]
-    if conv.fill_sequencing == FILL_SELLS_FIRST:
-        order = sells + buys
-    else:
-        order = sorted(sells + buys)
+    d = targets - h * p
+    dl = d.tolist()
+    sells = [i for i, x in enumerate(dl) if x < 0.0]
+    buys = [i for i, x in enumerate(dl) if x > 0.0]
+    order = sells + buys if conv.fill_sequencing == FILL_SELLS_FIRST else sorted(sells + buys)
     budget = cash
     fees = 0.0
-    h_new = np.array(h)
-    executed = np.zeros(len(d))
-    skipped: list[str] = []
+    filled: list[int] = []
+    skipped: list[int] = []
     for i in order:
-        fee = trade_cost(abs(float(d[i])), rate, conv)
-        if d[i] > 0.0 and fee > 0.0 and fee > budget:
-            skipped.append(assets[i])
+        di = dl[i]
+        fee = trade_cost(abs(di), rate, conv)
+        if di > 0.0 and fee > 0.0 and fee > budget:
+            skipped.append(i)
             continue
-        h_new[i] = targets[i] / p[i]
-        budget += -float(d[i]) - fee
+        budget += -di - fee
         fees += fee
-        executed[i] = d[i]
-    # Untraded positions still get re-marked to their target share count, as
-    # the atomic reallocation does (no-op economically, keeps h consistent).
-    for i in range(len(d)):
-        if d[i] == 0.0:
-            h_new[i] = targets[i] / p[i]
+        filled.append(i)
+    # Every position but a rejected buy is re-marked to its target share
+    # count, untraded ones included, as the atomic reallocation does.
+    h_new = targets / p
+    h_new[skipped] = h[skipped]
+    executed = np.zeros(len(dl))
+    executed[filled] = d[filled]
     cash_new = (value - fees) - float(h_new @ p)
-    return fees, h_new, cash_new, executed, tuple(skipped)
+    return fees, h_new, cash_new, executed, tuple(assets[i] for i in skipped)
 
 
 def run_variant(
@@ -366,6 +347,11 @@ def run_variant(
     Equity is reported for every calendar day from ``start`` onward (fewer
     under a truncation fault). Faults are silent by design; nothing raises
     beyond input validation.
+
+    The loop steps from one rebalance to the next. The days in between are
+    marked in one ``np.vecdot`` over the price rows, which reduces each row
+    with the same BLAS dot as ``float(h @ p)``, so every equity value is
+    bit-identical to marking the days one at a time.
     """
     if initial_capital <= 0:
         raise ValueError("initial capital must be positive")
@@ -386,38 +372,40 @@ def run_variant(
 
     n_eval = prices.n_days - start
     limit = n_eval if conv.truncate_after is None else min(conv.truncate_after, n_eval)
+    end = start + limit
     rate = cost.rate
-    assets = prices.assets
+    atomic = conv.fill_sequencing == FILL_ATOMIC
+    gross = conv.equity_reporting == EQUITY_GROSS
+    P = prices.prices
     h = np.zeros(prices.n_assets)
     cash = float(initial_capital)
     equity = np.empty(limit)
     trades: list[TradeRecord] = []
 
-    for k in range(limit):
-        t = start + k
-        p = prices.prices[t]
-        if t in entries:
-            w = entries[t]
-            value = cash + float(h @ p)
-            delta = w * value - h * p
-            traded = float(np.sum(np.abs(delta)))
-            if conv.fill_sequencing == FILL_ATOMIC:
-                fees = trade_cost(traded, rate, conv)
-                net_value = value - fees
-                h = (w * net_value) / p
-                cash = net_value - float(h @ p)
-                executed, skipped = delta, ()
-            else:
-                planned = trade_cost(traded, rate, conv)
-                fees, h, cash, executed, skipped = _sequential_fill(
-                    w, h, cash, p, value, planned, rate, conv, assets
-                )
-            equity[k] = value if conv.equity_reporting == EQUITY_GROSS else value - fees
-            trades.append(TradeRecord(prices.dates[t], executed, fees, value, skipped))
+    prev = start
+    for t in sorted(t for t in entries if t < end):
+        equity[prev - start : t - start] = cash + np.vecdot(P[prev:t], h)
+        w, p = entries[t], P[t]
+        value = cash + float(h @ p)
+        delta = w * value - h * p
+        traded = float(np.abs(delta).sum())
+        if atomic:
+            fees = trade_cost(traded, rate, conv)
+            net_value = value - fees
+            h = (w * net_value) / p
+            cash = net_value - float(h @ p)
+            executed, skipped = delta, ()
         else:
-            equity[k] = cash + float(h @ p)
+            planned = trade_cost(traded, rate, conv)
+            fees, h, cash, executed, skipped = _sequential_fill(
+                w, h, cash, p, value, planned, rate, conv, prices.assets
+            )
+        equity[t - start] = value if gross else value - fees
+        trades.append(TradeRecord(prices.dates[t], executed, fees, value, skipped))
+        prev = t + 1
+    equity[prev - start :] = cash + np.vecdot(P[prev:end], h)
 
-    return EquitySeries(prices.dates[start : start + limit], equity, tuple(trades), conv.id)
+    return EquitySeries(prices.dates[start:end], equity, tuple(trades), conv.id)
 
 
 def run_reference(

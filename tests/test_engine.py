@@ -473,16 +473,6 @@ class TestScheduleValidation:
         a.validate(tiny_panel)
         assert repr(a) == repr(b)
 
-    def test_equity_serialisation_roundtrip(self, tmp_path, tiny_panel, half_half):
-        series = run_reference(half_half, tiny_panel, 1000.0, CostSpec(0.01))
-        path = tmp_path / "eq.csv"
-        series.to_csv(str(path))
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "date,equity"
-        values = [float(r.split(",")[1]) for r in rows[1:]]
-        assert values == pytest.approx(list(series.equity), rel=0, abs=0)
-        log = series.trade_log_json()
-        assert '"engine"' in log and '"cost"' in log
 
 
 @st.composite
@@ -586,3 +576,21 @@ class TestPerDayOracle:
             for c in (conv, truncated(100, conv)):
                 args = (sched, small_universe, 1e6, CostSpec(0.0018), c, 30)
                 assert_same_run(run_variant(*args), run_variant_per_day(*args))
+
+
+class TestVecdotPremise:
+    """``run_variant`` marks the days between rebalances with one ``np.vecdot``
+    and is bit-identical to the per-day loop only because ``vecdot`` reduces
+    each row with the same BLAS dot as ``float(h @ p)``. A numpy or BLAS build
+    that breaks this fails here by name."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_vecdot_rows_equal_per_row_dots(self, order):
+        rng = np.random.default_rng(11)
+        for n in range(1, 65):
+            P = np.asarray(np.exp(rng.normal(0.0, 1.0, size=(37, n))) * 50.0, order=order)
+            h = rng.uniform(0.0, 1e4, size=n) * (rng.uniform(size=n) > 0.3)
+            for a, b in [(0, 37), (1, 36), (5, 6), (13, 13), (36, 37), (0, 0), (7, 30)]:
+                got = np.vecdot(P[a:b], h)
+                assert got.shape == (b - a,)
+                assert np.array_equal(got, [float(h @ P[i]) for i in range(a, b)]), (n, a, b)
