@@ -311,27 +311,25 @@ def _sequential_fill(
     sells = [i for i, x in enumerate(dl) if x < 0.0]
     buys = [i for i, x in enumerate(dl) if x > 0.0]
     order = sells + buys if conv.fill_sequencing == FILL_SELLS_FIRST else sorted(sells + buys)
+    # Every position but a rejected buy is re-marked to its target share
+    # count, untraded ones included, as the atomic reallocation does.
+    h_new = targets / p
+    executed = np.zeros(len(dl))
     budget = cash
     fees = 0.0
-    filled: list[int] = []
-    skipped: list[int] = []
+    skipped: list[str] = []
     for i in order:
         di = dl[i]
         fee = trade_cost(abs(di), rate, conv)
         if di > 0.0 and fee > 0.0 and fee > budget:
-            skipped.append(i)
+            h_new[i] = h[i]
+            skipped.append(assets[i])
             continue
         budget += -di - fee
         fees += fee
-        filled.append(i)
-    # Every position but a rejected buy is re-marked to its target share
-    # count, untraded ones included, as the atomic reallocation does.
-    h_new = targets / p
-    h_new[skipped] = h[skipped]
-    executed = np.zeros(len(dl))
-    executed[filled] = d[filled]
+        executed[i] = di
     cash_new = (value - fees) - float(h_new @ p)
-    return fees, h_new, cash_new, executed, tuple(assets[i] for i in skipped)
+    return fees, h_new, cash_new, executed, tuple(skipped)
 
 
 def run_variant(
@@ -384,7 +382,8 @@ def run_variant(
 
     prev = start
     for t in sorted(t for t in entries if t < end):
-        equity[prev - start : t - start] = cash + np.vecdot(P[prev:t], h)
+        if t > prev:
+            equity[prev - start : t - start] = cash + np.vecdot(P[prev:t], h)
         w, p = entries[t], P[t]
         value = cash + float(h @ p)
         delta = w * value - h * p
