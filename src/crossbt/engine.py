@@ -306,8 +306,7 @@ def _sequential_fill(
     """
     net_value = value - planned_cost
     targets = w * net_value
-    d = targets - h * p
-    dl = d.tolist()
+    dl = (targets - h * p).tolist()
     sells = [i for i, x in enumerate(dl) if x < 0.0]
     buys = [i for i, x in enumerate(dl) if x > 0.0]
     order = sells + buys if conv.fill_sequencing == FILL_SELLS_FIRST else sorted(sells + buys)
