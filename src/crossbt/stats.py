@@ -7,12 +7,12 @@ so the analysis battery can run to completion over an arbitrary grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .rng import substream
 
@@ -36,26 +36,178 @@ class NotEnoughClusters(ValueError):
 # Distribution kernel
 # ---------------------------------------------------------------------------
 
+_EPS = 1e-15
+_FPMIN = 1e-300
+_MAXIT = 10_000
+_LGAMMA_HALF = 0.5 * math.log(math.pi)
+
+
+def _stirling_corr(x: float) -> float:
+    """lgamma(x) - [(x - 1/2) ln x - x + ln sqrt(2 pi)], to 1e-18 for x >= 50."""
+    r = 1.0 / (x * x)
+    return (1.0 / 12 - r * (1.0 / 360 - r * (1.0 / 1260 - r / 1680))) / x
+
+
+def _lbeta_half(a: float) -> float:
+    """ln B(a, 1/2). Above a = 50 the Stirling form avoids the cancellation
+    of lgamma(a) - lgamma(a + 1/2), which would cost a * 1e-16 in the result."""
+    if a < 50.0:
+        return math.lgamma(a) + _LGAMMA_HALF - math.lgamma(a + 0.5)
+    s = a + 0.5
+    return (_LGAMMA_HALF + (a - 0.5) * math.log1p(-0.5 / s) - 0.5 * math.log(s) + 0.5
+            + _stirling_corr(a) - _stirling_corr(s))
+
+
+def _lentz(coef: Callable[[int], float]) -> float:
+    """1 + a_1/(1 + a_2/(1 + ...)) with a_m = coef(m), by the modified Lentz method."""
+    f = c = 1.0
+    d = 0.0
+    for m in range(1, _MAXIT):
+        a = coef(m)
+        d = 1.0 + a * d
+        d = 1.0 / (d if d != 0.0 else _FPMIN)
+        c = 1.0 + a / c
+        c = c if c != 0.0 else _FPMIN
+        f *= c * d
+        if abs(c * d - 1.0) < _EPS:
+            return f
+    raise ArithmeticError("continued fraction did not converge")
+
+
+def _ibeta_half(a: float, ln_x: float, ln_y: float) -> tuple[float, float]:
+    """I_x(a, 1/2) and its complement I_{1-x}(1/2, a), from ln x and ln(1 - x).
+
+    The side below the mean comes from the continued fraction (Numerical
+    Recipes betacf) and the other is one minus it, so the smaller value
+    carries full relative precision. Taking logs keeps a tail whose x
+    underflows.
+    """
+    if ln_x == -math.inf:
+        return 0.0, 1.0
+    if ln_y == -math.inf:
+        return 1.0, 0.0
+    x, y = math.exp(ln_x), math.exp(ln_y)
+    front = math.exp(a * ln_x + 0.5 * ln_y - _lbeta_half(a))
+    direct = x < (a + 1.0) / (a + 2.5)
+    p, q, u = (a, 0.5, x) if direct else (0.5, a, y)
+
+    def coef(m: int) -> float:
+        k = m // 2
+        if m % 2:
+            return -(p + k) * (p + q + k) * u / ((p + 2 * k) * (p + 2 * k + 1))
+        return k * (q - k) * u / ((p + 2 * k - 1) * (p + 2 * k))
+
+    small = front / (p * _lentz(coef))
+    return (small, 1.0 - small) if direct else (1.0 - small, small)
+
+
+def _t_beta_logs(s: float, df: float) -> tuple[float, float]:
+    """ln x and ln(1 - x) for the beta argument x = df / (df + s^2), without overflow."""
+    r = s / math.sqrt(df)
+    if r > 1.0:
+        ln_y = -math.log1p(1.0 / (r * r))
+        return ln_y - 2.0 * math.log(r), ln_y
+    ln_x = -math.log1p(r * r)
+    return ln_x, (ln_x + 2.0 * math.log(r) if r > 0.0 else -math.inf)
+
+
+def _t_halves(s: float, df: float) -> tuple[float, float]:
+    """P(T > s) and P(0 < T < s) for s >= 0 and a Student-t with df."""
+    if df == math.inf:
+        z = s / math.sqrt(2.0)
+        return 0.5 * math.erfc(z), 0.5 * math.erf(z)
+    tail, centre = _ibeta_half(0.5 * df, *_t_beta_logs(s, df))
+    return 0.5 * tail, 0.5 * centre
+
+
 def t_cdf(x: float, df: float) -> float:
-    """Student-t CDF."""
-    return float(special.stdtr(df, x))
+    """Student-t CDF through the regularised incomplete beta. NaN for df <= 0;
+    the normal CDF for df = inf."""
+    if not df > 0 or math.isnan(x):
+        return math.nan
+    tail, centre = _t_halves(abs(x), df)
+    return tail if x < 0 else 0.5 + centre
 
 
+@functools.lru_cache(maxsize=256)
 def t_quantile(p: float, df: float) -> float:
-    """Student-t quantile (inverse CDF)."""
+    """Student-t quantile (inverse CDF). NaN for df <= 0.
+
+    Solves on the half of the distribution that holds the probability with
+    full precision (the tail below 0.25, the centre above), in log-log
+    coordinates where both are close to linear: Newton steps, with
+    bisection whenever a step leaves the bracket.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    return float(special.stdtrit(df, p))
+    if not df > 0:
+        return math.nan
+    q = p if p < 0.5 else 1.0 - p
+    if q == 0.5:
+        return 0.0
+    centre = q > 0.25
+    ln_target = math.log(0.5 - q if centre else q)
+    sign = 1.0 if centre else -1.0
+    # h(v) = sign * (ln mass(e^v) - ln target) rises with v at slope s * pdf / mass
+    lo, hi, v = -745.0, 709.0, 0.0
+    for _ in range(200):
+        s = math.exp(v)
+        tail, mid = _t_halves(s, df)
+        mass = mid if centre else tail
+        h = sign * ((math.log(mass) if mass > 0.0 else -math.inf) - ln_target)
+        if h == 0.0:
+            break
+        if h < 0.0:
+            lo = v
+        else:
+            hi = v
+        if df == math.inf:
+            pdf = math.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
+        else:
+            ln_x = _t_beta_logs(s, df)[0]
+            pdf = math.exp(0.5 * (df + 1.0) * ln_x - _lbeta_half(0.5 * df)) / math.sqrt(df)
+        step = h * mass / (s * pdf) if mass > 0.0 and pdf > 0.0 else math.inf
+        v_new = v - step
+        if not lo < v_new < hi:
+            v_new = 0.5 * (lo + hi)
+        if abs(v_new - v) <= 1e-13 * max(1.0, abs(v)):
+            v = v_new
+            break
+        v = v_new
+    s = math.exp(v)
+    return -s if p < 0.5 else s
 
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF."""
-    return float(special.ndtr(x))
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def chi2_sf(x: float, df: float) -> float:
-    """Chi-square survival function (upper tail)."""
-    return float(special.chdtrc(df, x))
+    """Chi-square survival function (upper tail): the regularised upper
+    incomplete gamma Q(df/2, x/2), by series below x/2 < df/2 + 1 and by
+    continued fraction above. NaN for x < 0 or df <= 0."""
+    if not (x >= 0.0 and df > 0.0):
+        return math.nan
+    if x == math.inf:
+        return 0.0
+    if x == 0.0 or df == math.inf:
+        return 1.0
+    a, h = 0.5 * df, 0.5 * x
+    front = math.exp(a * (math.log(x) - math.log(2.0)) - h - math.lgamma(a))
+    if h < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while abs(term) >= abs(total) * _EPS:
+            n += 1.0
+            term *= h / n
+            total += term
+        return 1.0 - front * total
+    # NR gcf, b_0 + a_1/(b_1 + ...), scaled to the unit-denominator form.
+    def b(j: int) -> float:
+        return h + 1.0 - a + 2.0 * j
+
+    return front / (b(0) * _lentz(lambda m: -m * (m - a) / (b(m - 1) * b(m))))
 
 
 def _clamp_p(p: float) -> float:

@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -26,6 +29,40 @@ from crossbt.harness import (
 from crossbt.marketdata import SynthSpec
 from crossbt.stats import cluster_bootstrap
 from oracles import analyze_loop, cluster_bootstrap_per_draw, resampled_rho_per_draw
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs the CLI in a fresh interpreter; with "block", any import of scipy fails.
+NO_SCIPY_CLI = '''
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, NoScipy())
+import crossbt.cli
+
+if scipy_modules():
+    sys.exit(f"import crossbt.cli loaded {scipy_modules()}")
+code = crossbt.cli.main(sys.argv[2:])
+if scipy_modules():
+    sys.exit(f"the run loaded {scipy_modules()}")
+sys.exit(code)
+'''
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def _config(**overrides) -> RunConfig:
@@ -742,3 +779,28 @@ class TestCli:
         meta = json.loads((Path(out) / "store" / "store.json").read_text())
         assert meta["config"]["benchmarks"] == ["bm01"]
         assert len(meta["config"]["engines"]) == 2
+
+    def test_report_stage_equals_emit_of_analyze(self, tmp_path):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        for stage in ("run", "analyze", "report"):
+            assert main([stage, "--config", cfg, "--out", str(out)]) == 0
+        direct = tmp_path / "direct"
+        emit_reports(analyze(ResultStore.load(str(out / "store"))), str(direct))
+        assert _tree(out / "report") == _tree(direct)
+
+    def test_pipeline_runs_without_scipy(self, tmp_path):
+        cfg = self._write_config(tmp_path)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        trees = {}
+        for mode in ("block", "plain"):
+            out = tmp_path / mode
+            proc = subprocess.run(
+                [sys.executable, "-c", NO_SCIPY_CLI, mode, "all", "--config", cfg, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            trees[mode] = _tree(out)
+        assert trees["block"] == trees["plain"]
+        assert "analysis/bundle.json" in trees["block"]

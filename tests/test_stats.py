@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy import stats as scipy_stats
 
 from crossbt import stats as stats_mod
@@ -69,6 +70,72 @@ class TestKernel:
         for x in (0.3, 2.2, 9.8):
             for df in (1, 4, 11):
                 assert chi2_sf(x, df) == pytest.approx(scipy_stats.chi2.sf(x, df), abs=1e-10)
+
+
+_DF = st.one_of(st.floats(0.0, math.log(1e6)).map(math.exp), st.integers(1, 400))
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestKernelSweep:
+    """The numpy/math kernels against scipy over the whole df range and the tails."""
+
+    @given(x=st.floats(-1e3, 1e3), df=_DF)
+    @settings(max_examples=400, deadline=None)
+    def test_t_cdf(self, x, df):
+        # scipy's stdtr at df = 1 is off by up to 2.3e-9 near |x| = 1e-8, so
+        # there the reference is the Cauchy CDF.
+        ref = 0.5 + math.atan(x) / math.pi if df == 1 else scipy_stats.t.cdf(x, df)
+        assert t_cdf(x, df) == pytest.approx(ref, abs=1e-10)
+
+    @given(x=st.floats(0.0, 2e3), df=st.integers(1, 400))
+    @settings(max_examples=400, deadline=None)
+    def test_chi2_sf(self, x, df):
+        assert chi2_sf(x, df) == pytest.approx(scipy_stats.chi2.sf(x, df), abs=1e-10)
+
+    @given(x=st.floats(-38.0, 9.0))
+    @settings(max_examples=400, deadline=None)
+    def test_normal_cdf(self, x):
+        # ndtr flushes to zero below about -37.5, where the CDF is subnormal.
+        assert normal_cdf(x) == pytest.approx(special.ndtr(x), rel=1e-12, abs=1e-300)
+
+    @given(p=st.floats(1e-12, 1.0 - 1e-12), df=_DF)
+    @settings(max_examples=300, deadline=None)
+    def test_t_quantile(self, p, df):
+        d = p - 0.5
+        if abs(d) >= 1e-3:
+            ref = scipy_stats.t.ppf(p, df)
+        else:
+            # scipy's stdtrit loses accuracy within about 4e-4 of p = 0.5 (at
+            # df 4 it returns 0.0 for p = 0.49999999), so near the centre the
+            # reference is the inverse series u + (df + 1) u^3 / (6 df), with
+            # u = (p - 1/2) / pdf(0); the next term is below 2e-11 relative.
+            u = d / scipy_stats.t.pdf(0.0, df)
+            ref = u + (df + 1.0) / (6.0 * df) * u**3
+        assert t_quantile(p, df) == pytest.approx(ref, rel=1e-9)
+
+    def test_edge_semantics_match_scipy(self):
+        nan, inf = math.nan, math.inf
+        for x, df in [(1.0, 0.0), (1.0, -1.0), (1.0, nan), (nan, 3.0), (inf, 3.0),
+                      (-inf, 3.0), (1e200, 3.0), (2.0, inf), (0.0, 3.0)]:
+            assert _same(t_cdf(x, df), float(special.stdtr(df, x))), (x, df)
+        for x, df in [(1.0, -1.0), (1.0, nan), (nan, 3.0), (0.0, 3.0), (-0.0, 3.0),
+                      (-1.0, 3.0), (inf, 3.0), (3.0, inf)]:
+            assert _same(chi2_sf(x, df), float(special.chdtrc(df, x))), (x, df)
+        for x in (nan, inf, -inf, 0.0):
+            assert _same(normal_cdf(x), float(special.ndtr(x))), x
+        for df in (0.0, -2.0, nan):
+            assert math.isnan(t_quantile(0.3, df))
+        assert t_quantile(0.3, inf) == pytest.approx(float(special.ndtri(0.3)), rel=1e-12)
+        for p in (0.0, 1.0, -0.1, 1.5, nan):
+            with pytest.raises(ValueError):
+                t_quantile(p, 4)
+
+    def test_runtime_kernels_import_no_scipy(self):
+        assert "scipy" not in stats_mod.__dict__
+        assert "special" not in stats_mod.__dict__
 
 
 class TestOneSampleT:
