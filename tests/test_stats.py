@@ -133,10 +133,6 @@ class TestKernelSweep:
             with pytest.raises(ValueError):
                 t_quantile(p, 4)
 
-    def test_runtime_kernels_import_no_scipy(self):
-        assert "scipy" not in stats_mod.__dict__
-        assert "special" not in stats_mod.__dict__
-
 
 class TestOneSampleT:
     def test_zero_mean_p_one(self):
