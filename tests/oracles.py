@@ -827,3 +827,72 @@ def run_variant_per_day(schedule, prices, initial_capital, cost, conv, start=0):
             equity[k] = cash + float(h @ p)
 
     return EquitySeries(prices.dates[start : start + limit], equity, tuple(trades), conv.id)
+
+
+# ---------------------------------------------------------------------------
+# The store's equity.csv, one csv row at a time: ``ResultStore.save`` and
+# ``ResultStore.load`` as they were before they wrote and read each cell's
+# rows as one block of text.
+# ---------------------------------------------------------------------------
+
+_EQUITY_HEADER = ["benchmark", "bucket", "engine", "date", "equity"]
+
+
+def save_equity_loop(store, path):
+    """Write ``store``'s ``equity.csv`` with one ``csv.writer`` row per value."""
+    import csv
+
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(_EQUITY_HEADER)
+        for key in sorted(store.cells):
+            c = store.cells[key]
+            if c.equity is None:
+                continue
+            for date, value in zip(store.eval_dates, c.equity):
+                writer.writerow([c.benchmark, c.bucket, c.engine, date, repr(float(value))])
+
+
+def load_equity_loop(path, lengths, eval_dates):
+    """Read ``equity.csv`` through ``csv.reader``.
+
+    ``lengths`` maps each successful cell's key to its ``n_days``. Returns
+    the equity array of each such cell (None for a cell with no days), and
+    raises ValueError naming the file, and the cell where there is one, on
+    any row that is not where the cell order and ``eval_dates`` put it.
+    """
+    import csv
+    from itertools import islice
+
+    import numpy as np
+
+    def read_cell(reader, key, dates):
+        n = len(dates)
+        if n == 0:
+            return None
+        block = list(islice(reader, n))
+        columns = tuple(zip(*block))
+        if (
+            len(block) != n
+            or set(map(len, block)) != {len(_EQUITY_HEADER)}
+            or columns[:4] != ((key[0],) * n, (key[1],) * n, (key[2],) * n, dates)
+        ):
+            raise ValueError(
+                f"equity.csv: rows for cell {'/'.join(key)} do not match its {n} evaluation days"
+            )
+        try:
+            return np.fromiter(map(float, columns[4]), dtype=float, count=n)
+        except ValueError as exc:
+            raise ValueError(f"equity.csv: cell {'/'.join(key)}: {exc}") from None
+
+    equity = {}
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        if next(reader, None) != _EQUITY_HEADER:
+            raise ValueError("equity.csv: header is not " + ",".join(_EQUITY_HEADER))
+        for key in sorted(lengths):
+            equity[key] = read_cell(reader, key, tuple(eval_dates[: lengths[key]]))
+        extra = next(reader, None)
+        if extra is not None:
+            raise ValueError(f"equity.csv: row {extra[:4]} follows the last cell")
+    return equity

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -28,7 +29,13 @@ from crossbt.harness import (
 )
 from crossbt.marketdata import SynthSpec
 from crossbt.stats import cluster_bootstrap
-from oracles import analyze_loop, cluster_bootstrap_per_draw, resampled_rho_per_draw
+from oracles import (
+    analyze_loop,
+    cluster_bootstrap_per_draw,
+    load_equity_loop,
+    resampled_rho_per_draw,
+    save_equity_loop,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -371,6 +378,177 @@ class TestStoreFiles:
         last = "/".join(max(k for k, c in demo_store.cells.items() if c.ok))
         with pytest.raises(ValueError, match=last):
             ResultStore.load(str(tmp_path))
+
+
+#: Text for bucket ids and dates: CSV's delimiter and quote character, and
+#: ASCII controls at which str.splitlines breaks a line but a text file does not.
+_FIELD_TEXT = st.text(st.sampled_from(list('ab1- ,"\'\t\x0b\x0c\x1c\x1d\x1e')), max_size=5)
+
+_CELL_KINDS = st.lists(st.sampled_from(["ok", "error", "truncated", "zero"]), min_size=18, max_size=18)
+
+
+def _odd_store(
+    demo_store: ResultStore, kinds: list[str], buckets: list[str], dates: list[tuple[int, str]], seed: int
+) -> ResultStore:
+    """``demo_store`` with its buckets renamed to ``buckets``, the dates at
+    the drawn positions replaced, and each cell made ok, an error, truncated
+    or zero days long with random equity values."""
+    rng = np.random.default_rng(seed)
+    store = copy.copy(demo_store)
+    rename = dict(zip(demo_store.bucket_ids, buckets))
+    eval_dates = list(demo_store.eval_dates)
+    for i, text in dates:
+        eval_dates[i % len(eval_dates)] = text
+    store.eval_dates = tuple(eval_dates)
+    cells = {}
+    for kind, ((bm, bucket, engine), cell) in zip(kinds, sorted(demo_store.cells.items())):
+        key = (bm, rename[bucket], engine)
+        if kind == "error":
+            cells[key] = CellResult(*key, error="RuntimeError: boom, again")
+            continue
+        n = {"ok": len(eval_dates), "zero": 0}.get(kind, int(rng.integers(1, len(eval_dates) + 1)))
+        cells[key] = CellResult(
+            *key, stats=cell.stats, turnover=cell.turnover, n_days=n, equity=_equity_values(rng, n)
+        )
+    store.cells = cells
+    return store
+
+
+def _equity_bits(equity: dict) -> dict:
+    return {key: None if e is None else _bits(e) for key, e in equity.items()}
+
+
+def _oracle_equity(store: ResultStore, path) -> dict:
+    lengths = {key: c.n_days for key, c in store.cells.items() if c.ok}
+    return _equity_bits(load_equity_loop(path, lengths, store.eval_dates))
+
+
+def _loaded_equity(directory) -> dict:
+    return _equity_bits({key: c.equity for key, c in ResultStore.load(str(directory)).cells.items() if c.ok})
+
+
+def _load_error(load) -> str | None:
+    try:
+        load()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _long_store(demo_store: ResultStore, n_cells: int, n_days: int) -> ResultStore:
+    """``n_cells`` ok cells of ``n_days`` random equity values each."""
+    rng = np.random.default_rng(0)
+    store = copy.copy(demo_store)
+    store.eval_dates = tuple(f"d{i:05d}" for i in range(n_days))
+    cell = next(c for c in demo_store.cells.values() if c.ok)
+    store.cells = {}
+    for i in range(n_cells):
+        key = (cell.benchmark, f"b{i:04d}", cell.engine)
+        store.cells[key] = CellResult(
+            *key, stats=cell.stats, turnover=cell.turnover, n_days=n_days, equity=rng.standard_normal(n_days)
+        )
+    return store
+
+
+def _peak_traced_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStoreOracle:
+    """``equity.csv`` against the one-row-at-a-time writer and reader in
+    ``oracles``: the same bytes, the same cells bit for bit, the same errors."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        _CELL_KINDS,
+        st.lists(_FIELD_TEXT, min_size=3, max_size=3, unique=True),
+        st.lists(st.tuples(st.integers(0, 10**6), _FIELD_TEXT), max_size=4),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    def test_save_and_load_match_the_loop_oracles(
+        self, tmp_path_factory, demo_store, kinds, buckets, dates, lf_endings, seed
+    ):
+        store = _odd_store(demo_store, kinds, buckets, dates, seed)
+        directory = tmp_path_factory.mktemp("store")
+        store.save(str(directory / "store"))
+        save_equity_loop(store, directory / "oracle.csv")
+        path = directory / "store" / "equity.csv"
+        assert path.read_bytes() == (directory / "oracle.csv").read_bytes()
+        if lf_endings:
+            path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+        assert _loaded_equity(directory / "store") == _oracle_equity(store, path)
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        _CELL_KINDS,
+        st.lists(st.tuples(st.integers(0, 10**6), _FIELD_TEXT), max_size=2),
+        st.sampled_from(
+            ["swap", "drop", "duplicate", "append", "blank", "rehead", "value", "widen", "narrow", "header"]
+        ),
+        st.integers(0, 10**6),
+        st.booleans(),
+    )
+    def test_damaged_file_fails_as_the_oracle_fails(
+        self, tmp_path_factory, demo_store, kinds, dates, damage, where, lf_endings
+    ):
+        store = _odd_store(demo_store, kinds, list(demo_store.bucket_ids), dates, where)
+        directory = tmp_path_factory.mktemp("store")
+        store.save(str(directory))
+        path = directory / "equity.csv"
+        lines = path.read_bytes().decode().split("\r\n")[:-1]
+        i = where % len(lines)
+        j = (where // 7) % len(lines)
+        if damage == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif damage == "drop":
+            del lines[i]
+        elif damage == "duplicate":
+            lines.insert(i, lines[i])
+        elif damage == "append":
+            lines.append(lines[i])
+        elif damage == "blank":
+            lines.insert(i, "")
+        elif damage == "rehead":
+            lines[i] = lines[j].rpartition(",")[0] + "," + lines[i].rpartition(",")[2]
+        elif damage == "value":
+            lines[i] = lines[i].rpartition(",")[0] + ",not-a-number"
+        elif damage == "widen":
+            lines[i] += ",1.0"
+        elif damage == "narrow":
+            lines[i] = lines[i].rpartition(",")[0]
+        else:
+            lines[0] = lines[0].replace("equity", "value")
+        end = "\n" if lf_endings else "\r\n"
+        path.write_bytes("".join(line + end for line in lines).encode())
+        expected = _load_error(lambda: _oracle_equity(store, path))
+        assert _load_error(lambda: ResultStore.load(str(directory))) == expected
+        if expected is None:
+            assert _loaded_equity(directory) == _oracle_equity(store, path)
+
+
+    @pytest.mark.parametrize("stage", ["save", "load"])
+    def test_store_streams_one_cell_at_a_time(self, tmp_path, demo_store, stage):
+        """Four times the cells over the same days may add to the peak
+        traced memory the extra equity arrays, not the extra file text
+        (about 40 characters and one str object per value)."""
+        n_cells, n_days = 10, 2000
+        peaks = []
+        for cells in (n_cells, 4 * n_cells):
+            store = _long_store(demo_store, cells, n_days)
+            directory = str(tmp_path / str(cells))
+            if stage == "save":
+                peaks.append(_peak_traced_bytes(lambda: store.save(directory)))
+            else:
+                store.save(directory)
+                peaks.append(_peak_traced_bytes(lambda: ResultStore.load(directory)))
+        extra_arrays = 3 * n_cells * n_days * 8
+        assert peaks[1] - peaks[0] <= 1.5 * extra_arrays
 
 
 def _tables(rng: np.random.Generator, m: int, bms: list[str], distinct: int, missing: float):
