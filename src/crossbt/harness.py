@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 from collections.abc import Iterator, Mapping, Sequence
@@ -301,15 +302,19 @@ class ResultStore:
                     )
                 else:
                     writer.writerow([c.benchmark, c.bucket, c.engine, c.error, c.n_days] + [""] * 8)
+        # One write per cell; the rows are the ones csv.writer would write.
+        dates = [_csv_prefix(date) for date in self.eval_dates]
         with open(os.path.join(directory, "equity.csv"), "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(EQUITY_COLUMNS)
+            f.write(",".join(EQUITY_COLUMNS) + "\r\n")
             for key in sorted(self.cells):
                 c = self.cells[key]
                 if c.equity is None:
                     continue
-                for date, value in zip(self.eval_dates, c.equity):
-                    writer.writerow([c.benchmark, c.bucket, c.engine, date, repr(float(value))])
+                prefix = _csv_prefix(c.benchmark, c.bucket, c.engine)
+                values = map(repr, np.asarray(c.equity, dtype=float).tolist())
+                rows = "\r\n".join(map(str.__add__, [prefix + date for date in dates], values))
+                if rows:
+                    f.write(rows + "\r\n")
 
     @classmethod
     def load(cls, directory: str) -> "ResultStore":
@@ -329,15 +334,15 @@ class ResultStore:
         }
         equity: dict[tuple[str, str, str], np.ndarray | None] = {}
         eval_dates = tuple(meta["eval_dates"])
+        dates = [_csv_prefix(date)[:-1] for date in eval_dates]
         with open(os.path.join(directory, "equity.csv"), newline="") as f:
-            reader = csv.reader(f)
-            if next(reader, None) != EQUITY_COLUMNS:
+            if next(f, "").rstrip("\r\n") != ",".join(EQUITY_COLUMNS):
                 raise ValueError("equity.csv: header is not " + ",".join(EQUITY_COLUMNS))
             for key in sorted(lengths):
-                equity[key] = _read_equity(reader, key, eval_dates[: lengths[key]])
-            extra = next(reader, None)
+                equity[key] = _read_equity(f, key, dates[: lengths[key]])
+            extra = next(f, None)
             if extra is not None:
-                raise ValueError(f"equity.csv: row {extra[:4]} follows the last cell")
+                raise ValueError(f"equity.csv: row {next(csv.reader([extra]))[:4]} follows the last cell")
         cells: dict[tuple[str, str, str], CellResult] = {}
         for row in rows:
             key = (row["benchmark"], row["bucket"], row["engine"])
@@ -372,31 +377,49 @@ class ResultStore:
         )
 
 
-def _read_equity(
-    reader: Iterator[list[str]], key: tuple[str, str, str], dates: tuple[str, ...]
-) -> np.ndarray | None:
-    """The next ``len(dates)`` rows of ``equity.csv`` as one cell's equity.
+def _csv_prefix(*fields: str) -> str:
+    """``fields`` as csv.writer writes them at the start of a row: each one
+    quoted where it needs to be and followed by a comma.
 
-    Raises ValueError naming the cell unless every row carries the cell's
-    key and the expected date, in order. None for a cell with no days.
+    Raises ValueError on a field with a line break: ``load`` reads
+    ``equity.csv`` one line per row, so such a field could not be read back.
+    """
+    for value in fields:
+        if "\r" in value or "\n" in value:
+            raise ValueError(f"equity.csv: field {value!r} holds a line break")
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([*fields, ""])
+    return buf.getvalue()
+
+
+def _read_equity(lines: Iterator[str], key: tuple[str, str, str], dates: Sequence[str]) -> np.ndarray | None:
+    """The next ``len(dates)`` lines of ``equity.csv`` as one cell's equity.
+
+    ``dates`` are the cell's date fields as ``save`` writes them. Raises
+    ValueError naming the cell unless each line, up to its last comma, is
+    the cell's key and the expected date, in order, and the rest is a
+    float. None for a cell with no days.
     """
     n = len(dates)
     if n == 0:
         return None
-    block = list(islice(reader, n))
-    columns = tuple(zip(*block))
-    if (
-        len(block) != n
-        or set(map(len, block)) != {len(EQUITY_COLUMNS)}
-        or columns[:4] != ((key[0],) * n, (key[1],) * n, (key[2],) * n, dates)
-    ):
+    prefix = _csv_prefix(*key)
+    rows = [line.rpartition(",") for line in islice(lines, n)]
+    if [head for head, _, _ in rows] != [prefix + date for date in dates]:
         raise ValueError(
             f"equity.csv: rows for cell {'/'.join(key)} do not match its {n} evaluation days"
         )
+    values = [value for _, _, value in rows]
     try:
-        return np.fromiter(map(float, columns[4]), dtype=float, count=n)
-    except ValueError as exc:
-        raise ValueError(f"equity.csv: cell {'/'.join(key)}: {exc}") from None
+        return np.fromiter(map(float, values), dtype=float, count=n)
+    except ValueError:
+        # float() ignores the line ending; parse again without it, so that
+        # the message quotes the bad value as the csv module reads it.
+        try:
+            [float(value.rstrip("\r\n")) for value in values]
+        except ValueError as exc:
+            raise ValueError(f"equity.csv: cell {'/'.join(key)}: {exc}") from None
+        raise
 
 
 # ---------------------------------------------------------------------------

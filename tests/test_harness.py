@@ -379,6 +379,27 @@ class TestStoreFiles:
         with pytest.raises(ValueError, match=last):
             ResultStore.load(str(tmp_path))
 
+    @pytest.mark.parametrize("where", ["bucket", "date"])
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"])
+    def test_save_rejects_a_line_break_in_a_field(self, tmp_path, demo_store, where, brk):
+        buckets = [f"B{brk}{i}" if where == "bucket" else b for i, b in enumerate(demo_store.bucket_ids)]
+        dates = [(3, f"2020{brk}")] if where == "date" else []
+        store = _odd_store(demo_store, ["ok"] * 18, buckets, dates, 0)
+        with pytest.raises(ValueError, match="equity.csv: field .* holds a line break"):
+            store.save(str(tmp_path))
+
+    def test_load_takes_only_the_quoting_save_writes(self, tmp_path, demo_store):
+        """csv.reader would read a quoted field that needs no quotes; the
+        line reader names the cell instead."""
+        demo_store.save(str(tmp_path))
+        path = tmp_path / "equity.csv"
+        lines = path.read_bytes().split(b"\r\n")
+        bm, bucket, engine = lines[1].decode().split(",")[:3]
+        lines[1] = lines[1].replace(bm.encode(), f'"{bm}"'.encode(), 1)
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ValueError, match=f"equity.csv: rows for cell {bm}/{bucket}/{engine} "):
+            ResultStore.load(str(tmp_path))
+
 
 #: Text for bucket ids and dates: CSV's delimiter and quote character, and
 #: ASCII controls at which str.splitlines breaks a line but a text file does not.
