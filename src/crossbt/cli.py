@@ -189,6 +189,17 @@ COMMANDS = {
 }
 
 
+def _jobs(text: str) -> int:
+    """The ``--jobs`` value: a whole number of grid workers, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crossbt",
@@ -200,14 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run configuration (default: built-in demo)")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--out", default="crossbt-out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for the grid")
+        p.add_argument("--jobs", type=_jobs, default=1, help="parallel workers for the grid")
         p.add_argument("--engines", help="comma-separated convention names or flag strings")
         p.add_argument("--benchmarks", help="comma-separated benchmark ids")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which here
+        # would read as validation findings.
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         cfg = _load_config(args)
         return COMMANDS[args.command](cfg, args.out, args.jobs)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crossbt import harness
-from crossbt.cli import main
+from crossbt.cli import EXIT_ERROR, main
 from crossbt.engine import REFERENCE
 from crossbt.harness import (
     CellResult,
@@ -963,6 +963,22 @@ class TestCli:
 
     def test_error_exit_code(self, tmp_path):
         assert main(["analyze", "--out", str(tmp_path / "nonexistent")]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["frobnicate"], ["run", "--no-such-flag"], ["run", "--jobs", "abc"], ["run", "--jobs", "0"],
+         ["run", "--jobs", "-3"], ["run", "--jobs", "1.5"]],
+    )
+    def test_usage_error_returns_the_error_code(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)] if argv else argv) == EXIT_ERROR
+        assert "usage: crossbt" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_returns_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert "usage: crossbt" in capsys.readouterr().out
 
     def test_engine_and_benchmark_overrides(self, tmp_path):
         cfg = self._write_config(tmp_path)
