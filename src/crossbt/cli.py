@@ -191,13 +191,9 @@ COMMANDS = {
 
 def _jobs(text: str) -> int:
     """The ``--jobs`` value: a whole number of grid workers, at least 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
+    if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
-    return jobs
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

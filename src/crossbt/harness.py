@@ -311,7 +311,7 @@ class ResultStore:
                 if c.equity is None:
                     continue
                 prefix = _csv_prefix(c.benchmark, c.bucket, c.engine)
-                values = map(repr, np.asarray(c.equity, dtype=float).tolist())
+                values = map(repr, c.equity.tolist())
                 rows = "\r\n".join(map(str.__add__, [prefix + date for date in dates], values))
                 if rows:
                     f.write(rows + "\r\n")
