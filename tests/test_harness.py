@@ -552,7 +552,6 @@ class TestStoreOracle:
         if expected is None:
             assert _loaded_equity(directory) == _oracle_equity(store, path)
 
-
     @pytest.mark.parametrize("stage", ["save", "load"])
     def test_store_streams_one_cell_at_a_time(self, tmp_path, demo_store, stage):
         """Four times the cells over the same days may add to the peak
