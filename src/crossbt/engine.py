@@ -15,6 +15,7 @@ never raise: detecting them is the harness's job, not the engine's.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
@@ -152,6 +153,24 @@ def resolve_convention(name_or_flags: str) -> EngineConvention:
 def truncated(days: int, base: EngineConvention = REFERENCE) -> EngineConvention:
     """Variant that silently stops after ``days`` evaluation days."""
     return replace(base, truncate_after=days)
+
+
+def path_key(conv: EngineConvention, rate: float) -> tuple:
+    """The convention axes that change the simulated holdings and cash.
+
+    Equity reporting and truncation only change what is reported, so two
+    conventions with equal keys at a rate simulate the same path. At a zero
+    rate every fee is exactly 0.0, so the rate, multiplier and fill axes
+    drop out as well and only the trade timing is left.
+    """
+    if rate > 0.0:
+        return (
+            conv.return_timing,
+            conv.rate_interpretation,
+            conv.commission_multiplier,
+            conv.fill_sequencing,
+        )
+    return (conv.return_timing,)
 
 
 def trade_cost(traded_notional: float, rate: float, conv: EngineConvention) -> float:
@@ -338,6 +357,7 @@ def run_variant(
     cost: CostSpec,
     conv: EngineConvention,
     start: int = 0,
+    base: EquitySeries | None = None,
 ) -> EquitySeries:
     """Run the backtest loop under an engine convention.
 
@@ -349,6 +369,12 @@ def run_variant(
     marked in one ``np.vecdot`` over the price rows, which reduces each row
     with the same BLAS dot as ``float(h @ p)``, so every equity value is
     bit-identical to marking the days one at a time.
+
+    ``base`` is an earlier run of the same schedule, prices, capital, cost
+    and start under another convention. When its ``path_key`` at this rate
+    equals ``conv``'s and it covers the days ``conv`` reports, the result is
+    derived from it without simulating (see ``_derive``), bit-identical to
+    the simulated one. ValueError for a base whose path key differs.
     """
     if initial_capital <= 0:
         raise ValueError("initial capital must be positive")
@@ -371,6 +397,10 @@ def run_variant(
     limit = n_eval if conv.truncate_after is None else min(conv.truncate_after, n_eval)
     end = start + limit
     rate = cost.rate
+    if base is not None:
+        derived = _derive(base, prices, start, end, rate, conv)
+        if derived is not None:
+            return derived
     atomic = conv.fill_sequencing == FILL_ATOMIC
     gross = conv.equity_reporting == EQUITY_GROSS
     P = prices.prices
@@ -404,6 +434,55 @@ def run_variant(
     equity[prev - start :] = cash + np.vecdot(P[prev:end], h)
 
     return EquitySeries(prices.dates[start:end], equity, tuple(trades), conv.id)
+
+
+def _derive(
+    base: EquitySeries,
+    prices: PriceMatrix,
+    start: int,
+    end: int,
+    rate: float,
+    conv: EngineConvention,
+) -> EquitySeries | None:
+    """``conv``'s run over days ``[start, end)`` as a view of ``base``.
+
+    The equity is ``base``'s prefix with each rebalance day re-reported from
+    its trade record, gross or net of the charge, exactly as the loop
+    reports it; the trades are ``base``'s up to ``end``, their deltas made
+    read-only because both series share them. None where ``base`` cannot
+    give the run: it is shorter, or it is a sequential fill other than
+    ``conv``'s (a zero rate puts every fill on one path, but an atomic
+    delta of -0.0 is logged as +0.0 by a sequential fill and cannot be
+    recovered from it).
+    """
+    base_conv = EngineConvention.parse(base.engine_id)
+    if path_key(base_conv, rate) != path_key(conv, rate):
+        raise ValueError(
+            f"base {base.engine_id!r} does not simulate the path of {conv.id!r} at rate {rate}"
+        )
+    if base.dates[:1] != prices.dates[start : start + 1]:
+        raise ValueError(f"base starts on {base.dates[:1]}, not on day {start}")
+    limit = end - start
+    fill = base_conv.fill_sequencing
+    if len(base.equity) < limit or fill not in (FILL_ATOMIC, conv.fill_sequencing):
+        return None
+    index = prices.date_index()
+    days = [index[tr.date] - start for tr in base.trades]
+    n = bisect_left(days, limit)
+    trades = base.trades[:n]
+    if fill != conv.fill_sequencing:
+        # A sequential fill starts its deltas at +0.0 and writes only the
+        # orders it places; + 0.0 turns an atomic -0.0 into that +0.0.
+        trades = tuple(replace(tr, deltas=tr.deltas + 0.0) for tr in trades)
+    else:
+        for tr in trades:
+            tr.deltas.setflags(write=False)
+    equity = base.equity[:limit].copy()
+    if conv.equity_reporting == EQUITY_GROSS:
+        equity[days[:n]] = [tr.pre_trade_value for tr in trades]
+    else:
+        equity[days[:n]] = [tr.pre_trade_value - tr.cost for tr in trades]
+    return EquitySeries(base.dates[:limit], equity, trades, conv.id)
 
 
 def run_reference(

@@ -17,7 +17,6 @@ import io
 import json
 import os
 from collections.abc import Iterator, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from itertools import combinations, islice
 
@@ -26,11 +25,14 @@ import numpy as np
 from . import __version__
 from . import buckets as bucketmod
 from .engine import (
+    FILL_ATOMIC,
     CostSpec,
     EngineConvention,
+    EquitySeries,
     PerfStats,
     annual_turnover,
     cost_intensity,
+    path_key,
     performance_metrics,
     resolve_convention,
     run_variant,
@@ -433,7 +435,12 @@ def load_panel(cfg: RunConfig) -> PriceMatrix:
 
 
 def _run_grid_task(args) -> tuple[str, str, float | None, list[CellResult]]:
-    """Run every engine for one (benchmark, bucket); picklable for pools."""
+    """Run every engine for one (benchmark, bucket); picklable for pools.
+
+    Conventions that simulate the same holdings path (equal ``path_key``)
+    are derived from the longest atomic run of that path so far, so the
+    path is simulated once and the others are views of it.
+    """
     bm_id, bucket_id, bucket_pm, eval_start, rate, roster, capital = args
     out: list[CellResult] = []
     try:
@@ -444,11 +451,17 @@ def _run_grid_task(args) -> tuple[str, str, float | None, list[CellResult]]:
         return bm_id, bucket_id, None, [
             CellResult(bm_id, bucket_id, eid, error=msg) for eid, _ in roster
         ]
+    paths: dict[tuple, EquitySeries] = {}
     for engine_id, conv in roster:
         try:
+            key = path_key(conv, rate)
             series = run_variant(
-                schedule, bucket_pm, capital, CostSpec(rate), conv, eval_start
+                schedule, bucket_pm, capital, CostSpec(rate), conv, eval_start, base=paths.get(key)
             )
+            if conv.fill_sequencing == FILL_ATOMIC and (
+                key not in paths or len(series.equity) > len(paths[key].equity)
+            ):
+                paths[key] = series
             out.append(
                 CellResult(
                     bm_id,
@@ -507,6 +520,9 @@ def run_suite(cfg: RunConfig, jobs: int = 1) -> ResultStore:
             tasks.append((bm_id, bucket_id, bucket_pm, warmup, rate, roster, cfg.initial_capital))
 
     if jobs > 1:
+        # Imported here: it loads multiprocessing, which a serial run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(_run_grid_task, tasks))
     else:

@@ -24,6 +24,7 @@ from crossbt.engine import (
     WeightSchedule,
     annual_turnover,
     cost_intensity,
+    path_key,
     performance_metrics,
     resolve_convention,
     run_reference,
@@ -290,6 +291,56 @@ class TestConventions:
         sched = rotation(small_universe, k=3)
         for conv in CONVENTIONS.values():
             run_variant(sched, small_universe, 1e6, CostSpec(0.006), conv)
+
+
+class TestPathKey:
+    """Which conventions share a simulated path, and how a run derived from
+    one behaves; ``test_engine_metamorphic`` checks every derivation bit for
+    bit."""
+
+    def test_zero_rate_leaves_only_the_timing(self):
+        for name, conv in CONVENTIONS.items():
+            same = name != "shifted_one_day"
+            assert (path_key(conv, 0.0) == path_key(REFERENCE, 0.0)) == same, name
+        assert path_key(CONVENTIONS["shifted_one_day"], 0.0) == (TIMING_SHIFT1,)
+
+    def test_positive_rate_keeps_the_cost_and_fill_axes(self):
+        shared = {"reference", "pre_trade"}
+        for name, conv in CONVENTIONS.items():
+            assert (path_key(conv, 1e-4) == path_key(REFERENCE, 1e-4)) == (name in shared), name
+        assert path_key(truncated(5, CONVENTIONS["pre_trade"]), 1e-4) == path_key(REFERENCE, 1e-4)
+
+    @pytest.fixture
+    def daily(self, small_universe):
+        return equal_weight(small_universe, start=30, freq="daily")
+
+    def test_short_base_is_simulated_past(self, small_universe, daily):
+        args = (daily, small_universe, 1e6, CostSpec(0.0018))
+        base = run_variant(*args, truncated(40), 30)
+        derived = run_variant(*args, CONVENTIONS["pre_trade"], 30, base=base)
+        assert_same_run(derived, run_variant(*args, CONVENTIONS["pre_trade"], 30))
+
+    def test_base_on_another_start_or_path_raises(self, small_universe, daily):
+        args = (daily, small_universe, 1e6, CostSpec(0.0018))
+        base = run_variant(*args, REFERENCE, 20)
+        with pytest.raises(ValueError, match="not on day 30"):
+            run_variant(*args, CONVENTIONS["pre_trade"], 30, base=base)
+        base = run_variant(*args, REFERENCE, 30)
+        with pytest.raises(ValueError, match="does not simulate the path"):
+            run_variant(*args, CONVENTIONS["fifo_sequential"], 30, base=base)
+
+    @pytest.mark.parametrize("name", ["pre_trade", "fifo_sequential"])
+    def test_a_write_through_a_derived_run_leaves_its_base_alone(self, small_universe, daily, name):
+        args = (daily, small_universe, 1e6, CostSpec(0.0))
+        base = run_variant(*args, REFERENCE, 30)
+        before = [tr.deltas.tobytes() for tr in base.trades]
+        derived = run_variant(*args, CONVENTIONS[name], 30, base=base)
+        for tr in derived.trades:
+            try:
+                tr.deltas[0] = 7.0
+            except ValueError:  # shared with the base, so read-only
+                pass
+        assert [tr.deltas.tobytes() for tr in base.trades] == before
 
 
 class TestTradeCostMechanism:

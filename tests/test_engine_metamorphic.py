@@ -9,6 +9,7 @@ exactly the documented way.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,15 +23,20 @@ from crossbt.engine import (
     RATE_ABS,
     RATE_DIV100,
     REFERENCE,
+    TIMING_ALIGNED,
+    TIMING_SHIFT1,
     CostSpec,
+    EngineConvention,
     WeightSchedule,
     annual_turnover,
+    path_key,
     run_variant,
     truncated,
 )
 from crossbt.marketdata import TRADING_DAYS_PER_YEAR, PriceMatrix
 
 from oracles import backtest_loop
+from test_engine import assert_same_run
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -40,7 +46,8 @@ def backtests(draw, rebalances=None):
     """A small price panel, a valid schedule on it, a cost rate and a capital.
 
     ``rebalances`` fixes the number of schedule entries; by default any
-    subset of days rebalances.
+    subset of days rebalances. Weights of -0.0 appear as whole -0.0 entries
+    and, in some cases, mixed into invested ones.
     """
     n_assets = draw(st.integers(1, 5))
     n_days = draw(st.integers(2, 30))
@@ -57,11 +64,15 @@ def backtests(draw, rebalances=None):
     )
     size = {} if rebalances is None else {"min_size": rebalances, "max_size": rebalances}
     days = draw(st.sets(st.integers(0, n_days - 1), **size))
+    signed_zeros = draw(st.booleans())
     entries = {}
     for t in sorted(days):
-        invested = draw(st.sampled_from([0.0, 1.0, float(rng.uniform())]))
+        invested = draw(st.sampled_from([0.0, -0.0, 1.0, float(rng.uniform())]))
         raw = rng.uniform(size=n_assets)
-        entries[pm.dates[t]] = raw / raw.sum() * invested
+        w = raw / raw.sum() * invested
+        if signed_zeros:
+            w[rng.uniform(size=n_assets) < 0.4] = -0.0
+        entries[pm.dates[t]] = w
     rate = draw(st.sampled_from([0.0, 0.05, float(rng.uniform(0.0, 0.05))]))
     capital = draw(st.floats(1.0, 1e7))
     return pm, WeightSchedule(entries), rate, capital
@@ -138,6 +149,32 @@ def test_truncation_is_a_prefix_of_the_full_run(case, days):
     assert len(cut.equity) == min(days, len(full.equity))
     assert np.array_equal(cut.equity, full.equity[: len(cut.equity)])
     assert cut.dates == full.dates[: len(cut.equity)]
+
+
+@given(case=backtests(), days=st.integers(1, 35))
+@settings(max_examples=30, deadline=None)
+def test_a_run_derived_from_a_base_on_its_path_equals_the_simulated_run(case, days):
+    # Every pair of conventions over every axis (both cost axes moved at
+    # once): where the path keys agree the base yields the run bit for bit
+    # (or the run is simulated), and where they differ the base is an error.
+    pm, schedule, rate, capital = case
+    convs = [
+        EngineConvention(eq, rate_mode, k, fill, timing, trunc)
+        for eq in (EQUITY_POST, EQUITY_GROSS)
+        for rate_mode, k in ((RATE_ABS, 1), (RATE_DIV100, 3))
+        for fill in (FILL_ATOMIC, FILL_FIFO, FILL_SELLS_FIRST)
+        for timing in (TIMING_ALIGNED, TIMING_SHIFT1)
+        for trunc in (None, days)
+    ]
+    simulated = {conv: _run(case, conv) for conv in convs}
+    for conv in convs:
+        args = (schedule, pm, capital, CostSpec(rate), conv)
+        for base_conv, base in simulated.items():
+            if path_key(conv, rate) == path_key(base_conv, rate):
+                assert_same_run(run_variant(*args, base=base), simulated[conv])
+            else:
+                with pytest.raises(ValueError, match="does not simulate the path"):
+                    run_variant(*args, base=base)
 
 
 @given(case=backtests())

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 
 from crossbt import harness
 from crossbt.cli import EXIT_ERROR, main
-from crossbt.engine import REFERENCE
+from crossbt.engine import (
+    REFERENCE,
+    CostSpec,
+    annual_turnover,
+    path_key,
+    performance_metrics,
+    run_variant,
+)
 from crossbt.harness import (
     CellResult,
     BucketConfig,
@@ -28,6 +35,7 @@ from crossbt.harness import (
     validate_results,
 )
 from crossbt.marketdata import SynthSpec
+from crossbt.strategies import BENCHMARKS
 from crossbt.stats import cluster_bootstrap
 from oracles import (
     analyze_loop,
@@ -293,6 +301,47 @@ def _cells_equal(a: CellResult, b: CellResult) -> bool:
         a.equity is not None and b.equity is not None and _bits(a.equity) == _bits(b.equity)
     )
     return (a.error, a.n_days, a.stats, a.turnover) == (b.error, b.n_days, b.stats, b.turnover) and same_equity
+
+
+class TestGridTask:
+    """``_run_grid_task`` derives the runs that share a holdings path from
+    one simulation of it; every cell must still be the cell of its own run."""
+
+    @staticmethod
+    def _cell_bits(c: CellResult) -> tuple:
+        return (c.engine, c.error, c.n_days, _bits(c.equity), _bits(astuple(c.stats)), _bits([c.turnover]))
+
+    def test_cells_equal_simulated_runs_with_one_call_per_convention(self, monkeypatch):
+        cfg = _config(
+            benchmarks=("bm01", "bm09", "bm12"),
+            engines=("reference", "pre_trade", "percent_divided", "fifo_sequential", "sells_first",
+                     "shifted_one_day", "post|abs|x1|atomic|aligned|trunc60"),
+        )
+        roster = cfg.roster()
+        bucket_pm = harness.load_panel(cfg).subset(["A000", "A003", "A007", "A011", "A015"])
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append((args[4], kwargs.get("base") is not None))
+            return run_variant(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_variant", counted)
+        for bm in cfg.benchmarks:
+            rate = cfg.benchmark_cost_bps(bm) / 1e4
+            calls.clear()
+            _, _, _, cells = harness._run_grid_task((bm, "b", bucket_pm, 0, rate, roster, 1e6))
+            assert [conv for conv, _ in calls] == [conv for _, conv in roster]
+            # Each path is simulated by the first convention on it.
+            paths = {path_key(conv, rate) for _, conv in roster}
+            assert sum(based for _, based in calls) == len(roster) - len(paths) > 0
+            schedule = BENCHMARKS[bm].build(bucket_pm, 0)
+            for cell, (engine, conv) in zip(cells, roster):
+                series = run_variant(schedule, bucket_pm, 1e6, CostSpec(rate), conv, 0)
+                alone = CellResult(
+                    bm, "b", engine, stats=performance_metrics(series),
+                    turnover=annual_turnover(series), n_days=len(series.equity), equity=series.equity,
+                )
+                assert self._cell_bits(cell) == self._cell_bits(alone)
 
 
 #: Equity values that must survive the text round trip bit for bit.
