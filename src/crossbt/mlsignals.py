@@ -270,13 +270,9 @@ def walk_forward_signal(
             )
         # Causality: every training target's forward window closes by t.
         assert s_hi + wf.horizon <= t
-        rows = []
-        targets = []
-        for s in range(s_lo, s_hi + 1):
-            rows.append(build_features(pm, s))
-            targets.append(p[s + wf.horizon] / p[s] - 1.0)
-        X = np.vstack(rows)
-        y = np.concatenate(targets)
+        X = np.vstack([build_features(pm, s) for s in range(s_lo, s_hi + 1)])
+        h = wf.horizon
+        y = (p[s_lo + h : s_hi + h + 1] / p[s_lo : s_hi + 1] - 1.0).ravel()
         if float(np.std(y)) == 0.0:
             pred = np.zeros(n)
             out.append(SignalRank(pm.dates[t], pred, tuple(range(n)), degenerate=True))

@@ -183,6 +183,16 @@ def features_per_day(prices, t):
     return np.column_stack([ret(21), ret(63), ret(126), vol(20), vol(60)])
 
 
+def training_targets_loop(prices, s_lo, s_hi, horizon):
+    """The walk-forward training targets as one row per training day: the
+    return ``prices[s + horizon] / prices[s] - 1.0`` of every asset for each
+    ``s`` in ``[s_lo, s_hi]``, concatenated in day order. Like
+    ``features_per_day`` it uses numpy to pin the exact arithmetic."""
+    import numpy as np
+
+    return np.concatenate([prices[s + horizon] / prices[s] - 1.0 for s in range(s_lo, s_hi + 1)])
+
+
 # ---------------------------------------------------------------------------
 # Replaced per-draw statistics. Like ``features_per_day`` these use numpy on
 # purpose: they are the loops the batched forms replaced, kept to pin the

@@ -18,7 +18,7 @@ from crossbt.mlsignals import (
     walk_forward_signal,
 )
 
-from oracles import feature_recompute, features_per_day
+from oracles import feature_recompute, features_per_day, training_targets_loop
 
 
 def _panel(prices):
@@ -141,7 +141,7 @@ def _reference_signal(pm, rebalances, wf, net):
     for t in rebalances:
         days = range(t - wf.gap - wf.train_window + 1, t - wf.gap + 1)
         X = np.vstack([features_per_day(p, s) for s in days])
-        y = np.concatenate([p[s + wf.horizon] / p[s] - 1.0 for s in days])
+        y = training_targets_loop(p, days[0], days[-1], wf.horizon)
         if float(np.std(y)) == 0.0:
             out.append((np.zeros(n), tuple(range(n))))
             continue
@@ -163,6 +163,32 @@ class TestWalkForwardAgainstOracle:
         for sig, (pred, ranking) in zip(got, _reference_signal(pm, rebalances, wf, net)):
             assert np.array_equal(sig.predicted, pred)
             assert sig.ranking == ranking
+
+    @given(pm=price_panels(min_days=200, max_days=260), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_training_targets_equal_the_per_day_loop(self, pm, data):
+        class Recorder:
+            y = None
+
+            def fit(self, X, y):
+                self.y = y
+                return self
+
+            def predict(self, X):
+                return np.zeros(len(X))
+
+        gap = data.draw(st.integers(1, 30))
+        wf = WalkForwardConfig(
+            train_window=data.draw(st.integers(1, 30)), gap=gap, horizon=data.draw(st.integers(1, gap))
+        )
+        t = data.draw(st.integers(wf.min_history, pm.n_days - 1))
+        recorder = Recorder()
+        walk_forward_signal(pm, [t], wf, learner=recorder)
+        want = training_targets_loop(pm.prices, t - gap - wf.train_window + 1, t - gap, wf.horizon)
+        if recorder.y is None:  # a zero-variance target is never fitted
+            assert float(np.std(want)) == 0.0
+        else:
+            assert recorder.y.tobytes() == want.tobytes()
 
 
 class TestElasticNet:
