@@ -8,13 +8,14 @@ log, and performance statistics.
 import numpy as np
 
 from crossbt import (
+    REFERENCE,
     CostSpec,
     SynthSpec,
     annual_turnover,
     cost_intensity,
     generate_synthetic,
     performance_metrics,
-    run_reference,
+    run_variant,
 )
 from crossbt.strategies import equal_weight
 
@@ -25,7 +26,7 @@ print(f"panel: {panel.n_days} days x {panel.n_assets} assets")
 
 schedule = equal_weight(panel)  # 1/N, every 21st trading day
 cost = CostSpec.from_bps(18)
-series = run_reference(schedule, panel, initial_capital=1_000_000, cost=cost)
+series = run_variant(schedule, panel, 1_000_000, cost, REFERENCE)
 
 print(f"\nfirst five equity marks: {np.round(series.equity[:5], 2)}")
 print(f"final equity:            {series.equity[-1]:,.2f}")

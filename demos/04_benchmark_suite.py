@@ -4,8 +4,8 @@ Builds each benchmark's weight schedule on one bucket-sized panel and runs
 them through the reference engine at their configured cost regimes.
 """
 
-from crossbt import CostSpec, SynthSpec, annual_turnover, generate_synthetic, \
-    performance_metrics, run_reference
+from crossbt import REFERENCE, CostSpec, SynthSpec, annual_turnover, generate_synthetic, \
+    performance_metrics, run_variant
 from crossbt.strategies import BENCHMARKS
 
 panel = generate_synthetic(
@@ -21,8 +21,8 @@ print(header)
 print("-" * len(header))
 for bm_id, spec in BENCHMARKS.items():
     schedule = spec.build(panel, start)
-    series = run_reference(
-        schedule, panel, 1_000_000, CostSpec.from_bps(spec.cost_bps), start
+    series = run_variant(
+        schedule, panel, 1_000_000, CostSpec.from_bps(spec.cost_bps), REFERENCE, start
     )
     stats = performance_metrics(series)
     print(

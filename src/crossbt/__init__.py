@@ -32,7 +32,7 @@ from .engine import (
     cost_intensity,
     performance_metrics,
     resolve_convention,
-    run_reference,
+    run_batch,
     run_variant,
     trade_cost,
     truncated,

@@ -15,9 +15,9 @@ never raise: detecting them is the harness's job, not the engine's.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -173,6 +173,18 @@ def path_key(conv: EngineConvention, rate: float) -> tuple:
     return (conv.return_timing,)
 
 
+def path_convention(conv: EngineConvention, rate: float) -> EngineConvention:
+    """A full-length convention that simulates ``conv``'s path at ``rate``.
+
+    Every convention with ``conv``'s ``path_key`` derives from its run (see
+    ``run_variant``): it reports net of cost, is never truncated, and at a
+    zero rate is the atomic reference fill on ``conv``'s timing.
+    """
+    if rate > 0.0:
+        return replace(conv, equity_reporting=EQUITY_POST, truncate_after=None)
+    return replace(REFERENCE, return_timing=conv.return_timing)
+
+
 def trade_cost(traded_notional: float, rate: float, conv: EngineConvention) -> float:
     """Cost charged for a given traded notional under a convention.
 
@@ -267,7 +279,14 @@ class WeightSchedule:
 
 @dataclass(frozen=True)
 class TradeRecord:
-    """Executed trades at one rebalance: signed notional per asset plus the charge."""
+    """Executed trades at one rebalance: signed notional per asset plus the charge.
+
+    The deltas are sized as the fill sizes its orders. An atomic fill logs
+    ``w * value - h * p``, sized on the pre-cost value; a sequential fill
+    logs the orders it placed, sized on the value net of the planned
+    charge. Turnover read from a sequential log is therefore lower than
+    the atomic one by about the cost rate, even when no order is skipped.
+    """
 
     date: str
     deltas: np.ndarray
@@ -281,12 +300,75 @@ class TradeRecord:
 
 
 @dataclass(frozen=True)
+class TradeLog:
+    """The trades of one run as columns, one row per executed rebalance.
+
+    ``days`` are ascending offsets into the run's dates. ``deltas`` is
+    ``(r, n)``; ``cost``, ``pre_trade_value`` and ``skipped`` have one entry
+    per row. Each column means what the ``TradeRecord`` field of the same
+    name means, deltas sized as described there. The arrays are made
+    read-only, so a run derived from another can share them.
+    """
+
+    days: np.ndarray
+    deltas: np.ndarray
+    cost: np.ndarray
+    pre_trade_value: np.ndarray
+    skipped: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self) -> None:
+        for column in (self.days, self.deltas, self.cost, self.pre_trade_value):
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.days)
+
+    def head(self, count: int) -> "TradeLog":
+        """The first ``count`` rows, as views."""
+        return TradeLog(
+            self.days[:count],
+            self.deltas[:count],
+            self.cost[:count],
+            self.pre_trade_value[:count],
+            self.skipped[:count],
+        )
+
+    @classmethod
+    def from_records(cls, records: tuple[TradeRecord, ...], dates: tuple[str, ...]) -> "TradeLog":
+        offset = {date: i for i, date in enumerate(dates)}
+        return cls(
+            np.array([offset[tr.date] for tr in records], dtype=np.intp),
+            np.stack([tr.deltas for tr in records]) if records else np.empty((0, 0)),
+            np.array([tr.cost for tr in records], dtype=float),
+            np.array([tr.pre_trade_value for tr in records], dtype=float),
+            tuple(tr.skipped for tr in records),
+        )
+
+    def records(self, dates: tuple[str, ...]) -> tuple[TradeRecord, ...]:
+        return tuple(
+            map(
+                TradeRecord,
+                [dates[d] for d in self.days.tolist()],
+                self.deltas,
+                self.cost.tolist(),
+                self.pre_trade_value.tolist(),
+                self.skipped,
+            )
+        )
+
+
+@dataclass(frozen=True)
 class EquitySeries:
-    """Daily equity plus the trade log for one (schedule, engine) run."""
+    """Daily equity plus the trade log for one (schedule, engine) run.
+
+    ``log`` is given as a ``TradeLog`` or as the run's ``TradeRecord``s,
+    which are stored as one. ``trades`` yields the records, built from the
+    log on first access.
+    """
 
     dates: tuple[str, ...]
     equity: np.ndarray
-    trades: tuple[TradeRecord, ...]
+    log: TradeLog
     engine_id: str
 
     def __post_init__(self) -> None:
@@ -294,6 +376,14 @@ class EquitySeries:
         eq.setflags(write=False)
         object.__setattr__(self, "equity", eq)
         object.__setattr__(self, "dates", tuple(self.dates))
+        if not isinstance(self.log, TradeLog):
+            records = tuple(self.log)
+            object.__setattr__(self, "log", TradeLog.from_records(records, self.dates))
+            self.__dict__["trades"] = records
+
+    @cached_property
+    def trades(self) -> tuple[TradeRecord, ...]:
+        return self.log.records(self.dates)
 
 
 def _sequential_fill(
@@ -350,6 +440,26 @@ def _sequential_fill(
     return fees, h_new, cash_new, executed, tuple(skipped)
 
 
+def _event_weights(
+    schedule: WeightSchedule, prices: PriceMatrix, initial_capital: float, start: int
+) -> dict[int, np.ndarray]:
+    """Run the input checks; the schedule's weights keyed by day index."""
+    if initial_capital <= 0:
+        raise ValueError("initial capital must be positive")
+    if not 0 <= start < prices.n_days:
+        raise ValueError(f"start index {start} outside calendar")
+    schedule.validate(prices)
+    days = list(map(prices.date_index().__getitem__, schedule.entries))
+    if days and min(days) < start:
+        date = next(date for date, t in zip(schedule.entries, days) if t < start)
+        raise ValueError(f"rebalance date {date!r} precedes evaluation start")
+    return dict(zip(days, schedule.entries.values()))
+
+
+def _reported_days(conv: EngineConvention, n_eval: int) -> int:
+    return n_eval if conv.truncate_after is None else min(conv.truncate_after, n_eval)
+
+
 def run_variant(
     schedule: WeightSchedule,
     prices: PriceMatrix,
@@ -363,97 +473,172 @@ def run_variant(
 
     Equity is reported for every calendar day from ``start`` onward (fewer
     under a truncation fault). Faults are silent by design; nothing raises
-    beyond input validation.
-
-    The loop steps from one rebalance to the next. The days in between are
-    marked in one ``np.vecdot`` over the price rows, which reduces each row
-    with the same BLAS dot as ``float(h @ p)``, so every equity value is
-    bit-identical to marking the days one at a time.
+    beyond input validation. The run is the one row of a ``run_batch``.
 
     ``base`` is an earlier run of the same schedule, prices, capital, cost
-    and start under another convention. When its ``path_key`` at this rate
-    equals ``conv``'s and it covers the days ``conv`` reports, the result is
-    derived from it without simulating (see ``_derive``), bit-identical to
-    the simulated one. ValueError for a base whose path key differs.
+    and start under another convention, such as a row of a ``run_batch``.
+    When its ``path_key`` at this rate equals ``conv``'s and it covers the
+    days ``conv`` reports, the result is derived from it without
+    simulating (see ``_derive``), bit-identical to the simulated one.
+    ValueError for a base whose path key differs.
     """
-    if initial_capital <= 0:
-        raise ValueError("initial capital must be positive")
-    if not 0 <= start < prices.n_days:
-        raise ValueError(f"start index {start} outside calendar")
-    schedule.validate(prices)
-    index = prices.date_index()
-    entries: dict[int, np.ndarray] = {}
-    for date, w in schedule.entries.items():
-        t = index[date]
-        if t < start:
-            raise ValueError(f"rebalance date {date!r} precedes evaluation start")
-        entries[t] = w
-    if conv.return_timing == TIMING_SHIFT1:
-        # One-day execution lag: intended weights trade at next-day prices;
-        # a trade pending past the final day is dropped.
-        entries = {t + 1: w for t, w in entries.items() if t + 1 < prices.n_days}
-
-    n_eval = prices.n_days - start
-    limit = n_eval if conv.truncate_after is None else min(conv.truncate_after, n_eval)
-    end = start + limit
-    rate = cost.rate
+    entries = _event_weights(schedule, prices, initial_capital, start)
     if base is not None:
-        derived = _derive(base, prices, start, end, rate, conv)
+        limit = _reported_days(conv, prices.n_days - start)
+        derived = _derive(base, prices, start, limit, cost.rate, conv)
         if derived is not None:
             return derived
-    atomic = conv.fill_sequencing == FILL_ATOMIC
-    gross = conv.equity_reporting == EQUITY_GROSS
+    (series,) = _simulate(entries, prices, initial_capital, [conv], [cost.rate], start)
+    return series
+
+
+def run_batch(
+    schedule: WeightSchedule,
+    prices: PriceMatrix,
+    initial_capital: float,
+    rows: Sequence[tuple[EngineConvention, float]],
+    start: int = 0,
+) -> tuple[EquitySeries, ...]:
+    """Run one schedule under K ``(convention, rate)`` rows in one pass.
+
+    Row k's series is bit-identical to ``run_variant`` under its convention
+    and ``CostSpec(rate)``. The rows may differ on every convention axis
+    and in the rate, so a cost sweep is just more rows. The input checks
+    are ``run_variant``'s, the rates first.
+    """
+    rates = [CostSpec(rate).rate for _, rate in rows]
+    entries = _event_weights(schedule, prices, initial_capital, start)
+    return _simulate(entries, prices, initial_capital, [conv for conv, _ in rows], rates, start)
+
+
+def _simulate(
+    entries: dict[int, np.ndarray],
+    prices: PriceMatrix,
+    initial_capital: float,
+    convs: Sequence[EngineConvention],
+    rates: Sequence[float],
+    start: int,
+) -> tuple[EquitySeries, ...]:
+    """Step the union of the rows' event days once, for holdings ``(K, n)``.
+
+    A row trades on its own event days: the schedule's days, or each one
+    day later under shift1, where a trade pending past the final day is
+    dropped. On a union day where it does not trade, a row keeps its
+    holdings and reports its mark. Per row, each step computes what the
+    one-path loop computes, in the same floating-point operations:
+    ``np.vecdot`` reduces each row with the same BLAS dot as
+    ``float(h @ p)``, and ``np.add.reduce(..., axis=1)`` sums each row as
+    ``.sum()`` sums it (``TestVecdotPremise`` pins both). The days between
+    two union days are marked in one ``np.vecdot`` over the price rows. A
+    sequential-fill row runs ``_sequential_fill`` on its event days, and
+    its fees replace the planned charge.
+
+    The trade log is kept as columns over the union days, deltas
+    ``(m, K, n)`` beside an activity mask ``(m, K)``; each row's
+    ``TradeLog`` is one fancy index of them.
+    """
     P = prices.prices
-    h = np.zeros(prices.n_assets)
-    cash = float(initial_capital)
-    equity = np.empty(limit)
-    trades: list[TradeRecord] = []
+    K, n = len(convs), prices.n_assets
+    n_eval = prices.n_days - start
+    limits = [_reported_days(conv, n_eval) for conv in convs]
+    end = start + max(limits, default=0)
+
+    days = np.array(sorted(entries), dtype=np.intp)
+    weights = np.array([entries[t] for t in days.tolist()], dtype=float).reshape(len(days), n)
+    lag = np.array([conv.return_timing == TIMING_SHIFT1 for conv in convs], dtype=np.intp)
+    executes = days + lag[:, None]
+    # A day mask, not np.unique: its first call imports numpy.ma (about 8 ms).
+    on = np.zeros(end - start, dtype=bool)
+    on[executes[executes < end] - start] = True
+    union = start + np.flatnonzero(on)
+    m = len(union)
+    W = np.zeros((m, K, n))
+    active = np.zeros((m, K), dtype=bool)
+    for k in range(K):
+        kept = executes[k] < end
+        pos = np.searchsorted(union, executes[k, kept])
+        W[pos, k] = weights[kept]
+        active[pos, k] = True
+
+    mult = np.array([float(conv.commission_multiplier) for conv in convs])
+    rate = np.array(rates, dtype=float)
+    divisor = np.array([100.0 if conv.rate_interpretation == RATE_DIV100 else 1.0 for conv in convs])
+    sequential = [k for k, conv in enumerate(convs) if conv.fill_sequencing != FILL_ATOMIC]
+    everyone = active.all(axis=1).tolist()
+    trades_today = active.tolist()
+
+    H = np.zeros((K, n))
+    cash = np.full(K, float(initial_capital))
+    equity = np.empty((K, end - start))
+    deltas, cost, pre = [], [], []
+    skipped: dict[tuple[int, int], tuple[str, ...]] = {}
 
     prev = start
-    for t in sorted(t for t in entries if t < end):
+    for j, t in enumerate(union.tolist()):
         if t > prev:
-            equity[prev - start : t - start] = cash + np.vecdot(P[prev:t], h)
-        w, p = entries[t], P[t]
-        value = cash + float(h @ p)
-        delta = w * value - h * p
-        traded = float(np.abs(delta).sum())
-        if atomic:
-            fees = trade_cost(traded, rate, conv)
-            net_value = value - fees
-            h = (w * net_value) / p
-            cash = net_value - float(h @ p)
-            executed, skipped = delta, ()
+            equity[:, prev - start : t - start] = cash[:, None] + np.vecdot(P[prev:t], H[:, None, :])
+        p, w = P[t], W[j]
+        value = cash + np.vecdot(H, p)
+        delta = w * value[:, None] - H * p
+        fees = mult * (rate * np.add.reduce(np.abs(delta), axis=1)) / divisor
+        net = value - fees
+        h_new = (w * net[:, None]) / p
+        cash_new = net - np.vecdot(h_new, p)
+        for k in sequential:
+            if trades_today[j][k]:
+                fees[k], h_new[k], cash_new[k], delta[k], skipped[j, k] = _sequential_fill(
+                    w[k], H[k], float(cash[k]), p, float(value[k]), float(fees[k]),
+                    rates[k], convs[k], prices.assets,
+                )
+        if everyone[j]:
+            H, cash = h_new, cash_new
         else:
-            planned = trade_cost(traded, rate, conv)
-            fees, h, cash, executed, skipped = _sequential_fill(
-                w, h, cash, p, value, planned, rate, conv, prices.assets
-            )
-        equity[t - start] = value if gross else value - fees
-        trades.append(TradeRecord(prices.dates[t], executed, fees, value, skipped))
+            np.copyto(H, h_new, where=active[j, :, None])
+            np.copyto(cash, cash_new, where=active[j])
+        deltas.append(delta)
+        cost.append(fees)
+        pre.append(value)
         prev = t + 1
-    equity[prev - start :] = cash + np.vecdot(P[prev:end], h)
+    equity[:, prev - start :] = cash[:, None] + np.vecdot(P[prev:end], H[:, None, :])
+    deltas = np.array(deltas).reshape(m, K, n)
+    cost = np.array(cost).reshape(m, K)
+    pre = np.array(pre).reshape(m, K)
+    # A row reports net of the charge on the days it trades, else its mark.
+    report_net = active & np.array([conv.equity_reporting == EQUITY_POST for conv in convs], dtype=bool)
+    equity[:, union - start] = np.where(report_net, pre - cost, pre).T
 
-    return EquitySeries(prices.dates[start:end], equity, tuple(trades), conv.id)
+    out = []
+    for k, conv in enumerate(convs):
+        limit = limits[k]
+        rows = np.flatnonzero(active[:, k] & (union < start + limit))
+        if k in sequential:
+            names = tuple(skipped.get((j, k), ()) for j in rows.tolist())
+        else:
+            names = ((),) * len(rows)
+        log = TradeLog(union[rows] - start, deltas[rows, k], cost[rows, k], pre[rows, k], names)
+        out.append(EquitySeries(prices.dates[start : start + limit], equity[k, :limit], log, conv.id))
+    return tuple(out)
 
 
 def _derive(
     base: EquitySeries,
     prices: PriceMatrix,
     start: int,
-    end: int,
+    limit: int,
     rate: float,
     conv: EngineConvention,
 ) -> EquitySeries | None:
-    """``conv``'s run over days ``[start, end)`` as a view of ``base``.
+    """``conv``'s run over its first ``limit`` days from ``start``, as a view
+    of ``base``.
 
-    The equity is ``base``'s prefix with each rebalance day re-reported from
-    its trade record, gross or net of the charge, exactly as the loop
-    reports it; the trades are ``base``'s up to ``end``, their deltas made
-    read-only because both series share them. None where ``base`` cannot
-    give the run: it is shorter, or it is a sequential fill other than
-    ``conv``'s (a zero rate puts every fill on one path, but an atomic
-    delta of -0.0 is logged as +0.0 by a sequential fill and cannot be
-    recovered from it).
+    The equity is ``base``'s prefix with each rebalance day re-reported
+    from the trade log, gross or net of the charge, exactly as the loop
+    reports it, in one fancy-index assignment; the log is ``base``'s first
+    rows up to the last day, its read-only columns shared. None where
+    ``base`` cannot give the run: it is shorter, or it is a sequential
+    fill other than ``conv``'s (a zero rate puts every fill on one path,
+    but an atomic delta of -0.0 is logged as +0.0 by a sequential fill and
+    cannot be recovered from it).
     """
     base_conv = EngineConvention.parse(base.engine_id)
     if path_key(base_conv, rate) != path_key(conv, rate):
@@ -462,38 +647,20 @@ def _derive(
         )
     if base.dates[:1] != prices.dates[start : start + 1]:
         raise ValueError(f"base starts on {base.dates[:1]}, not on day {start}")
-    limit = end - start
     fill = base_conv.fill_sequencing
     if len(base.equity) < limit or fill not in (FILL_ATOMIC, conv.fill_sequencing):
         return None
-    index = prices.date_index()
-    days = [index[tr.date] - start for tr in base.trades]
-    n = bisect_left(days, limit)
-    trades = base.trades[:n]
+    log = base.log.head(int(np.searchsorted(base.log.days, limit)))
     if fill != conv.fill_sequencing:
         # A sequential fill starts its deltas at +0.0 and writes only the
         # orders it places; + 0.0 turns an atomic -0.0 into that +0.0.
-        trades = tuple(replace(tr, deltas=tr.deltas + 0.0) for tr in trades)
-    else:
-        for tr in trades:
-            tr.deltas.setflags(write=False)
+        log = replace(log, deltas=log.deltas + 0.0)
     equity = base.equity[:limit].copy()
     if conv.equity_reporting == EQUITY_GROSS:
-        equity[days[:n]] = [tr.pre_trade_value for tr in trades]
+        equity[log.days] = log.pre_trade_value
     else:
-        equity[days[:n]] = [tr.pre_trade_value - tr.cost for tr in trades]
-    return EquitySeries(base.dates[:limit], equity, trades, conv.id)
-
-
-def run_reference(
-    schedule: WeightSchedule,
-    prices: PriceMatrix,
-    initial_capital: float,
-    cost: CostSpec,
-    start: int = 0,
-) -> EquitySeries:
-    """Reference engine: the backtest loop under the reference convention."""
-    return run_variant(schedule, prices, initial_capital, cost, REFERENCE, start)
+        equity[log.days] = log.pre_trade_value - log.cost
+    return EquitySeries(base.dates[:limit], equity, log, conv.id)
 
 
 @dataclass(frozen=True)
@@ -565,13 +732,12 @@ def performance_metrics(series: EquitySeries) -> PerfStats:
 
 def annual_turnover(series: EquitySeries) -> float:
     """One-sided traded notional over pre-cost value, annualised by 252/(T-1)."""
-    if len(series.equity) < 2 or not series.trades:
+    log = series.log
+    if len(series.equity) < 2 or not len(log):
         return 0.0
-    deltas = np.stack([tr.deltas for tr in series.trades])
-    pre = np.array([tr.pre_trade_value for tr in series.trades])
     # Row sums reduce each trade's deltas exactly as traded_notional does;
     # the Python sum keeps the left-to-right order over trades.
-    total = sum((np.abs(deltas).sum(axis=1) / pre).tolist())
+    total = sum((np.abs(log.deltas).sum(axis=1) / log.pre_trade_value).tolist())
     return float(total * TRADING_DAYS_PER_YEAR / (len(series.equity) - 1))
 
 

@@ -25,16 +25,16 @@ import numpy as np
 from . import __version__
 from . import buckets as bucketmod
 from .engine import (
-    FILL_ATOMIC,
     CostSpec,
     EngineConvention,
-    EquitySeries,
     PerfStats,
     annual_turnover,
     cost_intensity,
+    path_convention,
     path_key,
     performance_metrics,
     resolve_convention,
+    run_batch,
     run_variant,
     REFERENCE,
     DEFAULT_ROSTER,
@@ -437,12 +437,11 @@ def load_panel(cfg: RunConfig) -> PriceMatrix:
 def _run_grid_task(args) -> tuple[str, str, float | None, list[CellResult]]:
     """Run every engine for one (benchmark, bucket); picklable for pools.
 
-    Conventions that simulate the same holdings path (equal ``path_key``)
-    are derived from the longest atomic run of that path so far, so the
-    path is simulated once and the others are views of it.
+    One ``run_batch`` call simulates each distinct holdings path of the
+    roster (one row per ``path_key``); each cell is then one ``run_variant``
+    call that derives its run as a view of its path's row.
     """
     bm_id, bucket_id, bucket_pm, eval_start, rate, roster, capital = args
-    out: list[CellResult] = []
     try:
         schedule = BENCHMARKS[bm_id].build(bucket_pm, eval_start)
         first_w = schedule.first_entry_weight_sum(bucket_pm)
@@ -451,17 +450,29 @@ def _run_grid_task(args) -> tuple[str, str, float | None, list[CellResult]]:
         return bm_id, bucket_id, None, [
             CellResult(bm_id, bucket_id, eid, error=msg) for eid, _ in roster
         ]
-    paths: dict[tuple, EquitySeries] = {}
+    paths: dict[tuple, EngineConvention] = {}
+    for _, conv in roster:
+        key = path_key(conv, rate)
+        if key not in paths:
+            paths[key] = path_convention(conv, rate)
+    try:
+        rows = run_batch(
+            schedule, bucket_pm, capital, [(conv, rate) for conv in paths.values()], eval_start
+        )
+    except Exception as exc:
+        # The batch fails only on the input checks, which every cell shares.
+        msg = f"{type(exc).__name__}: {exc}"
+        return bm_id, bucket_id, first_w, [
+            CellResult(bm_id, bucket_id, eid, error=msg) for eid, _ in roster
+        ]
+    bases = dict(zip(paths, rows))
+    out: list[CellResult] = []
     for engine_id, conv in roster:
         try:
-            key = path_key(conv, rate)
             series = run_variant(
-                schedule, bucket_pm, capital, CostSpec(rate), conv, eval_start, base=paths.get(key)
+                schedule, bucket_pm, capital, CostSpec(rate), conv, eval_start,
+                base=bases[path_key(conv, rate)],
             )
-            if conv.fill_sequencing == FILL_ATOMIC and (
-                key not in paths or len(series.equity) > len(paths[key].equity)
-            ):
-                paths[key] = series
             out.append(
                 CellResult(
                     bm_id,

@@ -21,9 +21,9 @@ from crossbt.buckets import (
 from crossbt.cli import main
 from crossbt.engine import (
     CONVENTIONS,
+    REFERENCE,
     CostSpec,
     WeightSchedule,
-    run_reference,
     run_variant,
     trade_cost,
 )
@@ -135,7 +135,7 @@ def test_criterion_03_percabs_mechanism():
     ok = True
     count = 0
     for bm_id, pm, schedule, rate, start in _mechanism_suite():
-        ref = run_reference(schedule, pm, 1e6, CostSpec(rate), start)
+        ref = run_variant(schedule, pm, 1e6, CostSpec(rate), REFERENCE, start)
         # Cost mechanism on the reference engine's logged notionals.
         for tr in ref.trades:
             count += 1
@@ -158,7 +158,7 @@ def test_criterion_04_double_commission_mechanism():
     ok = True
     count = 0
     for bm_id, pm, schedule, rate, start in _mechanism_suite():
-        ref = run_reference(schedule, pm, 1e6, CostSpec(rate), start)
+        ref = run_variant(schedule, pm, 1e6, CostSpec(rate), REFERENCE, start)
         for tr in ref.trades:
             count += 1
             ok = ok and trade_cost(tr.traded_notional, rate, dbl) == 2.0 * tr.cost
@@ -243,15 +243,15 @@ def test_criterion_07_reference_loop_oracle():
                 schedule[t] = rng.dirichlet(np.ones(n_assets + 1))[:n_assets]
         rate = float(rng.uniform(0.0, 0.05))
         c0 = float(rng.uniform(10.0, 1e7))
-        mine = run_reference(
-            WeightSchedule({str(t): w for t, w in schedule.items()}), pm, c0, CostSpec(rate)
+        mine = run_variant(
+            WeightSchedule({str(t): w for t, w in schedule.items()}), pm, c0, CostSpec(rate), REFERENCE
         )
         theirs = backtest_loop(
             [list(r) for r in prices], {t: list(w) for t, w in schedule.items()}, c0, rate
         )
         rel = np.max(np.abs(mine.equity - np.array(theirs)) / np.abs(theirs))
         worst = max(worst, float(rel))
-    _report(7, f"run_reference matches the literal loop on 100 random instances "
+    _report(7, f"the reference engine matches the literal loop on 100 random instances "
                f"(worst rel err {worst:.2e} <= 1e-12)", worst <= 1e-12)
 
 

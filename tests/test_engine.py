@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from crossbt.engine import (
     path_key,
     performance_metrics,
     resolve_convention,
-    run_reference,
+    run_batch,
     run_variant,
     trade_cost,
     truncated,
@@ -45,21 +46,21 @@ def half_half(tiny_panel):
 
 class TestReferenceLoop:
     def test_worked_example(self, tiny_panel, half_half):
-        series = run_reference(half_half, tiny_panel, 1000.0, CostSpec(0.01))
+        series = run_variant(half_half, tiny_panel, 1000.0, CostSpec(0.01), REFERENCE)
         assert series.equity == pytest.approx([990.0, 1014.75, 1039.5], rel=1e-12)
 
     def test_zero_cost_example(self, tiny_panel, half_half):
-        series = run_reference(half_half, tiny_panel, 1000.0, CostSpec(0.0))
+        series = run_variant(half_half, tiny_panel, 1000.0, CostSpec(0.0), REFERENCE)
         assert series.equity == pytest.approx([1000.0, 1025.0, 1050.0], rel=1e-12)
 
     def test_empty_schedule_is_all_cash(self, tiny_panel):
-        series = run_reference(WeightSchedule({}), tiny_panel, 777.0, CostSpec(0.01))
+        series = run_variant(WeightSchedule({}), tiny_panel, 777.0, CostSpec(0.01), REFERENCE)
         assert np.all(series.equity == 777.0)
         assert series.trades == ()
 
     def test_cash_accounting_identity(self, small_universe):
         sched = equal_weight(small_universe)
-        series = run_reference(sched, small_universe, 1e6, CostSpec(0.0018))
+        series = run_variant(sched, small_universe, 1e6, CostSpec(0.0018), REFERENCE)
         index = {d: i for i, d in enumerate(series.dates)}
         for tr in series.trades:
             net = tr.pre_trade_value - tr.cost
@@ -68,7 +69,7 @@ class TestReferenceLoop:
     def test_cost_conservation_exact(self, small_universe):
         rate = 0.0018
         sched = rotation(small_universe, k=3)
-        series = run_reference(sched, small_universe, 1e6, CostSpec(rate))
+        series = run_variant(sched, small_universe, 1e6, CostSpec(rate), REFERENCE)
         for tr in series.trades:
             assert tr.cost == 1 * (rate * float(np.sum(np.abs(tr.deltas))))
 
@@ -89,7 +90,7 @@ class TestReferenceLoop:
             rate = float(rng.uniform(0.0, 0.02))
             c0 = float(rng.uniform(100.0, 1e6))
             sched = WeightSchedule({str(t): w for t, w in schedule.items()})
-            mine = run_reference(sched, pm, c0, CostSpec(rate))
+            mine = run_variant(sched, pm, c0, CostSpec(rate), REFERENCE)
             theirs = backtest_loop(
                 [list(row) for row in prices],
                 {t: list(w) for t, w in schedule.items()},
@@ -105,7 +106,7 @@ class TestReferenceLoop:
         sched = equal_weight(pm)
         results = []
         for rate in sorted(rates):
-            series = run_reference(sched, pm, 1e6, CostSpec(rate))
+            series = run_variant(sched, pm, 1e6, CostSpec(rate), REFERENCE)
             results.append((rate, performance_metrics(series).total_return_pct))
         for (r1, tr1), (r2, tr2) in zip(results, results[1:]):
             if r2 > r1:
@@ -128,12 +129,13 @@ class TestConventions:
         assert resolve_convention("post|abs|x1|atomic|aligned|full") == REFERENCE
 
     def test_reference_flags_identical_run(self, tiny_panel, half_half):
-        a = run_reference(half_half, tiny_panel, 1000.0, CostSpec(0.01))
-        b = run_variant(half_half, tiny_panel, 1000.0, CostSpec(0.01), REFERENCE)
+        a = run_variant(half_half, tiny_panel, 1000.0, CostSpec(0.01), REFERENCE)
+        flags = resolve_convention("post|abs|x1|atomic|aligned|full")
+        b = run_variant(half_half, tiny_panel, 1000.0, CostSpec(0.01), flags)
         assert np.array_equal(a.equity, b.equity)
 
     def test_pre_trade_reports_gross_equity(self, tiny_panel, half_half):
-        ref = run_reference(half_half, tiny_panel, 1000.0, CostSpec(0.01))
+        ref = run_variant(half_half, tiny_panel, 1000.0, CostSpec(0.01), REFERENCE)
         pre = run_variant(half_half, tiny_panel, 1000.0, CostSpec(0.01), CONVENTIONS["pre_trade"])
         assert pre.equity[0] == 1000.0
         assert ref.equity[0] == pytest.approx(990.0, rel=1e-12)
@@ -144,7 +146,7 @@ class TestConventions:
 
     def test_percent_divided_day_one_cost(self, tiny_panel, half_half):
         # Input rate 0.01 -> day-1 charge 0.1 instead of 10 (100x undercharge).
-        ref = run_reference(half_half, tiny_panel, 1000.0, CostSpec(0.01))
+        ref = run_variant(half_half, tiny_panel, 1000.0, CostSpec(0.01), REFERENCE)
         pdiv = run_variant(
             half_half, tiny_panel, 1000.0, CostSpec(0.01), CONVENTIONS["percent_divided"]
         )
@@ -153,7 +155,7 @@ class TestConventions:
         assert pdiv.trades[0].cost == ref.trades[0].cost / 100.0
 
     def test_double_commission_day_one_cost(self, tiny_panel, half_half):
-        ref = run_reference(half_half, tiny_panel, 1000.0, CostSpec(0.01))
+        ref = run_variant(half_half, tiny_panel, 1000.0, CostSpec(0.01), REFERENCE)
         dbl = run_variant(
             half_half, tiny_panel, 1000.0, CostSpec(0.01), CONVENTIONS["double_commission"]
         )
@@ -164,7 +166,7 @@ class TestConventions:
         # reference when the rate is zero, including sequencing variants on a
         # rotation schedule whose buys precede their funding sells.
         for sched in (equal_weight(small_universe), rotation(small_universe, k=3)):
-            ref = run_reference(sched, small_universe, 1e6, CostSpec(0.0))
+            ref = run_variant(sched, small_universe, 1e6, CostSpec(0.0), REFERENCE)
             for name, conv in CONVENTIONS.items():
                 if conv.return_timing != "aligned":
                     continue
@@ -176,7 +178,7 @@ class TestConventions:
         # is exactly rate/(1-rate) of the net value.
         rate = 0.0018
         sched = equal_weight(small_universe)
-        ref = run_reference(sched, small_universe, 1e6, CostSpec(rate))
+        ref = run_variant(sched, small_universe, 1e6, CostSpec(rate), REFERENCE)
         pre = run_variant(sched, small_universe, 1e6, CostSpec(rate), CONVENTIONS["pre_trade"])
         rel = (pre.equity[0] - ref.equity[0]) / ref.equity[0]
         assert rel == pytest.approx(rate / (1 - rate), rel=1e-9)
@@ -184,7 +186,7 @@ class TestConventions:
     def test_fifo_rejects_fee_starved_buys(self, small_universe):
         rate = 0.0018
         sched = rotation(small_universe, k=3)
-        ref = run_reference(sched, small_universe, 1e6, CostSpec(rate))
+        ref = run_variant(sched, small_universe, 1e6, CostSpec(rate), REFERENCE)
         fifo = run_variant(
             sched, small_universe, 1e6, CostSpec(rate), CONVENTIONS["fifo_sequential"]
         )
@@ -204,7 +206,7 @@ class TestConventions:
                 sched, small_universe, 1e6, CostSpec(rate), CONVENTIONS["sells_first"]
             )
             assert all(not tr.skipped for tr in sf.trades)
-            ref = run_reference(sched, small_universe, 1e6, CostSpec(rate))
+            ref = run_variant(sched, small_universe, 1e6, CostSpec(rate), REFERENCE)
             # Per-order fees on actual fills differ from the atomic charge
             # only at second order in the rate, accumulating to about
             # rate^2 * total relative turnover over the run.
@@ -234,7 +236,7 @@ class TestConventions:
         from crossbt.strategies import binary_switch
 
         sched = binary_switch(pm, a=0, b=1)
-        ref = run_reference(sched, pm, 1000.0, CostSpec(0.0))
+        ref = run_variant(sched, pm, 1000.0, CostSpec(0.0), REFERENCE)
         shifted = run_variant(sched, pm, 1000.0, CostSpec(0.0), CONVENTIONS["shifted_one_day"])
         assert len(ref.trades) == 10
         assert len(shifted.trades) == 9
@@ -245,7 +247,7 @@ class TestConventions:
         sched = WeightSchedule(
             {pm.dates[0]: np.array([0.5, 0.5]), pm.dates[2]: np.zeros(2)}
         )
-        series = run_reference(sched, pm, 1000.0, CostSpec(0.01))
+        series = run_variant(sched, pm, 1000.0, CostSpec(0.01), REFERENCE)
         liquidation = series.trades[1]
         assert liquidation.cost > 0.0
         assert np.all(liquidation.deltas <= 0.0)
@@ -375,7 +377,7 @@ class TestPerformanceMetrics:
 
     def test_cagr_consistent_with_total_return(self, small_universe):
         sched = equal_weight(small_universe)
-        stats = performance_metrics(run_reference(sched, small_universe, 1e6, CostSpec(0.0018)))
+        stats = performance_metrics(run_variant(sched, small_universe, 1e6, CostSpec(0.0018), REFERENCE))
         t = small_universe.n_days - 1
         implied = ((1 + stats.total_return_pct / 100) ** (252 / t) - 1) * 100
         assert stats.cagr_pct == pytest.approx(implied, rel=1e-9)
@@ -399,18 +401,18 @@ class TestPerformanceMetrics:
 
 class TestTurnover:
     def test_no_trades_zero(self, tiny_panel):
-        series = run_reference(WeightSchedule({}), tiny_panel, 1000.0, CostSpec(0.01))
+        series = run_variant(WeightSchedule({}), tiny_panel, 1000.0, CostSpec(0.01), REFERENCE)
         assert annual_turnover(series) == 0.0
 
     def test_single_full_construction_one_year(self):
         prices = np.ones((253, 2)) * np.array([10.0, 20.0])
         pm = PriceMatrix(tuple(str(i) for i in range(253)), ("A", "B"), prices)
         sched = WeightSchedule({"0": np.array([0.5, 0.5])})
-        series = run_reference(sched, pm, 1000.0, CostSpec(0.0))
+        series = run_variant(sched, pm, 1000.0, CostSpec(0.0), REFERENCE)
         assert annual_turnover(series) == pytest.approx(1.0, rel=1e-12)
 
     def test_worked_three_day_instance(self, tiny_panel, half_half):
-        series = run_reference(half_half, tiny_panel, 1000.0, CostSpec(0.01))
+        series = run_variant(half_half, tiny_panel, 1000.0, CostSpec(0.01), REFERENCE)
         assert annual_turnover(series) == pytest.approx(126.0, rel=1e-12)
 
     @pytest.mark.parametrize("n_assets", [1, 2, 7, 8, 9, 17, 40])
@@ -449,17 +451,17 @@ class TestScheduleValidation:
     def test_unknown_date_rejected(self, tiny_panel):
         sched = WeightSchedule({"99": np.array([0.5, 0.5])})
         with pytest.raises(ValueError):
-            run_reference(sched, tiny_panel, 1000.0, CostSpec(0.0))
+            run_variant(sched, tiny_panel, 1000.0, CostSpec(0.0), REFERENCE)
 
     def test_negative_weight_rejected(self, tiny_panel):
         sched = WeightSchedule({"1": np.array([-0.1, 0.5])})
         with pytest.raises(ValueError):
-            run_reference(sched, tiny_panel, 1000.0, CostSpec(0.0))
+            run_variant(sched, tiny_panel, 1000.0, CostSpec(0.0), REFERENCE)
 
     def test_weights_over_one_rejected(self, tiny_panel):
         sched = WeightSchedule({"1": np.array([0.7, 0.7])})
         with pytest.raises(ValueError):
-            run_reference(sched, tiny_panel, 1000.0, CostSpec(0.0))
+            run_variant(sched, tiny_panel, 1000.0, CostSpec(0.0), REFERENCE)
 
     @pytest.mark.parametrize(
         "weights, message",
@@ -502,12 +504,12 @@ class TestScheduleValidation:
     def test_pass_on_one_matrix_still_raises_on_another(self, tiny_panel, other):
         sched = WeightSchedule({"2": np.array([0.5, 0.5])})
         sched.validate(tiny_panel)
-        run_reference(sched, tiny_panel, 1000.0, CostSpec(0.0))
+        run_variant(sched, tiny_panel, 1000.0, CostSpec(0.0), REFERENCE)
         for _ in range(2):
             with pytest.raises(ValueError):
                 sched.validate(other)
             with pytest.raises(ValueError):
-                run_reference(sched, other, 1000.0, CostSpec(0.0))
+                run_variant(sched, other, 1000.0, CostSpec(0.0), REFERENCE)
         sched.validate(tiny_panel)
 
     def test_failing_schedule_raises_on_every_call(self, tiny_panel):
@@ -609,6 +611,40 @@ def assert_same_run(got: EquitySeries, want: EquitySeries) -> None:
         assert a.skipped == b.skipped
 
 
+RATES = st.one_of(st.just(0.0), st.just(0.06), st.floats(0.0, 0.06))
+
+
+def conventions(n_days: int):
+    """Any point of the six convention axes."""
+    return st.builds(
+        EngineConvention,
+        st.sampled_from([EQUITY_POST, EQUITY_GROSS]),
+        st.sampled_from([RATE_ABS, RATE_DIV100]),
+        st.integers(1, 3),
+        st.sampled_from([FILL_ATOMIC, FILL_FIFO, FILL_SELLS_FIRST]),
+        st.sampled_from([TIMING_ALIGNED, TIMING_SHIFT1]),
+        st.one_of(st.none(), st.integers(1, n_days + 2)),
+    )
+
+
+@st.composite
+def batch_runs(draw):
+    """One ``engine_runs`` schedule under 1 to 6 drawn ``(convention, rate)``
+    rows, shift1 rows mixed with aligned ones and the rates differing within
+    the batch; zero weights are made -0.0 at random in some schedules."""
+    schedule, pm, capital, cost, conv, start = draw(engine_runs())
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        entries = {}
+        for date, w in schedule.entries.items():
+            w = w.copy()
+            w[(w == 0.0) & (rng.uniform(size=w.shape) < 0.6)] = -0.0
+            entries[date] = w
+        schedule = WeightSchedule(entries)
+    more = draw(st.lists(st.tuples(conventions(pm.n_days), RATES), max_size=5))
+    return schedule, pm, capital, [(conv, cost.rate)] + more, start
+
+
 class TestPerDayOracle:
     """``run_variant`` against the per-day loop, bit for bit."""
 
@@ -629,11 +665,54 @@ class TestPerDayOracle:
                 assert_same_run(run_variant(*args), run_variant_per_day(*args))
 
 
+class TestBatch:
+    """``run_batch`` against one per-day loop per row, bit for bit."""
+
+    @given(run=batch_runs())
+    @settings(max_examples=250, deadline=None)
+    def test_rows_equal_separate_per_day_runs(self, run):
+        schedule, pm, capital, rows, start = run
+        batch = run_batch(schedule, pm, capital, rows, start)
+        assert len(batch) == len(rows)
+        alone = [run_variant_per_day(schedule, pm, capital, CostSpec(rate), conv, start)
+                 for conv, rate in rows]
+        for series, want in zip(batch, alone):
+            assert_same_run(series, want)
+        # Each row is a base for every drawn convention on its path.
+        for series, (conv, rate) in zip(batch, rows):
+            for (other, other_rate), want in zip(rows, alone):
+                if other_rate == rate and path_key(other, rate) == path_key(conv, rate):
+                    derived = run_variant(schedule, pm, capital, CostSpec(rate), other, start, base=series)
+                    assert_same_run(derived, want)
+
+    def test_skipping_rows_at_mixed_rates_and_timings(self, small_universe):
+        sched = rotation(small_universe, k=3, start=30)
+        rows = [(conv, rate) for rate in (0.0, 0.0018, 0.006)
+                for conv in (REFERENCE, CONVENTIONS["fifo_sequential"], CONVENTIONS["sells_first"],
+                             replace(CONVENTIONS["fifo_sequential"], return_timing=TIMING_SHIFT1,
+                                     rate_interpretation=RATE_DIV100, commission_multiplier=3),
+                             CONVENTIONS["shifted_one_day"], truncated(50, CONVENTIONS["pre_trade"]))]
+        batch = run_batch(sched, small_universe, 1e6, rows, 30)
+        assert any(tr.skipped for series in batch for tr in series.trades)
+        for series, (conv, rate) in zip(batch, rows):
+            want = run_variant_per_day(sched, small_universe, 1e6, CostSpec(rate), conv, 30)
+            assert_same_run(series, want)
+
+    def test_checks_are_run_variants(self, tiny_panel, half_half):
+        with pytest.raises(ValueError, match="cost rate"):
+            run_batch(WeightSchedule({"0": np.ones(2)}), tiny_panel, 1.0, [(REFERENCE, 1.0)])
+        with pytest.raises(ValueError, match="precedes evaluation start"):
+            run_batch(half_half, tiny_panel, 1000.0, [(REFERENCE, 0.0)], 1)
+        assert run_batch(half_half, tiny_panel, 1000.0, []) == ()
+
+
 class TestVecdotPremise:
-    """``run_variant`` marks the days between rebalances with one ``np.vecdot``
-    and is bit-identical to the per-day loop only because ``vecdot`` reduces
-    each row with the same BLAS dot as ``float(h @ p)``. A numpy or BLAS build
-    that breaks this fails here by name."""
+    """``run_batch`` (and so ``run_variant``, a one-row batch) marks the days
+    between event days with one ``np.vecdot`` and is bit-identical to the
+    per-day loop only because ``vecdot`` reduces each row with the same BLAS
+    dot as ``float(h @ p)``, and ``np.add.reduce`` sums each row of a block as
+    ``.sum()`` sums the row. A numpy or BLAS build that breaks this fails
+    here by name."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_vecdot_rows_equal_per_row_dots(self, order):
@@ -645,3 +724,33 @@ class TestVecdotPremise:
                 got = np.vecdot(P[a:b], h)
                 assert got.shape == (b - a,)
                 assert np.array_equal(got, [float(h @ P[i]) for i in range(a, b)]), (n, a, b)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_batched_rows_equal_per_row_dots(self, order):
+        """``run_batch`` marks K rows of holdings at once: the segment mark
+        ``np.vecdot(P[a:b], H[:, None, :])`` and the day's ``np.vecdot(H, p)``."""
+        rng = np.random.default_rng(12)
+        for K in range(1, 9):
+            for n in range(1, 65):
+                P = np.asarray(np.exp(rng.normal(0.0, 1.0, size=(9, n))) * 50.0, order=order)
+                H = rng.uniform(0.0, 1e4, size=(K, n)) * (rng.uniform(size=(K, n)) > 0.3)
+                H = np.asarray(H, order=order)
+                for a, b in [(0, 9), (2, 7), (4, 5), (3, 3)]:
+                    got = np.vecdot(P[a:b], H[:, None, :])
+                    assert got.shape == (K, b - a)
+                    want = [[float(h @ P[i]) for i in range(a, b)] for h in H]
+                    assert np.array_equal(got, np.reshape(want, (K, b - a))), (K, n, a, b)
+                assert np.array_equal(np.vecdot(H, P[4]), [float(h @ P[4]) for h in H]), (K, n)
+
+    def test_batched_row_sums_equal_per_row_sums(self):
+        """``run_batch`` sums each row of its C-ordered ``(K, n)`` deltas in one
+        ``np.add.reduce``; widths past 8 and 128 reach numpy's pairwise
+        blocks. (A Fortran-ordered block is summed column by column instead,
+        which is why the batch keeps its deltas in C order.)"""
+        rng = np.random.default_rng(13)
+        for K in range(1, 9):
+            for n in [*range(1, 65), 127, 128, 129, 255, 256, 257, 1000]:
+                D = rng.normal(size=(K, n)) * 10.0 ** rng.integers(-3, 6, size=(K, n))
+                D[rng.uniform(size=(K, n)) < 0.2] = -0.0
+                got = np.add.reduce(np.abs(D), axis=1)
+                assert np.array_equal(got, [np.abs(d).sum() for d in D]), (K, n)

@@ -17,9 +17,11 @@ from crossbt.cli import EXIT_ERROR, main
 from crossbt.engine import (
     REFERENCE,
     CostSpec,
+    WeightSchedule,
     annual_turnover,
     path_key,
     performance_metrics,
+    run_batch,
     run_variant,
 )
 from crossbt.harness import (
@@ -304,36 +306,50 @@ def _cells_equal(a: CellResult, b: CellResult) -> bool:
 
 
 class TestGridTask:
-    """``_run_grid_task`` derives the runs that share a holdings path from
-    one simulation of it; every cell must still be the cell of its own run."""
+    """``_run_grid_task`` simulates each distinct holdings path once, in one
+    batch, and derives every cell from its path's row; every cell must
+    still be the cell of its own run."""
 
     @staticmethod
     def _cell_bits(c: CellResult) -> tuple:
         return (c.engine, c.error, c.n_days, _bits(c.equity), _bits(astuple(c.stats)), _bits([c.turnover]))
 
-    def test_cells_equal_simulated_runs_with_one_call_per_convention(self, monkeypatch):
-        cfg = _config(
-            benchmarks=("bm01", "bm09", "bm12"),
-            engines=("reference", "pre_trade", "percent_divided", "fifo_sequential", "sells_first",
-                     "shifted_one_day", "post|abs|x1|atomic|aligned|trunc60"),
-        )
-        roster = cfg.roster()
-        bucket_pm = harness.load_panel(cfg).subset(["A000", "A003", "A007", "A011", "A015"])
-        calls = []
+    ROSTER = ("reference", "pre_trade", "percent_divided", "fifo_sequential", "sells_first",
+              "shifted_one_day", "post|abs|x1|atomic|aligned|trunc60")
 
-        def counted(*args, **kwargs):
-            calls.append((args[4], kwargs.get("base") is not None))
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Record each batch's rows and each ``run_variant`` call's convention."""
+        calls = {"batch": [], "variant": []}
+
+        def batch(*args, **kwargs):
+            calls["batch"].append([conv for conv, _ in args[3]])
+            return run_batch(*args, **kwargs)
+
+        def variant(*args, **kwargs):
+            calls["variant"].append(args[4])
             return run_variant(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "run_variant", counted)
+        monkeypatch.setattr(harness, "run_batch", batch)
+        monkeypatch.setattr(harness, "run_variant", variant)
+        return calls
+
+    def test_cells_equal_simulated_runs_with_one_call_per_convention(self, counted):
+        cfg = _config(benchmarks=("bm01", "bm09", "bm12"), engines=self.ROSTER)
+        roster = cfg.roster()
+        bucket_pm = harness.load_panel(cfg).subset(["A000", "A003", "A007", "A011", "A015"])
         for bm in cfg.benchmarks:
             rate = cfg.benchmark_cost_bps(bm) / 1e4
-            calls.clear()
+            counted["batch"].clear()
+            counted["variant"].clear()
             _, _, _, cells = harness._run_grid_task((bm, "b", bucket_pm, 0, rate, roster, 1e6))
-            assert [conv for conv, _ in calls] == [conv for _, conv in roster]
-            # Each path is simulated by the first convention on it.
-            paths = {path_key(conv, rate) for _, conv in roster}
-            assert sum(based for _, based in calls) == len(roster) - len(paths) > 0
+            # One batch with one row per distinct path, then one call per cell.
+            [rows] = counted["batch"]
+            assert [path_key(conv, rate) for conv in rows] == list(
+                dict.fromkeys(path_key(conv, rate) for _, conv in roster)
+            )
+            assert len(rows) < len(roster)
+            assert counted["variant"] == [conv for _, conv in roster]
             schedule = BENCHMARKS[bm].build(bucket_pm, 0)
             for cell, (engine, conv) in zip(cells, roster):
                 series = run_variant(schedule, bucket_pm, 1e6, CostSpec(rate), conv, 0)
@@ -342,6 +358,24 @@ class TestGridTask:
                     turnover=annual_turnover(series), n_days=len(series.equity), equity=series.equity,
                 )
                 assert self._cell_bits(cell) == self._cell_bits(alone)
+
+    def test_a_schedule_that_fails_the_checks_fails_every_cell_alike(self, counted, monkeypatch):
+        cfg = _config(benchmarks=("bm01",), engines=self.ROSTER)
+        roster = cfg.roster()
+        bucket_pm = harness.load_panel(cfg).subset(["A000", "A003", "A007"])
+        early = WeightSchedule({bucket_pm.dates[5]: np.full(3, 0.3), bucket_pm.dates[30]: np.full(3, 0.3)})
+        monkeypatch.setitem(
+            harness.BENCHMARKS, "bm01", replace(BENCHMARKS["bm01"], build=lambda pm, start: early)
+        )
+        _, _, first_w, cells = harness._run_grid_task(("bm01", "b", bucket_pm, 20, 0.0018, roster, 1e6))
+        assert first_w == pytest.approx(0.9)
+        assert [cell.engine for cell in cells] == [engine for engine, _ in roster]
+        for cell, (_, conv) in zip(cells, roster):
+            # The message each cell got when it ran its own checks.
+            with pytest.raises(ValueError) as raised:
+                run_variant(early, bucket_pm, 1e6, CostSpec(0.0018), conv, 20)
+            assert cell.error == f"ValueError: {raised.value}"
+            assert "precedes evaluation start" in cell.error and cell.stats is None
 
 
 #: Equity values that must survive the text round trip bit for bit.

@@ -68,9 +68,9 @@ class TestBuyAndHold:
         # Rising asset 0, flat asset 1: held shares drift away from 1/2 - 1/2.
         prices = np.column_stack([np.linspace(10, 20, 30), np.full(30, 10.0)])
         pm = _panel(prices)
-        from crossbt.engine import CostSpec, run_reference
+        from crossbt.engine import REFERENCE, CostSpec, run_variant
 
-        series = run_reference(buy_and_hold(pm), pm, 1000.0, CostSpec(0.0))
+        series = run_variant(buy_and_hold(pm), pm, 1000.0, CostSpec(0.0), REFERENCE)
         shares = np.array([0.5 * 1000 / 10, 0.5 * 1000 / 10])
         implied_w0 = shares[0] * prices[-1, 0] / series.equity[-1]
         assert implied_w0 > 0.55
@@ -218,12 +218,12 @@ class TestConcentrated:
     def test_single_asset_degenerates_to_rebuys(self):
         # N = 1: the same asset every month; turnover after the first
         # construction is only drift-sized.
-        from crossbt.engine import CostSpec, run_reference
+        from crossbt.engine import REFERENCE, CostSpec, run_variant
 
         path = 100 * np.cumprod(1 + np.random.default_rng(1).normal(0, 0.002, 64))
         pm = _panel(path[:, None])
         sched = concentrated(pm)
-        series = run_reference(sched, pm, 1000.0, CostSpec(0.0018))
+        series = run_variant(sched, pm, 1000.0, CostSpec(0.0018), REFERENCE)
         first, later = series.trades[0], series.trades[1:]
         assert first.traded_notional == pytest.approx(950.0, rel=1e-6)
         assert all(tr.traded_notional < 25.0 for tr in later)
