@@ -33,6 +33,7 @@ from .engine import (
     performance_metrics,
     resolve_convention,
     run_batch,
+    run_buckets,
     run_variant,
     trade_cost,
     truncated,

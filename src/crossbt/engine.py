@@ -488,7 +488,7 @@ def run_variant(
         derived = _derive(base, prices, start, limit, cost.rate, conv)
         if derived is not None:
             return derived
-    (series,) = _simulate(entries, prices, initial_capital, [conv], [cost.rate], start)
+    ((series,),) = _simulate([entries], [prices], initial_capital, [conv], [cost.rate], start)
     return series
 
 
@@ -504,119 +504,201 @@ def run_batch(
     Row k's series is bit-identical to ``run_variant`` under its convention
     and ``CostSpec(rate)``. The rows may differ on every convention axis
     and in the rate, so a cost sweep is just more rows. The input checks
-    are ``run_variant``'s, the rates first.
+    are ``run_variant``'s, the rates first. This is the one-bucket call of
+    ``run_buckets``.
+    """
+    (series,) = run_buckets([schedule], [prices], initial_capital, rows, start)
+    if isinstance(series, ValueError):
+        raise series
+    return series
+
+
+def run_buckets(
+    schedules: Sequence[WeightSchedule],
+    prices: Sequence[PriceMatrix],
+    initial_capital: float,
+    rows: Sequence[tuple[EngineConvention, float]],
+    start: int = 0,
+) -> tuple[tuple[EquitySeries, ...] | ValueError, ...]:
+    """Run B buckets' schedules under the same K rows, stepped together.
+
+    Bucket b's entry is ``run_batch(schedules[b], prices[b], ...)``, bit
+    for bit, or the ValueError its input checks raise; the other buckets
+    run all the same. The rates are checked first, for every bucket at
+    once. The buckets must share one calendar and one width (ValueError
+    otherwise); buckets whose price rows differ in stride kind (see
+    ``_stacked_prices``) run as separate passes.
     """
     rates = [CostSpec(rate).rate for _, rate in rows]
-    entries = _event_weights(schedule, prices, initial_capital, start)
-    return _simulate(entries, prices, initial_capital, [conv for conv, _ in rows], rates, start)
+    if len(schedules) != len(prices):
+        raise ValueError(f"{len(schedules)} schedules for {len(prices)} price matrices")
+    if any(pm.dates != prices[0].dates or pm.n_assets != prices[0].n_assets for pm in prices):
+        raise ValueError("buckets must share one calendar and one width")
+    out: list = [None] * len(schedules)
+    entries: dict[int, dict[int, np.ndarray]] = {}
+    for b, (schedule, pm) in enumerate(zip(schedules, prices)):
+        try:
+            entries[b] = _event_weights(schedule, pm, initial_capital, start)
+        except ValueError as exc:
+            out[b] = exc
+    kinds: dict[bool, list[int]] = {}
+    for b in entries:
+        kinds.setdefault(_unit_stride(prices[b].prices), []).append(b)
+    convs = [conv for conv, _ in rows]
+    for group in kinds.values():
+        ran = _simulate(
+            [entries[b] for b in group], [prices[b] for b in group], initial_capital, convs, rates, start
+        )
+        for b, series in zip(group, ran):
+            out[b] = series
+    return tuple(out)
+
+
+def _unit_stride(prices: np.ndarray) -> bool:
+    return prices.strides[1] == prices.itemsize
+
+
+def _stacked_prices(prices: Sequence[PriceMatrix]) -> np.ndarray:
+    """The buckets' price arrays as one ``(T, B, n)`` block, each price row
+    with the stride kind of its bucket's own rows.
+
+    BLAS ``ddot`` runs one kernel on unit-stride vectors and another on
+    strided ones, and the two may round differently. A ``subset`` is
+    column-major, so its rows are strided; a C-order panel's rows are not.
+    One bucket is a view of its own array; more are one copy, C-order for
+    unit-stride buckets and with the bucket axis innermost (asset stride
+    ``8·B``) for strided ones. The buckets must share one stride kind.
+    """
+    if len(prices) == 1:
+        return prices[0].prices[:, None, :]
+    arrays = [pm.prices for pm in prices]
+    (T, n), B = arrays[0].shape, len(arrays)
+    if _unit_stride(arrays[0]):
+        block = np.empty((T, B, n))
+    else:
+        block = np.empty((T, n, B)).transpose(0, 2, 1)
+    return np.stack(arrays, axis=1, out=block)
 
 
 def _simulate(
-    entries: dict[int, np.ndarray],
-    prices: PriceMatrix,
+    entries: Sequence[dict[int, np.ndarray]],
+    prices: Sequence[PriceMatrix],
     initial_capital: float,
     convs: Sequence[EngineConvention],
     rates: Sequence[float],
     start: int,
-) -> tuple[EquitySeries, ...]:
-    """Step the union of the rows' event days once, for holdings ``(K, n)``.
+) -> tuple[tuple[EquitySeries, ...], ...]:
+    """Step the union of every row's event days once, for holdings ``(B, K, n)``.
 
-    A row trades on its own event days: the schedule's days, or each one
-    day later under shift1, where a trade pending past the final day is
-    dropped. On a union day where it does not trade, a row keeps its
-    holdings and reports its mark. Per row, each step computes what the
-    one-path loop computes, in the same floating-point operations:
-    ``np.vecdot`` reduces each row with the same BLAS dot as
-    ``float(h @ p)``, and ``np.add.reduce(..., axis=1)`` sums each row as
-    ``.sum()`` sums it (``TestVecdotPremise`` pins both). The days between
-    two union days are marked in one ``np.vecdot`` over the price rows. A
-    sequential-fill row runs ``_sequential_fill`` on its event days, and
-    its fees replace the planned charge.
+    Bucket b trades its own weights ``entries[b]`` at its own prices
+    ``prices[b]`` under each of the K rows. A row trades on its own event
+    days: its bucket's days, or each one day later under shift1, where a
+    trade pending past the final day is dropped. On a union day where it
+    does not trade, a row keeps its holdings and reports its mark. Per row,
+    each step computes what the one-path loop computes, in the same
+    floating-point operations: ``np.vecdot`` reduces each row with the same
+    BLAS dot as ``float(h @ p)`` on a price row of the same stride kind,
+    and ``np.add.reduce(..., axis=-1)`` sums each row as ``.sum()`` sums it
+    (``TestVecdotPremise`` pins both). The days between two union days are
+    marked in one ``np.vecdot`` over the price rows. A sequential-fill row
+    runs ``_sequential_fill`` on its event days, and its fees replace the
+    planned charge.
 
     The trade log is kept as columns over the union days, deltas
-    ``(m, K, n)`` beside an activity mask ``(m, K)``; each row's
-    ``TradeLog`` is one fancy index of them.
+    ``(m, B, K, n)`` beside an activity mask ``(m, B, K)``; each row's
+    ``TradeLog`` is one fancy index of them. One tuple of K series per
+    bucket.
     """
-    P = prices.prices
-    K, n = len(convs), prices.n_assets
-    n_eval = prices.n_days - start
+    P = _stacked_prices(prices)
+    Pseg = P.transpose(1, 0, 2)[:, None]  # (B, 1, T, n): a segment mark per bucket
+    dates, assets = prices[0].dates, [pm.assets for pm in prices]
+    B, K, n = len(prices), len(convs), P.shape[2]
+    n_eval = len(dates) - start
     limits = [_reported_days(conv, n_eval) for conv in convs]
     end = start + max(limits, default=0)
 
-    days = np.array(sorted(entries), dtype=np.intp)
-    weights = np.array([entries[t] for t in days.tolist()], dtype=float).reshape(len(days), n)
     lag = np.array([conv.return_timing == TIMING_SHIFT1 for conv in convs], dtype=np.intp)
-    executes = days + lag[:, None]
+    days = [np.array(sorted(e), dtype=np.intp) for e in entries]
+    executes = [d + lag[:, None] for d in days]
     # A day mask, not np.unique: its first call imports numpy.ma (about 8 ms).
     on = np.zeros(end - start, dtype=bool)
-    on[executes[executes < end] - start] = True
+    for ex in executes:
+        on[ex[ex < end] - start] = True
     union = start + np.flatnonzero(on)
     m = len(union)
-    W = np.zeros((m, K, n))
-    active = np.zeros((m, K), dtype=bool)
-    for k in range(K):
-        kept = executes[k] < end
-        pos = np.searchsorted(union, executes[k, kept])
-        W[pos, k] = weights[kept]
-        active[pos, k] = True
+    W = np.zeros((m, B, K, n))
+    active = np.zeros((m, B, K), dtype=bool)
+    for b, (e, d, ex) in enumerate(zip(entries, days, executes)):
+        weights = np.array([e[t] for t in d.tolist()], dtype=float).reshape(len(d), n)
+        kept = ex < end
+        k, i = np.nonzero(kept)
+        pos = np.searchsorted(union, ex[kept])
+        W[pos, b, k] = weights[i]
+        active[pos, b, k] = True
 
     mult = np.array([float(conv.commission_multiplier) for conv in convs])
     rate = np.array(rates, dtype=float)
     divisor = np.array([100.0 if conv.rate_interpretation == RATE_DIV100 else 1.0 for conv in convs])
     sequential = [k for k, conv in enumerate(convs) if conv.fill_sequencing != FILL_ATOMIC]
-    everyone = active.all(axis=1).tolist()
+    fills = [(b, k) for b in range(B) for k in sequential]
+    everyone = active.all(axis=(1, 2)).tolist()
     trades_today = active.tolist()
 
-    H = np.zeros((K, n))
-    cash = np.full(K, float(initial_capital))
-    equity = np.empty((K, end - start))
+    H = np.zeros((B, K, n))
+    cash = np.full((B, K), float(initial_capital))
+    equity = np.empty((B, K, end - start))
     deltas, cost, pre = [], [], []
-    skipped: dict[tuple[int, int], tuple[str, ...]] = {}
+    skipped: dict[tuple[int, int, int], tuple[str, ...]] = {}
 
     prev = start
     for j, t in enumerate(union.tolist()):
         if t > prev:
-            equity[:, prev - start : t - start] = cash[:, None] + np.vecdot(P[prev:t], H[:, None, :])
-        p, w = P[t], W[j]
+            equity[..., prev - start : t - start] = cash[..., None] + np.vecdot(
+                Pseg[:, :, prev:t], H[:, :, None, :]
+            )
+        p, w = P[t][:, None, :], W[j]
         value = cash + np.vecdot(H, p)
-        delta = w * value[:, None] - H * p
-        fees = mult * (rate * np.add.reduce(np.abs(delta), axis=1)) / divisor
+        delta = w * value[..., None] - H * p
+        fees = mult * (rate * np.add.reduce(np.abs(delta), axis=-1)) / divisor
         net = value - fees
-        h_new = (w * net[:, None]) / p
+        h_new = (w * net[..., None]) / p
         cash_new = net - np.vecdot(h_new, p)
-        for k in sequential:
-            if trades_today[j][k]:
-                fees[k], h_new[k], cash_new[k], delta[k], skipped[j, k] = _sequential_fill(
-                    w[k], H[k], float(cash[k]), p, float(value[k]), float(fees[k]),
-                    rates[k], convs[k], prices.assets,
+        for b, k in fills:
+            if trades_today[j][b][k]:
+                fees[b, k], h_new[b, k], cash_new[b, k], delta[b, k], skipped[j, b, k] = _sequential_fill(
+                    w[b, k], H[b, k], float(cash[b, k]), p[b, 0], float(value[b, k]), float(fees[b, k]),
+                    rates[k], convs[k], assets[b],
                 )
         if everyone[j]:
             H, cash = h_new, cash_new
         else:
-            np.copyto(H, h_new, where=active[j, :, None])
+            np.copyto(H, h_new, where=active[j, ..., None])
             np.copyto(cash, cash_new, where=active[j])
         deltas.append(delta)
         cost.append(fees)
         pre.append(value)
         prev = t + 1
-    equity[:, prev - start :] = cash[:, None] + np.vecdot(P[prev:end], H[:, None, :])
-    deltas = np.array(deltas).reshape(m, K, n)
-    cost = np.array(cost).reshape(m, K)
-    pre = np.array(pre).reshape(m, K)
+    equity[..., prev - start :] = cash[..., None] + np.vecdot(Pseg[:, :, prev:end], H[:, :, None, :])
+    deltas = np.array(deltas).reshape(m, B, K, n)
+    cost = np.array(cost).reshape(m, B, K)
+    pre = np.array(pre).reshape(m, B, K)
     # A row reports net of the charge on the days it trades, else its mark.
     report_net = active & np.array([conv.equity_reporting == EQUITY_POST for conv in convs], dtype=bool)
-    equity[:, union - start] = np.where(report_net, pre - cost, pre).T
+    equity[..., union - start] = np.where(report_net, pre - cost, pre).transpose(1, 2, 0)
 
     out = []
-    for k, conv in enumerate(convs):
-        limit = limits[k]
-        rows = np.flatnonzero(active[:, k] & (union < start + limit))
-        if k in sequential:
-            names = tuple(skipped.get((j, k), ()) for j in rows.tolist())
-        else:
-            names = ((),) * len(rows)
-        log = TradeLog(union[rows] - start, deltas[rows, k], cost[rows, k], pre[rows, k], names)
-        out.append(EquitySeries(prices.dates[start : start + limit], equity[k, :limit], log, conv.id))
+    for b in range(B):
+        bucket = []
+        for k, conv in enumerate(convs):
+            limit = limits[k]
+            rows = np.flatnonzero(active[:, b, k] & (union < start + limit))
+            if k in sequential:
+                names = tuple(skipped.get((j, b, k), ()) for j in rows.tolist())
+            else:
+                names = ((),) * len(rows)
+            log = TradeLog(union[rows] - start, deltas[rows, b, k], cost[rows, b, k], pre[rows, b, k], names)
+            bucket.append(EquitySeries(dates[start : start + limit], equity[b, k, :limit], log, conv.id))
+        out.append(tuple(bucket))
     return tuple(out)
 
 
@@ -735,9 +817,12 @@ def annual_turnover(series: EquitySeries) -> float:
     log = series.log
     if len(series.equity) < 2 or not len(log):
         return 0.0
-    # Row sums reduce each trade's deltas exactly as traded_notional does;
-    # the Python sum keeps the left-to-right order over trades.
-    total = sum((np.abs(log.deltas).sum(axis=1) / log.pre_trade_value).tolist())
+    # Row sums reduce each trade's deltas exactly as traded_notional does.
+    # The loop adds the trades left to right on every Python version; the
+    # builtin sum() compensates its float adds from Python 3.12 on.
+    total = 0.0
+    for ratio in (np.abs(log.deltas).sum(axis=1) / log.pre_trade_value).tolist():
+        total += ratio
     return float(total * TRADING_DAYS_PER_YEAR / (len(series.equity) - 1))
 
 

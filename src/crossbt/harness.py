@@ -34,7 +34,7 @@ from .engine import (
     path_key,
     performance_metrics,
     resolve_convention,
-    run_batch,
+    run_buckets,
     run_variant,
     REFERENCE,
     DEFAULT_ROSTER,
@@ -434,61 +434,79 @@ def load_panel(cfg: RunConfig) -> PriceMatrix:
     return generate_synthetic(cfg.synth)
 
 
-def _run_grid_task(args) -> tuple[str, str, float | None, list[CellResult]]:
-    """Run every engine for one (benchmark, bucket); picklable for pools.
+def _failed(bm_id: str, bucket_id: str, roster, message: str) -> list[CellResult]:
+    return [CellResult(bm_id, bucket_id, eid, error=message) for eid, _ in roster]
 
-    One ``run_batch`` call simulates each distinct holdings path of the
-    roster (one row per ``path_key``); each cell is then one ``run_variant``
-    call that derives its run as a view of its path's row.
+
+def _run_grid_task(args) -> list[tuple[str, str, float | None, list[CellResult]]]:
+    """Run every engine for one benchmark over all its buckets; picklable for pools.
+
+    Each bucket's schedule is built and checked on its own, and one
+    ``run_buckets`` call steps the buckets that pass together, one row per
+    distinct holdings path of the roster (one per ``path_key``); each cell
+    is then one ``run_variant`` call that derives its run as a view of its
+    path's row. One ``(benchmark, bucket, first weight sum, cells)`` per
+    bucket.
     """
-    bm_id, bucket_id, bucket_pm, eval_start, rate, roster, capital = args
-    try:
-        schedule = BENCHMARKS[bm_id].build(bucket_pm, eval_start)
-        first_w = schedule.first_entry_weight_sum(bucket_pm)
-    except Exception as exc:
-        msg = f"schedule: {type(exc).__name__}: {exc}"
-        return bm_id, bucket_id, None, [
-            CellResult(bm_id, bucket_id, eid, error=msg) for eid, _ in roster
-        ]
+    bm_id, buckets, eval_start, rate, roster, capital = args
     paths: dict[tuple, EngineConvention] = {}
     for _, conv in roster:
         key = path_key(conv, rate)
         if key not in paths:
             paths[key] = path_convention(conv, rate)
+    out = []
+    built = []
+    for bucket_id, bucket_pm in buckets:
+        try:
+            schedule = BENCHMARKS[bm_id].build(bucket_pm, eval_start)
+            first_w = schedule.first_entry_weight_sum(bucket_pm)
+        except Exception as exc:
+            msg = f"schedule: {type(exc).__name__}: {exc}"
+            out.append((bm_id, bucket_id, None, _failed(bm_id, bucket_id, roster, msg)))
+        else:
+            built.append((bucket_id, bucket_pm, schedule, first_w))
     try:
-        rows = run_batch(
-            schedule, bucket_pm, capital, [(conv, rate) for conv in paths.values()], eval_start
+        batches = run_buckets(
+            [schedule for _, _, schedule, _ in built],
+            [bucket_pm for _, bucket_pm, _, _ in built],
+            capital,
+            [(conv, rate) for conv in paths.values()],
+            eval_start,
         )
     except Exception as exc:
-        # The batch fails only on the input checks, which every cell shares.
-        msg = f"{type(exc).__name__}: {exc}"
-        return bm_id, bucket_id, first_w, [
-            CellResult(bm_id, bucket_id, eid, error=msg) for eid, _ in roster
-        ]
-    bases = dict(zip(paths, rows))
-    out: list[CellResult] = []
-    for engine_id, conv in roster:
-        try:
-            series = run_variant(
-                schedule, bucket_pm, capital, CostSpec(rate), conv, eval_start,
-                base=bases[path_key(conv, rate)],
-            )
-            out.append(
-                CellResult(
-                    bm_id,
-                    bucket_id,
-                    engine_id,
-                    stats=performance_metrics(series),
-                    turnover=annual_turnover(series),
-                    n_days=len(series.equity),
-                    equity=series.equity,
+        # Only the rate and shared-calendar checks fail the pass itself.
+        batches = [exc] * len(built)
+    for (bucket_id, bucket_pm, schedule, first_w), rows in zip(built, batches):
+        if isinstance(rows, Exception):
+            # A bucket fails only on the input checks, which its cells share.
+            msg = f"{type(rows).__name__}: {rows}"
+            out.append((bm_id, bucket_id, first_w, _failed(bm_id, bucket_id, roster, msg)))
+            continue
+        bases = dict(zip(paths, rows))
+        cells: list[CellResult] = []
+        for engine_id, conv in roster:
+            try:
+                series = run_variant(
+                    schedule, bucket_pm, capital, CostSpec(rate), conv, eval_start,
+                    base=bases[path_key(conv, rate)],
                 )
-            )
-        except Exception as exc:
-            out.append(
-                CellResult(bm_id, bucket_id, engine_id, error=f"{type(exc).__name__}: {exc}")
-            )
-    return bm_id, bucket_id, first_w, out
+                cells.append(
+                    CellResult(
+                        bm_id,
+                        bucket_id,
+                        engine_id,
+                        stats=performance_metrics(series),
+                        turnover=annual_turnover(series),
+                        n_days=len(series.equity),
+                        equity=series.equity,
+                    )
+                )
+            except Exception as exc:
+                cells.append(
+                    CellResult(bm_id, bucket_id, engine_id, error=f"{type(exc).__name__}: {exc}")
+                )
+        out.append((bm_id, bucket_id, first_w, cells))
+    return out
 
 
 def run_suite(cfg: RunConfig, jobs: int = 1) -> ResultStore:
@@ -523,21 +541,22 @@ def run_suite(cfg: RunConfig, jobs: int = 1) -> ResultStore:
         raise ValueError(f"warm-up {warmup} leaves under 2 evaluation days of {pm.n_days}")
 
     roster = cfg.roster()
-    tasks = []
-    for bm_id in cfg.benchmarks:
-        rate = cfg.benchmark_cost_bps(bm_id) / 1e4
-        for bucket_id, members in zip(partition.bucket_ids, partition.buckets):
-            bucket_pm = pm.subset(members)
-            tasks.append((bm_id, bucket_id, bucket_pm, warmup, rate, roster, cfg.initial_capital))
+    # One matrix per bucket, shared by every benchmark.
+    buckets = tuple((bucket_id, pm.subset(members))
+                    for bucket_id, members in zip(partition.bucket_ids, partition.buckets))
+    tasks = [
+        (bm_id, buckets, warmup, cfg.benchmark_cost_bps(bm_id) / 1e4, roster, cfg.initial_capital)
+        for bm_id in cfg.benchmarks
+    ]
 
     if jobs > 1:
         # Imported here: it loads multiprocessing, which a serial run never uses.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_run_grid_task, tasks))
+            raw = [r for results in pool.map(_run_grid_task, tasks) for r in results]
     else:
-        raw = [_run_grid_task(t) for t in tasks]
+        raw = [r for t in tasks for r in _run_grid_task(t)]
 
     cells: dict[tuple[str, str, str], CellResult] = {}
     first_weight_sums: dict[tuple[str, str], float | None] = {}

@@ -29,10 +29,12 @@ from crossbt.engine import (
     performance_metrics,
     resolve_convention,
     run_batch,
+    run_buckets,
     run_variant,
     trade_cost,
     truncated,
 )
+from crossbt.engine import _stacked_prices
 from crossbt.marketdata import PriceMatrix, SynthSpec, generate_synthetic
 from crossbt.strategies import equal_weight, rotation
 
@@ -645,6 +647,69 @@ def batch_runs(draw):
     return schedule, pm, capital, [(conv, cost.rate)] + more, start
 
 
+@st.composite
+def subset_batch_runs(draw):
+    """``batch_runs`` on a column subset of a wider panel: a ``subset`` is
+    column-major, so its price rows are strided, as every bucket's are in
+    a full run."""
+    schedule, pm, capital, rows, start = draw(batch_runs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extra = draw(st.integers(1, 5))
+    names = pm.assets + tuple(f"X{i}" for i in range(extra))
+    wide = np.concatenate([pm.prices, rng.uniform(1.0, 100.0, size=(pm.n_days, extra))], axis=1)
+    order = rng.permutation(len(names))
+    panel = PriceMatrix(pm.dates, tuple(names[i] for i in order), wide[:, order])
+    return schedule, panel.subset(pm.assets), capital, rows, start
+
+
+@st.composite
+def bucket_runs(draw):
+    """B buckets of one width on one calendar under the same 1 to 6 drawn
+    rows, each bucket with a schedule of its own.
+
+    The buckets are column subsets of one wider panel (strided rows, as in
+    a full run), C-order copies of them, or both mixed. Every schedule
+    keeps a drawn part of one set of event days, so buckets miss days that
+    others trade on; the final day is an event day at times, so a shift1
+    row drops a trade pending past it; truncation comes with the rows. One
+    bucket may fail its input checks.
+    """
+    B = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    n_days = draw(st.integers(1, 40))
+    start = draw(st.integers(0, n_days - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dates = tuple(str(i + 1) for i in range(n_days))
+    names = tuple(f"A{i}" for i in range(B * n + 1))
+    walk = np.cumsum(rng.normal(0.0, 0.03, size=(n_days, len(names))), axis=0)
+    panel = PriceMatrix(dates, names, 50.0 * np.exp(walk))
+    layout = draw(st.sampled_from(["subset", "C", "mixed"]))
+    pms = []
+    for b in range(B):
+        sub = panel.subset([names[i] for i in rng.permutation(len(names))[:n]])
+        if layout == "C" or (layout == "mixed" and b % 2):
+            sub = PriceMatrix(dates, sub.assets, np.ascontiguousarray(sub.prices))
+        pms.append(sub)
+    days = draw(st.sets(st.integers(start, n_days - 1), max_size=n_days))
+    if draw(st.booleans()):
+        days.add(n_days - 1)
+    schedules = []
+    for b in range(B):
+        entries = {}
+        for t in sorted(days):
+            if rng.uniform() < 0.25:
+                continue
+            invested = draw(st.sampled_from([0.0, 1.0, float(rng.uniform())]))
+            raw = rng.uniform(size=n) * (rng.uniform(size=n) > 0.25)
+            total = raw.sum()
+            entries[dates[t]] = raw / total * invested if total > 0.0 else raw
+        schedules.append(WeightSchedule(entries))
+    if draw(st.booleans()):
+        schedules[draw(st.integers(0, B - 1))] = WeightSchedule({dates[-1]: np.full(n, 2.0 / n)})
+    rows = draw(st.lists(st.tuples(conventions(n_days), RATES), min_size=1, max_size=6))
+    return schedules, pms, draw(st.floats(1.0, 1e7)), rows, start
+
+
 class TestPerDayOracle:
     """``run_variant`` against the per-day loop, bit for bit."""
 
@@ -706,6 +771,61 @@ class TestBatch:
         assert run_batch(half_half, tiny_panel, 1000.0, []) == ()
 
 
+    @given(run=subset_batch_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_on_subset_prices_equal_separate_per_day_runs(self, run):
+        schedule, pm, capital, rows, start = run
+        for series, (conv, rate) in zip(run_batch(schedule, pm, capital, rows, start), rows):
+            assert_same_run(series, run_variant_per_day(schedule, pm, capital, CostSpec(rate), conv, start))
+
+
+class TestBuckets:
+    """``run_buckets`` against one ``run_batch`` per bucket, bit for bit."""
+
+    @given(run=bucket_runs())
+    @settings(max_examples=200, deadline=None)
+    def test_each_bucket_equals_its_own_batch(self, run):
+        schedules, pms, capital, rows, start = run
+        together = run_buckets(schedules, pms, capital, rows, start)
+        assert len(together) == len(schedules)
+        for schedule, pm, got in zip(schedules, pms, together):
+            try:
+                want = run_batch(schedule, pm, capital, rows, start)
+            except ValueError as exc:
+                assert isinstance(got, ValueError) and str(got) == str(exc)
+                continue
+            assert len(got) == len(rows)
+            for series, alone in zip(got, want):
+                assert_same_run(series, alone)
+
+    def test_strategy_buckets_at_a_late_start(self, bucket_universe):
+        buckets = [bucket_universe.subset(bucket_universe.assets[i::6]) for i in range(6)]
+        rows = [(CONVENTIONS[name], 0.0018) for name in sorted(CONVENTIONS)] + [(truncated(90), 0.006)]
+        for build in (lambda pm: rotation(pm, k=3, start=30), lambda pm: equal_weight(pm, 30, "daily")):
+            schedules = [build(pm) for pm in buckets]
+            together = run_buckets(schedules, buckets, 1e6, rows, 30)
+            assert any(tr.skipped for series in together[0] for tr in series.trades)
+            for schedule, pm, got in zip(schedules, buckets, together):
+                for series, (conv, rate) in zip(got, rows):
+                    want = run_variant_per_day(schedule, pm, 1e6, CostSpec(rate), conv, 30)
+                    assert_same_run(series, want)
+
+    def test_buckets_must_share_calendar_and_width(self, small_universe, tiny_panel, half_half):
+        wide, narrow = small_universe.subset(small_universe.assets[:3]), small_universe.subset(
+            small_universe.assets[:2]
+        )
+        empty = WeightSchedule({})
+        with pytest.raises(ValueError, match="one calendar and one width"):
+            run_buckets([empty, empty], [wide, narrow], 1e6, [(REFERENCE, 0.0)])
+        with pytest.raises(ValueError, match="one calendar and one width"):
+            run_buckets([half_half, empty], [tiny_panel, narrow], 1e6, [(REFERENCE, 0.0)])
+        with pytest.raises(ValueError, match="2 schedules for 1 price matrices"):
+            run_buckets([empty, empty], [wide], 1e6, [(REFERENCE, 0.0)])
+        with pytest.raises(ValueError, match="cost rate"):
+            run_buckets([half_half], [tiny_panel], 1.0, [(REFERENCE, 1.0)])
+        assert run_buckets([], [], 1e6, [(REFERENCE, 0.0)]) == ()
+
+
 class TestVecdotPremise:
     """``run_batch`` (and so ``run_variant``, a one-row batch) marks the days
     between event days with one ``np.vecdot`` and is bit-identical to the
@@ -754,3 +874,48 @@ class TestVecdotPremise:
                 D[rng.uniform(size=(K, n)) < 0.2] = -0.0
                 got = np.add.reduce(np.abs(D), axis=1)
                 assert np.array_equal(got, [np.abs(d).sum() for d in D]), (K, n)
+
+    @pytest.mark.parametrize("layout", ["C", "subset"])
+    def test_distinct_price_rows_per_batch_row(self, layout):
+        """Stacked buckets mark each row at its own bucket's prices:
+        ``np.vecdot`` of ``(K, n)`` holdings against ``(K, n)`` distinct
+        price rows reduces each pair as ``float(h @ p)``, on a C-order
+        panel's rows and on a ``subset``'s strided ones."""
+        rng = np.random.default_rng(14)
+        for K in range(1, 9):
+            for n in range(1, 65):
+                pm = _layout_panel(rng, 12, n, layout)
+                H = rng.uniform(0.0, 1e4, size=(K, n)) * (rng.uniform(size=(K, n)) > 0.3)
+                for a in (0, 12 - K):
+                    P = pm.prices[a : a + K]
+                    assert np.array_equal(np.vecdot(H, P), [float(h @ p) for h, p in zip(H, P)]), (K, n)
+
+    @pytest.mark.parametrize("layout", ["C", "subset"])
+    def test_stacked_block_rows_equal_each_buckets_own_dots(self, layout):
+        """The ``(T, B, n)`` block ``run_buckets`` steps keeps each bucket's
+        stride kind, so its day mark ``np.vecdot(H, P[t][:, None, :])`` and
+        segment mark give each bucket's own ``float(h @ p)``."""
+        rng = np.random.default_rng(15)
+        for B in (1, 2, 5):
+            for K in (1, 3):
+                for n in (*range(1, 18), 31, 64):
+                    pms = [_layout_panel(rng, 9, n, layout) for _ in range(B)]
+                    P = _stacked_prices(pms)
+                    H = rng.uniform(0.0, 1e4, size=(B, K, n)) * (rng.uniform(size=(B, K, n)) > 0.3)
+                    own = [[[float(h @ pm.prices[t]) for t in range(9)] for h in Hb] for Hb, pm in zip(H, pms)]
+                    day = np.stack([np.vecdot(H, P[t][:, None, :]) for t in range(9)], axis=-1)
+                    assert np.array_equal(day, own), (B, K, n)
+                    segment = np.vecdot(P.transpose(1, 0, 2)[:, None, 2:7], H[:, :, None, :])
+                    assert np.array_equal(segment, np.asarray(own)[..., 2:7]), (B, K, n)
+
+
+def _layout_panel(rng: np.random.Generator, n_days: int, n: int, layout: str) -> PriceMatrix:
+    """A price panel with C-order rows, or a ``subset`` of a wider one."""
+    dates = tuple(str(i) for i in range(n_days))
+    names = tuple(f"A{i}" for i in range(n + 3))
+    pm = PriceMatrix(dates, names, np.exp(rng.normal(0.0, 1.0, size=(n_days, n + 3))) * 50.0)
+    sub = pm.subset(names[3:])
+    assert n == 1 or sub.prices.strides[1] > sub.prices.itemsize
+    if layout == "C":
+        return PriceMatrix(dates, sub.assets, np.ascontiguousarray(sub.prices))
+    return sub

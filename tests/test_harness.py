@@ -21,7 +21,7 @@ from crossbt.engine import (
     annual_turnover,
     path_key,
     performance_metrics,
-    run_batch,
+    run_buckets,
     run_variant,
 )
 from crossbt.harness import (
@@ -306,9 +306,10 @@ def _cells_equal(a: CellResult, b: CellResult) -> bool:
 
 
 class TestGridTask:
-    """``_run_grid_task`` simulates each distinct holdings path once, in one
-    batch, and derives every cell from its path's row; every cell must
-    still be the cell of its own run."""
+    """``_run_grid_task`` steps all buckets of a benchmark in one stacked
+    pass, simulating each distinct holdings path once per bucket, and
+    derives every cell from its path's row; every cell must still be the
+    cell of its own run."""
 
     @staticmethod
     def _cell_bits(c: CellResult) -> tuple:
@@ -317,47 +318,64 @@ class TestGridTask:
     ROSTER = ("reference", "pre_trade", "percent_divided", "fifo_sequential", "sells_first",
               "shifted_one_day", "post|abs|x1|atomic|aligned|trunc60")
 
+    MEMBERS = (("A000", "A003", "A007", "A011", "A015"), ("A001", "A002", "A009", "A012", "A016"),
+               ("A004", "A005", "A006", "A013", "A017"))
+
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Record each batch's rows and each ``run_variant`` call's convention."""
+        """Record each pass's buckets and rows and each ``run_variant`` call's convention."""
         calls = {"batch": [], "variant": []}
 
         def batch(*args, **kwargs):
-            calls["batch"].append([conv for conv, _ in args[3]])
-            return run_batch(*args, **kwargs)
+            calls["batch"].append((len(args[0]), [conv for conv, _ in args[3]]))
+            return run_buckets(*args, **kwargs)
 
         def variant(*args, **kwargs):
             calls["variant"].append(args[4])
             return run_variant(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "run_batch", batch)
+        monkeypatch.setattr(harness, "run_buckets", batch)
         monkeypatch.setattr(harness, "run_variant", variant)
         return calls
+
+    def _buckets(self, cfg: RunConfig) -> tuple:
+        pm = harness.load_panel(cfg)
+        return tuple((f"b{i}", pm.subset(members)) for i, members in enumerate(self.MEMBERS))
+
+    def _alone(self, bm: str, bucket: str, bucket_pm, engine: str, conv, rate: float, start: int) -> CellResult:
+        """The cell of one ``run_variant`` of its own."""
+        schedule = BENCHMARKS[bm].build(bucket_pm, start)
+        series = run_variant(schedule, bucket_pm, 1e6, CostSpec(rate), conv, start)
+        return CellResult(
+            bm, bucket, engine, stats=performance_metrics(series),
+            turnover=annual_turnover(series), n_days=len(series.equity), equity=series.equity,
+        )
 
     def test_cells_equal_simulated_runs_with_one_call_per_convention(self, counted):
         cfg = _config(benchmarks=("bm01", "bm09", "bm12"), engines=self.ROSTER)
         roster = cfg.roster()
-        bucket_pm = harness.load_panel(cfg).subset(["A000", "A003", "A007", "A011", "A015"])
+        buckets = self._buckets(cfg)
         for bm in cfg.benchmarks:
             rate = cfg.benchmark_cost_bps(bm) / 1e4
             counted["batch"].clear()
             counted["variant"].clear()
-            _, _, _, cells = harness._run_grid_task((bm, "b", bucket_pm, 0, rate, roster, 1e6))
-            # One batch with one row per distinct path, then one call per cell.
-            [rows] = counted["batch"]
+            results = harness._run_grid_task((bm, buckets, 0, rate, roster, 1e6))
+            # One pass over every bucket with one row per distinct path, then
+            # one call per cell.
+            [(n_buckets, rows)] = counted["batch"]
+            assert n_buckets == len(buckets)
             assert [path_key(conv, rate) for conv in rows] == list(
                 dict.fromkeys(path_key(conv, rate) for _, conv in roster)
             )
             assert len(rows) < len(roster)
-            assert counted["variant"] == [conv for _, conv in roster]
-            schedule = BENCHMARKS[bm].build(bucket_pm, 0)
-            for cell, (engine, conv) in zip(cells, roster):
-                series = run_variant(schedule, bucket_pm, 1e6, CostSpec(rate), conv, 0)
-                alone = CellResult(
-                    bm, "b", engine, stats=performance_metrics(series),
-                    turnover=annual_turnover(series), n_days=len(series.equity), equity=series.equity,
-                )
-                assert self._cell_bits(cell) == self._cell_bits(alone)
+            assert counted["variant"] == [conv for _, conv in roster] * len(buckets)
+            assert [(b, bucket) for b, bucket, _, _ in results] == [(bm, bucket) for bucket, _ in buckets]
+            for (bucket, bucket_pm), (_, _, first_w, cells) in zip(buckets, results):
+                schedule = BENCHMARKS[bm].build(bucket_pm, 0)
+                assert first_w == schedule.first_entry_weight_sum(bucket_pm)
+                for cell, (engine, conv) in zip(cells, roster):
+                    alone = self._alone(bm, bucket, bucket_pm, engine, conv, rate, 0)
+                    assert self._cell_bits(cell) == self._cell_bits(alone)
 
     def test_a_schedule_that_fails_the_checks_fails_every_cell_alike(self, counted, monkeypatch):
         cfg = _config(benchmarks=("bm01",), engines=self.ROSTER)
@@ -367,7 +385,9 @@ class TestGridTask:
         monkeypatch.setitem(
             harness.BENCHMARKS, "bm01", replace(BENCHMARKS["bm01"], build=lambda pm, start: early)
         )
-        _, _, first_w, cells = harness._run_grid_task(("bm01", "b", bucket_pm, 20, 0.0018, roster, 1e6))
+        [(_, _, first_w, cells)] = harness._run_grid_task(
+            ("bm01", (("b", bucket_pm),), 20, 0.0018, roster, 1e6)
+        )
         assert first_w == pytest.approx(0.9)
         assert [cell.engine for cell in cells] == [engine for engine, _ in roster]
         for cell, (_, conv) in zip(cells, roster):
@@ -376,6 +396,49 @@ class TestGridTask:
                 run_variant(early, bucket_pm, 1e6, CostSpec(0.0018), conv, 20)
             assert cell.error == f"ValueError: {raised.value}"
             assert "precedes evaluation start" in cell.error and cell.stats is None
+
+    @pytest.mark.parametrize("fault", ["raises", "fails the checks"])
+    def test_a_failing_bucket_leaves_the_other_buckets_alone(self, counted, monkeypatch, fault):
+        cfg = _config(benchmarks=("bm09",), engines=self.ROSTER)
+        roster = cfg.roster()
+        buckets = self._buckets(cfg)
+        bad = buckets[1][1]
+        spec = BENCHMARKS["bm09"]
+        build = spec.build
+
+        def faulty(pm, start):
+            if pm is not bad:
+                return build(pm, start)
+            if fault == "raises":
+                raise RuntimeError("no signal")
+            return WeightSchedule({pm.dates[0]: np.full(5, 0.1), pm.dates[40]: np.full(5, 0.3)})
+
+        monkeypatch.setitem(harness.BENCHMARKS, "bm09", replace(spec, build=faulty))
+        rate = cfg.benchmark_cost_bps("bm09") / 1e4
+        results = {bucket: rest for _, bucket, *rest in
+                   harness._run_grid_task(("bm09", buckets, 10, rate, roster, 1e6))}
+        assert sorted(results) == ["b0", "b1", "b2"]
+        # A schedule that raises never reaches the pass; one that fails the
+        # checks is left out of the stepping by ``run_buckets`` itself.
+        [(n_buckets, _)] = counted["batch"]
+        assert n_buckets == (2 if fault == "raises" else 3)
+        first_w, cells = results["b1"]
+        if fault == "raises":
+            assert first_w is None
+            assert {cell.error for cell in cells} == {"schedule: RuntimeError: no signal"}
+        else:
+            assert first_w == pytest.approx(0.5)
+            with pytest.raises(ValueError) as raised:
+                run_variant(faulty(bad, 10), bad, 1e6, CostSpec(rate), REFERENCE, 10)
+            assert {cell.error for cell in cells} == {f"ValueError: {raised.value}"}
+        assert [cell.engine for cell in cells] == [engine for engine, _ in roster]
+        monkeypatch.setitem(harness.BENCHMARKS, "bm09", spec)
+        for bucket, bucket_pm in (buckets[0], buckets[2]):
+            first_w, cells = results[bucket]
+            assert first_w == build(bucket_pm, 10).first_entry_weight_sum(bucket_pm)
+            for cell, (engine, conv) in zip(cells, roster):
+                alone = self._alone("bm09", bucket, bucket_pm, engine, conv, rate, 10)
+                assert self._cell_bits(cell) == self._cell_bits(alone)
 
 
 #: Equity values that must survive the text round trip bit for bit.
