@@ -343,9 +343,9 @@ def sector_balance(partition: Partition, sectors: Mapping[str, str]) -> SectorBa
     """Sector balance diagnostics for a partition.
 
     Chi-square compares the pooled sector counts of the partitioned assets
-    against a uniform expectation, with (n_buckets - 1) x (n_sectors - 1)
-    degrees of freedom for the bucket x sector layout; the entropy ratio is
-    the Shannon entropy of the pooled sector distribution over ln(n_sectors).
+    against a uniform expectation, a goodness-of-fit test with n_sectors - 1
+    degrees of freedom (at least 1); the entropy ratio is the Shannon
+    entropy of the pooled sector distribution over ln(n_sectors).
     Sector labels come from the full universe map, so a sector the partition
     missed entirely shows up as a zero count.
     """
@@ -354,7 +354,7 @@ def sector_balance(partition: Partition, sectors: Mapping[str, str]) -> SectorBa
     counts = np.array([sum(1 for a in assets if sectors[a] == s) for s in labels], float)
     expected = len(assets) / len(labels)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    df = max((len(partition.buckets) - 1) * (len(labels) - 1), 1)
+    df = max(len(labels) - 1, 1)
     p = chi2_sf(chi2, df)
     probs = counts / counts.sum()
     live = probs > 0

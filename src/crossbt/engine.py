@@ -526,8 +526,7 @@ def run_buckets(
     for bit, or the ValueError its input checks raise; the other buckets
     run all the same. The rates are checked first, for every bucket at
     once. The buckets must share one calendar and one width (ValueError
-    otherwise); buckets whose price rows differ in stride kind (see
-    ``_stacked_prices``) run as separate passes.
+    otherwise). The buckets that pass their checks run in one pass.
     """
     rates = [CostSpec(rate).rate for _, rate in rows]
     if len(schedules) != len(prices):
@@ -541,43 +540,14 @@ def run_buckets(
             entries[b] = _event_weights(schedule, pm, initial_capital, start)
         except ValueError as exc:
             out[b] = exc
-    kinds: dict[bool, list[int]] = {}
-    for b in entries:
-        kinds.setdefault(_unit_stride(prices[b].prices), []).append(b)
-    convs = [conv for conv, _ in rows]
-    for group in kinds.values():
+    if entries:
+        convs = [conv for conv, _ in rows]
         ran = _simulate(
-            [entries[b] for b in group], [prices[b] for b in group], initial_capital, convs, rates, start
+            list(entries.values()), [prices[b] for b in entries], initial_capital, convs, rates, start
         )
-        for b, series in zip(group, ran):
+        for b, series in zip(entries, ran):
             out[b] = series
     return tuple(out)
-
-
-def _unit_stride(prices: np.ndarray) -> bool:
-    return prices.strides[1] == prices.itemsize
-
-
-def _stacked_prices(prices: Sequence[PriceMatrix]) -> np.ndarray:
-    """The buckets' price arrays as one ``(T, B, n)`` block, each price row
-    with the stride kind of its bucket's own rows.
-
-    BLAS ``ddot`` runs one kernel on unit-stride vectors and another on
-    strided ones, and the two may round differently. A ``subset`` is
-    column-major, so its rows are strided; a C-order panel's rows are not.
-    One bucket is a view of its own array; more are one copy, C-order for
-    unit-stride buckets and with the bucket axis innermost (asset stride
-    ``8·B``) for strided ones. The buckets must share one stride kind.
-    """
-    if len(prices) == 1:
-        return prices[0].prices[:, None, :]
-    arrays = [pm.prices for pm in prices]
-    (T, n), B = arrays[0].shape, len(arrays)
-    if _unit_stride(arrays[0]):
-        block = np.empty((T, B, n))
-    else:
-        block = np.empty((T, n, B)).transpose(0, 2, 1)
-    return np.stack(arrays, axis=1, out=block)
 
 
 def _simulate(
@@ -597,19 +567,18 @@ def _simulate(
     does not trade, a row keeps its holdings and reports its mark. Per row,
     each step computes what the one-path loop computes, in the same
     floating-point operations: ``np.vecdot`` reduces each row with the same
-    BLAS dot as ``float(h @ p)`` on a price row of the same stride kind,
-    and ``np.add.reduce(..., axis=-1)`` sums each row as ``.sum()`` sums it
-    (``TestVecdotPremise`` pins both). The days between two union days are
-    marked in one ``np.vecdot`` over the price rows. A sequential-fill row
-    runs ``_sequential_fill`` on its event days, and its fees replace the
-    planned charge.
+    BLAS dot as ``float(h @ p)``, and ``np.add.reduce(..., axis=-1)`` sums
+    each row as ``.sum()`` sums it (``TestVecdotPremise`` pins both). The
+    days between two union days are marked in one ``np.vecdot`` over the
+    price rows. A sequential-fill row runs ``_sequential_fill`` on its event
+    days, and its fees replace the planned charge.
 
     The trade log is kept as columns over the union days, deltas
     ``(m, B, K, n)`` beside an activity mask ``(m, B, K)``; each row's
     ``TradeLog`` is one fancy index of them. One tuple of K series per
     bucket.
     """
-    P = _stacked_prices(prices)
+    P = np.stack([pm.prices for pm in prices], axis=1)
     Pseg = P.transpose(1, 0, 2)[:, None]  # (B, 1, T, n): a segment mark per bucket
     dates, assets = prices[0].dates, [pm.assets for pm in prices]
     B, K, n = len(prices), len(convs), P.shape[2]

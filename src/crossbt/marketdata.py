@@ -55,8 +55,9 @@ def _calendar_keys(dates: Sequence[str]) -> list:
 class PriceMatrix:
     """Complete dates x assets panel of strictly positive close prices.
 
-    Immutable after construction (the price array is marked read-only), so
-    instances are safe to share across concurrent readers.
+    Immutable after construction (the price array is a read-only C-order
+    copy), so instances are safe to share across concurrent readers, and
+    every price row is unit-stride whatever layout the input had.
     """
 
     dates: tuple[str, ...]
@@ -67,7 +68,7 @@ class PriceMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(str(d) for d in self.dates))
         object.__setattr__(self, "assets", tuple(str(a) for a in self.assets))
-        prices = np.array(self.prices, dtype=float)
+        prices = np.array(self.prices, dtype=float, order="C")
         if prices.shape != (len(self.dates), len(self.assets)):
             raise ValueError(
                 f"price array shape {prices.shape} does not match "

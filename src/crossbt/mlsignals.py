@@ -31,8 +31,8 @@ def feature_panel(pm: PriceMatrix) -> np.ndarray:
 
     Each window statistic is built from whole-array passes over the shifted
     daily-return slices, summed in the same order as ``np.std(block, axis=0,
-    ddof=1)`` on one day's return block, so row ``t`` is bit-identical to the
-    per-day formula.
+    ddof=1)`` on one day's C-order return block (every matrix stores C-order
+    prices), so row ``t`` is bit-identical to the per-day formula.
     """
     p = pm.prices
     n_days, n = p.shape

@@ -397,11 +397,15 @@ def sign_flip_permutation(
         return TestResult(float(means[-1]), _clamp_p(p), "perm-exhaustive", n)
     if draws < 0:
         raise ValueError("draws must be >= 0")
+    # A draw's |mean| and obs sum in different orders, so the all-plus and
+    # all-minus draws may round an ulp below obs; within the rounding bound of
+    # two summation orders, n·eps·mean|d|, a draw counts as a tie.
+    floor = obs - n * np.finfo(float).eps * float(np.mean(np.abs(d)))
     gen = substream(seed, 0)
     hits = 0
     for start in range(0, draws, SIGN_CHUNK):
         signs = gen.integers(0, 2, size=(min(SIGN_CHUNK, draws - start), n)) * 2.0 - 1.0
-        hits += int(np.count_nonzero(np.abs(signs @ d) / n >= obs))
+        hits += int(np.count_nonzero(np.abs(signs @ d) / n >= floor))
     p = (hits + 1) / (draws + 1)
     return TestResult(obs, _clamp_p(p), "perm-mc", n)
 

@@ -271,7 +271,9 @@ def cluster_bootstrap_per_draw(groups, statistic, draws, seed):
 
 
 def sign_flip_one_shot(diffs, draws, seed):
-    """Monte Carlo sign-flip p-value from one dense draws x n sign matrix."""
+    """Monte Carlo sign-flip p-value from one dense draws x n sign matrix,
+    counting a draw within the rounding bound ``n·eps·mean|d|`` of the
+    observed |mean| as a tie."""
     import numpy as np
 
     from crossbt.rng import substream
@@ -279,8 +281,9 @@ def sign_flip_one_shot(diffs, draws, seed):
     d = np.asarray(diffs, dtype=float)
     n = len(d)
     obs = abs(float(np.ones(n) @ d) / n)
+    floor = obs - n * np.finfo(float).eps * float(np.mean(np.abs(d)))
     signs = substream(seed, 0).integers(0, 2, size=(draws, n)) * 2.0 - 1.0
-    hits = int(np.count_nonzero(np.abs(signs @ d) / n >= obs))
+    hits = int(np.count_nonzero(np.abs(signs @ d) / n >= floor))
     return (hits + 1) / (draws + 1)
 
 

@@ -25,6 +25,7 @@ from crossbt.buckets import (
 )
 from crossbt.marketdata import PriceMatrix
 from crossbt.rng import substream
+from crossbt.stats import chi2_sf
 
 from oracles import quadratic_balance_score
 
@@ -311,6 +312,19 @@ class TestSectorBalance:
         part = Partition((("A0", "A1"), ("A2", "A3")), 0.0, 0, 1)
         res = sector_balance(part, sectors)
         assert res.chi2 == pytest.approx(1.0, rel=1e-12)
+
+    def test_goodness_of_fit_df_is_sectors_minus_one(self):
+        # 3 buckets of 2 over sectors x and y: pooled counts (4, 2) against
+        # the uniform expectation (3, 3) give chi2 = 2/3 on 2 - 1 = 1 df, not
+        # on the (3 - 1)(2 - 1) = 2 df of a bucket x sector table.
+        sectors = {"A0": "x", "A1": "x", "A2": "x", "A3": "y", "A4": "x", "A5": "y"}
+        part = Partition((("A0", "A1"), ("A2", "A3"), ("A4", "A5")), 0.0, 0, 1)
+        res = sector_balance(part, sectors)
+        assert res.df == 1
+        assert res.chi2 == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert res.p_value == chi2_sf(res.chi2, 1)
+        assert res.p_value == pytest.approx(math.erfc(math.sqrt(1.0 / 3.0)), rel=1e-12)
+        assert res.p_value != pytest.approx(chi2_sf(res.chi2, 2), rel=1e-3)
 
     def test_missed_sector_counts_as_zero(self):
         # Universe has 3 sectors but the partition only drew from 2: the

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossbt import engine as enginemod
 from crossbt.engine import (
     CONVENTIONS,
     EQUITY_GROSS,
@@ -34,7 +35,6 @@ from crossbt.engine import (
     trade_cost,
     truncated,
 )
-from crossbt.engine import _stacked_prices
 from crossbt.marketdata import PriceMatrix, SynthSpec, generate_synthetic
 from crossbt.strategies import equal_weight, rotation
 
@@ -649,9 +649,8 @@ def batch_runs(draw):
 
 @st.composite
 def subset_batch_runs(draw):
-    """``batch_runs`` on a column subset of a wider panel: a ``subset`` is
-    column-major, so its price rows are strided, as every bucket's are in
-    a full run."""
+    """``batch_runs`` on a column subset of a wider panel, as every bucket
+    is in a full run."""
     schedule, pm, capital, rows, start = draw(batch_runs())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     extra = draw(st.integers(1, 5))
@@ -667,12 +666,11 @@ def bucket_runs(draw):
     """B buckets of one width on one calendar under the same 1 to 6 drawn
     rows, each bucket with a schedule of its own.
 
-    The buckets are column subsets of one wider panel (strided rows, as in
-    a full run), C-order copies of them, or both mixed. Every schedule
-    keeps a drawn part of one set of event days, so buckets miss days that
-    others trade on; the final day is an event day at times, so a shift1
-    row drops a trade pending past it; truncation comes with the rows. One
-    bucket may fail its input checks.
+    The buckets are column subsets of one wider panel, as in a full run.
+    Every schedule keeps a drawn part of one set of event days, so buckets
+    miss days that others trade on; the final day is an event day at times,
+    so a shift1 row drops a trade pending past it; truncation comes with the
+    rows. One bucket may fail its input checks.
     """
     B = draw(st.integers(1, 5))
     n = draw(st.integers(1, 8))
@@ -683,13 +681,7 @@ def bucket_runs(draw):
     names = tuple(f"A{i}" for i in range(B * n + 1))
     walk = np.cumsum(rng.normal(0.0, 0.03, size=(n_days, len(names))), axis=0)
     panel = PriceMatrix(dates, names, 50.0 * np.exp(walk))
-    layout = draw(st.sampled_from(["subset", "C", "mixed"]))
-    pms = []
-    for b in range(B):
-        sub = panel.subset([names[i] for i in rng.permutation(len(names))[:n]])
-        if layout == "C" or (layout == "mixed" and b % 2):
-            sub = PriceMatrix(dates, sub.assets, np.ascontiguousarray(sub.prices))
-        pms.append(sub)
+    pms = [panel.subset([names[i] for i in rng.permutation(len(names))[:n]]) for _ in range(B)]
     days = draw(st.sets(st.integers(start, n_days - 1), max_size=n_days))
     if draw(st.booleans()):
         days.add(n_days - 1)
@@ -825,6 +817,35 @@ class TestBuckets:
             run_buckets([half_half], [tiny_panel], 1.0, [(REFERENCE, 1.0)])
         assert run_buckets([], [], 1e6, [(REFERENCE, 0.0)]) == ()
 
+    def test_no_pass_runs_when_every_bucket_fails_its_checks(self, tiny_panel, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("a pass ran with no bucket to step")
+
+        monkeypatch.setattr(enginemod, "_simulate", no_pass)
+        schedules = [WeightSchedule({"9": np.ones(2) / 2}), WeightSchedule({"1": np.full(2, 2.0)})]
+        got = run_buckets(schedules, [tiny_panel, tiny_panel], 1000.0, [(REFERENCE, 0.0018)])
+        assert len(got) == 2
+        for schedule, exc in zip(schedules, got):
+            assert isinstance(exc, ValueError)
+            with pytest.raises(ValueError) as alone:
+                run_variant(schedule, tiny_panel, 1000.0, CostSpec(0.0018), REFERENCE)
+            assert str(exc) == str(alone.value)
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_subset_buckets_equal_the_same_prices_in_any_layout(self, bucket_universe, layout):
+        """Output depends on the prices, not on how the caller laid them out."""
+        buckets = [bucket_universe.subset(bucket_universe.assets[i::6]) for i in range(6)]
+        copies = [
+            PriceMatrix(pm.dates, pm.assets, layout(bucket_universe.prices[:, i::6]))
+            for i, pm in enumerate(buckets)
+        ]
+        rows = [(CONVENTIONS[name], 0.0018) for name in sorted(CONVENTIONS)] + [(truncated(90), 0.006)]
+        schedules = [rotation(pm, k=3, start=30) for pm in buckets]
+        together = run_buckets(schedules, buckets, 1e6, rows, 30)
+        for got, want in zip(together, run_buckets(schedules, copies, 1e6, rows, 30)):
+            for series, alone in zip(got, want):
+                assert_same_run(series, alone)
+
 
 class TestVecdotPremise:
     """``run_batch`` (and so ``run_variant``, a one-row batch) marks the days
@@ -879,8 +900,8 @@ class TestVecdotPremise:
     def test_distinct_price_rows_per_batch_row(self, layout):
         """Stacked buckets mark each row at its own bucket's prices:
         ``np.vecdot`` of ``(K, n)`` holdings against ``(K, n)`` distinct
-        price rows reduces each pair as ``float(h @ p)``, on a C-order
-        panel's rows and on a ``subset``'s strided ones."""
+        price rows reduces each pair as ``float(h @ p)``, on a panel built
+        directly and on a ``subset`` of a wider one."""
         rng = np.random.default_rng(14)
         for K in range(1, 9):
             for n in range(1, 65):
@@ -892,15 +913,15 @@ class TestVecdotPremise:
 
     @pytest.mark.parametrize("layout", ["C", "subset"])
     def test_stacked_block_rows_equal_each_buckets_own_dots(self, layout):
-        """The ``(T, B, n)`` block ``run_buckets`` steps keeps each bucket's
-        stride kind, so its day mark ``np.vecdot(H, P[t][:, None, :])`` and
-        segment mark give each bucket's own ``float(h @ p)``."""
+        """The ``(T, B, n)`` block ``run_buckets`` steps is ``np.stack`` of the
+        buckets' C-order prices, so its day mark ``np.vecdot(H, P[t][:, None, :])``
+        and segment mark give each bucket's own ``float(h @ p)``."""
         rng = np.random.default_rng(15)
         for B in (1, 2, 5):
             for K in (1, 3):
                 for n in (*range(1, 18), 31, 64):
                     pms = [_layout_panel(rng, 9, n, layout) for _ in range(B)]
-                    P = _stacked_prices(pms)
+                    P = np.stack([pm.prices for pm in pms], axis=1)
                     H = rng.uniform(0.0, 1e4, size=(B, K, n)) * (rng.uniform(size=(B, K, n)) > 0.3)
                     own = [[[float(h @ pm.prices[t]) for t in range(9)] for h in Hb] for Hb, pm in zip(H, pms)]
                     day = np.stack([np.vecdot(H, P[t][:, None, :]) for t in range(9)], axis=-1)
@@ -910,12 +931,11 @@ class TestVecdotPremise:
 
 
 def _layout_panel(rng: np.random.Generator, n_days: int, n: int, layout: str) -> PriceMatrix:
-    """A price panel with C-order rows, or a ``subset`` of a wider one."""
+    """A price panel built directly, or a ``subset`` of a wider one, as every
+    bucket is; either way its rows are C-order."""
     dates = tuple(str(i) for i in range(n_days))
     names = tuple(f"A{i}" for i in range(n + 3))
     pm = PriceMatrix(dates, names, np.exp(rng.normal(0.0, 1.0, size=(n_days, n + 3))) * 50.0)
-    sub = pm.subset(names[3:])
-    assert n == 1 or sub.prices.strides[1] > sub.prices.itemsize
-    if layout == "C":
-        return PriceMatrix(dates, sub.assets, np.ascontiguousarray(sub.prices))
-    return sub
+    out = PriceMatrix(dates, names[3:], pm.prices[:, 3:]) if layout == "C" else pm.subset(names[3:])
+    assert out.prices.flags.c_contiguous
+    return out

@@ -209,6 +209,37 @@ def test_prices_are_read_only(tiny_panel):
         tiny_panel.prices[0, 0] = 1.0
 
 
+def test_every_construction_path_stores_read_only_c_order_prices(tmp_path, bucket_universe):
+    """A dot over a price row rounds by the row's stride kind, so every
+    matrix keeps its prices C-contiguous, whatever layout it was built from."""
+    raw = np.exp(np.random.default_rng(3).normal(0.0, 0.1, size=(12, 7))) * 50.0
+    dates, names = tuple(str(i) for i in range(12)), tuple(f"A{i}" for i in range(7))
+    wide = np.ones((12, 14))
+    wide[:, ::2] = raw
+    path = tmp_path / "p.csv"
+    write_prices_csv(PriceMatrix(dates, names, raw), str(path))
+    built = {
+        "C": PriceMatrix(dates, names, raw),
+        "F": PriceMatrix(dates, names, np.asfortranarray(raw)),
+        "strided": PriceMatrix(dates, names, wide[:, ::2]),
+        "reversed": PriceMatrix(dates, names, raw[::-1].copy()[::-1]),
+        "list": PriceMatrix(dates, names, raw.tolist()),
+        "csv": load_prices_csv(str(path)),
+        "synthetic": generate_synthetic(SynthSpec(n_assets=5, n_days=30, seed=1)),
+    }
+    panel = built["F"]
+    for i in range(1, 8):
+        built[f"subset{i}"] = panel.subset(panel.assets[::-1][:i])
+    for b in range(6):
+        built[f"bucket{b}"] = bucket_universe.subset(bucket_universe.assets[b::6])
+    for name, pm in built.items():
+        assert pm.prices.flags.c_contiguous, name
+        assert not pm.prices.flags.writeable, name
+    for name in ("F", "strided", "reversed", "list", "csv"):
+        assert np.array_equal(built[name].prices, raw), name
+    assert np.array_equal(built["subset3"].prices, raw[:, [6, 5, 4]])
+
+
 class TestDateIndex:
     def test_maps_each_date_to_its_row(self, tiny_panel):
         assert dict(tiny_panel.date_index()) == {"1": 0, "2": 1, "3": 2}

@@ -92,6 +92,18 @@ class TestFeaturePanel:
             assert np.array_equal(panel[t], expected)
             assert np.array_equal(build_features(pm, t), expected)
 
+    @given(pm=price_panels(), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_subset_rows_equal_per_day_formula_bit_for_bit(self, pm, data):
+        """Every bucket is a ``subset`` of a wider panel; its prices are C-order
+        like any matrix's, so the premise holds for buckets too."""
+        wide = _panel(np.concatenate([pm.prices, pm.prices[:, ::-1] * 1.5], axis=1))
+        cols = data.draw(st.lists(st.sampled_from(wide.assets), min_size=1, max_size=8, unique=True))
+        sub = wide.subset(cols)
+        panel = feature_panel(sub)
+        for t in range(126, sub.n_days):
+            assert np.array_equal(panel[t], features_per_day(sub.prices, t)), t
+
     @given(pm=price_panels(min_days=1, max_days=126))
     @settings(max_examples=20, deadline=None)
     def test_short_panel_is_all_missing_and_rows_still_refused(self, pm):

@@ -254,6 +254,19 @@ class TestPermutation:
             assert 0.0 < res.p_value <= 1.0
             assert res.p_value >= 1.0 / 501.0
 
+    def test_identity_and_mirror_draws_always_count(self):
+        # A draw's |mean| is a gemv row and obs a dot product; the two summation
+        # orders may round one ulp apart, yet an all-plus or all-minus draw
+        # must count itself, so hits never fall below the all-same-sign draws.
+        rng = np.random.default_rng(8)
+        for i in range(300):
+            n = int(rng.integers(2, 8))
+            d = rng.normal(rng.normal(), rng.uniform(0.1, 3.0), n)
+            res = sign_flip_permutation(d, draws=400, seed=i)
+            signs = substream(i, 0).integers(0, 2, size=(400, n))
+            same = int(np.count_nonzero(signs.min(axis=1) == signs.max(axis=1)))
+            assert round(res.p_value * 401) - 1 >= same, (i, d.tolist())
+
     def test_deterministic_per_seed(self):
         d = np.random.default_rng(0).normal(0.2, 1.0, 20)
         a = sign_flip_permutation(d, draws=1000, seed=42)
