@@ -132,7 +132,10 @@ def bucket_quadratic_forms(
 
 
 def _scoring_matrix(cov: CovariateTable, bucket_size: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Universe mean and inverse of the covariance scaled by 1/bucket_size."""
+    """Universe mean and inverse of the covariance scaled by 1/bucket_size.
+
+    A singular covariance falls back to the pseudo-inverse with a warning.
+    """
     mean = cov.values.mean(axis=0)
     scaled = np.cov(cov.values.T, ddof=1) / bucket_size
     scaled = np.atleast_2d(scaled)
@@ -145,17 +148,19 @@ def _scoring_matrix(cov: CovariateTable, bucket_size: int) -> tuple[np.ndarray, 
     if not np.all(np.isfinite(inv)):
         inv = np.linalg.pinv(scaled)
         fallback = True
+    if fallback:
+        warnings.warn("singular covariate covariance; using pseudo-inverse", RuntimeWarning)
     return mean, inv, fallback
 
 
-def _score_buckets(
-    index_buckets: Sequence[Sequence[int]],
-    values: np.ndarray,
-    universe_mean: np.ndarray,
-    scaled_cov_inv: np.ndarray,
-) -> float:
-    means = np.stack([values[list(b)].mean(axis=0) for b in index_buckets])
-    return float(np.sum(bucket_quadratic_forms(means, universe_mean, scaled_cov_inv)))
+def _block_scores(
+    members: np.ndarray, values: np.ndarray, universe_mean: np.ndarray, scaled_cov_inv: np.ndarray
+) -> np.ndarray:
+    """Balance score of each candidate in a (count, n_buckets, bucket_size)
+    block of asset indices: the sum of its buckets' quadratic forms."""
+    means = values[members].mean(axis=2)
+    forms = bucket_quadratic_forms(means.reshape(-1, means.shape[-1]), universe_mean, scaled_cov_inv)
+    return forms.reshape(members.shape[:2]).sum(axis=1)
 
 
 def mahalanobis_score(partition: Partition, cov: CovariateTable) -> float:
@@ -165,12 +170,9 @@ def mahalanobis_score(partition: Partition, cov: CovariateTable) -> float:
     A singular covariance falls back to the pseudo-inverse with a warning.
     """
     pos = {a: i for i, a in enumerate(cov.assets)}
-    index_buckets = [[pos[a] for a in b] for b in partition.buckets]
-    bucket_size = len(partition.buckets[0])
-    mean, inv, fallback = _scoring_matrix(cov, bucket_size)
-    if fallback:
-        warnings.warn("singular covariate covariance; using pseudo-inverse", RuntimeWarning)
-    return _score_buckets(index_buckets, cov.values, mean, inv)
+    members = np.array([[[pos[a] for a in b] for b in partition.buckets]], dtype=np.intp)
+    mean, inv, _ = _scoring_matrix(cov, members.shape[2])
+    return float(_block_scores(members, cov.values, mean, inv)[0])
 
 
 def sample_partition(
@@ -310,16 +312,12 @@ def rerandomize(
                 f"bucket size {bucket_size} exceeds {len(labels)} distinct sectors"
             )
     mean, inv, fallback = _scoring_matrix(cov, bucket_size)
-    if fallback:
-        warnings.warn("singular covariate covariance; using pseudo-inverse", RuntimeWarning)
     best_score = math.inf
     best_buckets: np.ndarray | None = None
     for first in range(0, n_candidates, CANDIDATE_BLOCK):
         count = min(CANDIDATE_BLOCK, n_candidates - first)
         members = _sample_block(seed, first, count, n, codes, bucket_size, n_buckets)
-        means = cov.values[members].mean(axis=2)
-        forms = bucket_quadratic_forms(means.reshape(-1, means.shape[-1]), mean, inv)
-        scores = forms.reshape(count, n_buckets).sum(axis=1)
+        scores = _block_scores(members, cov.values, mean, inv)
         # A NaN score never beats the running minimum, as in a serial scan.
         j = int(np.argmin(np.where(np.isnan(scores), np.inf, scores)))
         if scores[j] < best_score:

@@ -23,6 +23,7 @@ from .harness import (
     analyze,
     emit_reports,
     load_panel,
+    partition_args,
     run_suite,
 )
 from .marketdata import write_prices_csv, write_sector_map
@@ -94,22 +95,7 @@ def cmd_gen_data(cfg: RunConfig, out: str, jobs: int) -> int:
 
 def cmd_buckets(cfg: RunConfig, out: str, jobs: int) -> int:
     pm = load_panel(cfg)
-    if cfg.buckets.sector_constraint and pm.sectors is None:
-        raise ValueError(
-            "sector constraint requires sector labels; provide a sectors_csv "
-            "or set buckets.sector_constraint to false"
-        )
-    cov = compute_covariates(pm)
-    seed = cfg.buckets.seed if cfg.buckets.seed is not None else cfg.seed
-    partition = rerandomize(
-        cov,
-        pm.sectors or {},
-        cfg.buckets.bucket_size,
-        cfg.buckets.n_buckets,
-        cfg.buckets.n_candidates,
-        seed,
-        sector_constraint=cfg.buckets.sector_constraint,
-    )
+    partition = rerandomize(compute_covariates(pm), **partition_args(cfg, pm))
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "partition.json"), "w") as f:
         f.write(partition.to_json())

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .marketdata import TRADING_DAYS_PER_YEAR, PriceMatrix
+from .marketdata import TRADING_DAYS_PER_YEAR, PriceMatrix, max_drawdown_pct
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -731,21 +731,19 @@ class PerfStats:
     growth: float
     degenerate_sharpe: bool = False
 
-    METRICS = ("total_return", "cagr", "ann_vol", "sharpe", "max_drawdown")
+    #: The field each divergence metric reads.
+    METRIC_FIELDS = {
+        "total_return": "growth",
+        "cagr": "cagr_pct",
+        "ann_vol": "ann_vol_pct",
+        "sharpe": "sharpe",
+        "max_drawdown": "max_drawdown_pct",
+    }
+    METRICS = tuple(METRIC_FIELDS)
 
     def metric(self, name: str) -> float:
         """Metric value in the space used for cross-engine divergence."""
-        if name == "total_return":
-            return self.growth
-        if name == "cagr":
-            return self.cagr_pct
-        if name == "ann_vol":
-            return self.ann_vol_pct
-        if name == "sharpe":
-            return self.sharpe
-        if name == "max_drawdown":
-            return self.max_drawdown_pct
-        raise KeyError(name)
+        return getattr(self, self.METRIC_FIELDS[name])
 
 
 def performance_metrics(series: EquitySeries) -> PerfStats:
@@ -776,9 +774,7 @@ def performance_metrics(series: EquitySeries) -> PerfStats:
             degenerate = True
         else:
             sharpe = float(np.mean(rets)) / sd * math.sqrt(TRADING_DAYS_PER_YEAR)
-    peak = np.maximum.accumulate(eq)
-    mdd = float(np.max(1.0 - eq / peak) * 100.0)
-    return PerfStats(total_return, cagr, ann_vol, sharpe, mdd, growth, degenerate)
+    return PerfStats(total_return, cagr, ann_vol, sharpe, max_drawdown_pct(eq), growth, degenerate)
 
 
 def annual_turnover(series: EquitySeries) -> float:

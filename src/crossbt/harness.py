@@ -19,6 +19,7 @@ import os
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from itertools import combinations, islice
+from typing import get_type_hints
 
 import numpy as np
 
@@ -76,6 +77,13 @@ from .strategies import BENCHMARKS
 DIVERGENCE_METRICS = PerfStats.METRICS
 
 FULLY_INVESTED_TOL = 1e-9
+
+#: Each ``PerfStats`` field, in order, with the type ``load`` parses it as.
+_PERF_TYPES = get_type_hints(PerfStats)
+
+#: Columns of ``cells.csv`` in a saved store: the cell key, the error and
+#: length, every ``PerfStats`` field, then turnover.
+CELL_COLUMNS = ["benchmark", "bucket", "engine", "error", "n_days", *_PERF_TYPES, "turnover"]
 
 #: Columns of the long ``equity.csv`` in a saved store.
 EQUITY_COLUMNS = ["benchmark", "bucket", "engine", "date", "equity"]
@@ -140,10 +148,14 @@ class RunConfig:
         if len(set(self.benchmarks)) < len(self.benchmarks):
             raise ValueError(f"benchmarks listed twice: {self.benchmarks}")
         for b in self.benchmarks:
-            if self.benchmark_cost_bps(b) not in self.cost_regimes_bps:
+            bps = self.benchmark_cost_bps(b)
+            try:
+                CostSpec.from_bps(bps)
+            except ValueError as exc:
+                raise ValueError(f"benchmark {b} cost {bps} bps: {exc}") from None
+            if bps not in self.cost_regimes_bps:
                 raise ValueError(
-                    f"benchmark {b} cost {self.benchmark_cost_bps(b)} bps "
-                    f"not in configured regimes {self.cost_regimes_bps}"
+                    f"benchmark {b} cost {bps} bps not in configured regimes {self.cost_regimes_bps}"
                 )
         if self.synth is None and self.prices_csv is None:
             raise ValueError("config needs either a synthetic spec or a prices CSV")
@@ -283,27 +295,12 @@ class ResultStore:
             json.dump(meta, f, sort_keys=True, indent=2)
         with open(os.path.join(directory, "cells.csv"), "w", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow(
-                [
-                    "benchmark", "bucket", "engine", "error", "n_days",
-                    "total_return_pct", "cagr_pct", "ann_vol_pct", "sharpe",
-                    "max_drawdown_pct", "growth", "degenerate_sharpe", "turnover",
-                ]
-            )
+            writer.writerow(CELL_COLUMNS)
             for key in sorted(self.cells):
                 c = self.cells[key]
-                if c.ok:
-                    s = c.stats
-                    writer.writerow(
-                        [
-                            c.benchmark, c.bucket, c.engine, "", c.n_days,
-                            repr(s.total_return_pct), repr(s.cagr_pct), repr(s.ann_vol_pct),
-                            repr(s.sharpe), repr(s.max_drawdown_pct), repr(s.growth),
-                            str(s.degenerate_sharpe).lower(), repr(c.turnover),
-                        ]
-                    )
-                else:
-                    writer.writerow([c.benchmark, c.bucket, c.engine, c.error, c.n_days] + [""] * 8)
+                stats = [getattr(c.stats, name) if c.ok else None for name in _PERF_TYPES]
+                row = [c.benchmark, c.bucket, c.engine, c.error, c.n_days, *stats, c.turnover]
+                writer.writerow(map(_format_cell, row))
         # One write per cell; the rows are the ones csv.writer would write.
         dates = [_csv_prefix(date) for date in self.eval_dates]
         with open(os.path.join(directory, "equity.csv"), "w", newline="") as f:
@@ -351,15 +348,10 @@ class ResultStore:
             if row["error"]:
                 cells[key] = CellResult(*key, error=row["error"], n_days=int(row["n_days"]))
                 continue
-            stats = PerfStats(
-                float(row["total_return_pct"]),
-                float(row["cagr_pct"]),
-                float(row["ann_vol_pct"]),
-                float(row["sharpe"]),
-                float(row["max_drawdown_pct"]),
-                float(row["growth"]),
-                row["degenerate_sharpe"] == "true",
-            )
+            stats = PerfStats(**{
+                name: row[name] == "true" if kind is bool else kind(row[name])
+                for name, kind in _PERF_TYPES.items()
+            })
             cells[key] = CellResult(
                 *key,
                 stats=stats,
@@ -434,6 +426,27 @@ def load_panel(cfg: RunConfig) -> PriceMatrix:
     return generate_synthetic(cfg.synth)
 
 
+def partition_args(cfg: RunConfig, pm: PriceMatrix) -> dict:
+    """The keyword arguments of ``buckets.rerandomize`` that draw ``cfg``'s
+    partition of ``pm``, given its covariates. The bucket seed falls back to
+    the master seed. Raises ValueError when the sector constraint is on and
+    ``pm`` has no sector labels."""
+    b = cfg.buckets
+    if b.sector_constraint and pm.sectors is None:
+        raise ValueError(
+            "sector constraint requires sector labels; provide a sectors_csv "
+            "or set buckets.sector_constraint to false"
+        )
+    return {
+        "sectors": pm.sectors or {},
+        "bucket_size": b.bucket_size,
+        "n_buckets": b.n_buckets,
+        "n_candidates": b.n_candidates,
+        "seed": b.seed if b.seed is not None else cfg.seed,
+        "sector_constraint": b.sector_constraint,
+    }
+
+
 def _failed(bm_id: str, bucket_id: str, roster, message: str) -> list[CellResult]:
     return [CellResult(bm_id, bucket_id, eid, error=message) for eid, _ in roster]
 
@@ -465,17 +478,15 @@ def _run_grid_task(args) -> list[tuple[str, str, float | None, list[CellResult]]
             out.append((bm_id, bucket_id, None, _failed(bm_id, bucket_id, roster, msg)))
         else:
             built.append((bucket_id, bucket_pm, schedule, first_w))
-    try:
-        batches = run_buckets(
-            [schedule for _, _, schedule, _ in built],
-            [bucket_pm for _, bucket_pm, _, _ in built],
-            capital,
-            [(conv, rate) for conv in paths.values()],
-            eval_start,
-        )
-    except Exception as exc:
-        # Only the rate and shared-calendar checks fail the pass itself.
-        batches = [exc] * len(built)
+    # The config admits only valid rates and every bucket is a subset of one
+    # panel, so the pass itself cannot fail; a bucket fails on its own checks.
+    batches = run_buckets(
+        [schedule for _, _, schedule, _ in built],
+        [bucket_pm for _, bucket_pm, _, _ in built],
+        capital,
+        [(conv, rate) for conv in paths.values()],
+        eval_start,
+    )
     for (bucket_id, bucket_pm, schedule, first_w), rows in zip(built, batches):
         if isinstance(rows, Exception):
             # A bucket fails only on the input checks, which its cells share.
@@ -515,22 +526,7 @@ def run_suite(cfg: RunConfig, jobs: int = 1) -> ResultStore:
     Per-cell failures are recorded in the store and never abort the run.
     """
     pm = load_panel(cfg)
-    if cfg.buckets.sector_constraint and pm.sectors is None:
-        raise ValueError(
-            "sector constraint requires sector labels; provide a sectors_csv "
-            "or set buckets.sector_constraint to false"
-        )
-    cov = bucketmod.compute_covariates(pm)
-    bucket_seed = cfg.buckets.seed if cfg.buckets.seed is not None else cfg.seed
-    partition = bucketmod.rerandomize(
-        cov,
-        pm.sectors or {},
-        cfg.buckets.bucket_size,
-        cfg.buckets.n_buckets,
-        cfg.buckets.n_candidates,
-        bucket_seed,
-        sector_constraint=cfg.buckets.sector_constraint,
-    )
+    partition = bucketmod.rerandomize(bucketmod.compute_covariates(pm), **partition_args(cfg, pm))
     balance = bucketmod.sector_balance(partition, pm.sectors) if pm.sectors else None
     universe = descriptive_stats(pm).to_dict()
 

@@ -133,10 +133,9 @@ def t_cdf(x: float, df: float) -> float:
 def t_quantile(p: float, df: float) -> float:
     """Student-t quantile (inverse CDF). NaN for df <= 0.
 
-    Solves on the half of the distribution that holds the probability with
-    full precision (the tail below 0.25, the centre above), in log-log
-    coordinates where both are close to linear: Newton steps, with
-    bisection whenever a step leaves the bracket.
+    Bisects ln s on the half of the distribution that holds the probability
+    with full precision (the tail below 0.25, the centre above) until the
+    bracket closes.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
@@ -146,35 +145,17 @@ def t_quantile(p: float, df: float) -> float:
     if q == 0.5:
         return 0.0
     centre = q > 0.25
-    ln_target = math.log(0.5 - q if centre else q)
-    sign = 1.0 if centre else -1.0
-    # h(v) = sign * (ln mass(e^v) - ln target) rises with v at slope s * pdf / mass
-    lo, hi, v = -745.0, 709.0, 0.0
-    for _ in range(200):
-        s = math.exp(v)
-        tail, mid = _t_halves(s, df)
-        mass = mid if centre else tail
-        h = sign * ((math.log(mass) if mass > 0.0 else -math.inf) - ln_target)
-        if h == 0.0:
-            break
-        if h < 0.0:
+    target = 0.5 - q if centre else q
+    lo, hi = -745.0, 709.0
+    # Near ln s = 0 the doubles are far denser than s = e^v can resolve, so
+    # the bracket also counts as closed once it is narrower than 1e-16.
+    while hi - lo > 1e-16 and lo < (v := 0.5 * (lo + hi)) < hi:
+        tail, mid = _t_halves(math.exp(v), df)
+        if (mid < target) if centre else (tail > target):
             lo = v
         else:
             hi = v
-        if df == math.inf:
-            pdf = math.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
-        else:
-            ln_x = _t_beta_logs(s, df)[0]
-            pdf = math.exp(0.5 * (df + 1.0) * ln_x - _lbeta_half(0.5 * df)) / math.sqrt(df)
-        step = h * mass / (s * pdf) if mass > 0.0 and pdf > 0.0 else math.inf
-        v_new = v - step
-        if not lo < v_new < hi:
-            v_new = 0.5 * (lo + hi)
-        if abs(v_new - v) <= 1e-13 * max(1.0, abs(v)):
-            v = v_new
-            break
-        v = v_new
-    s = math.exp(v)
+    s = math.exp(0.5 * (lo + hi))
     return -s if p < 0.5 else s
 
 
@@ -289,7 +270,7 @@ def one_sample_t(diffs: Sequence[float]) -> TestResult:
     if sd == 0.0:
         return TestResult(math.nan, None, "t", n, degenerate=True)
     t = float(np.mean(d)) / (sd / math.sqrt(n))
-    p = _clamp_p(2.0 * (1.0 - t_cdf(abs(t), n - 1)))
+    p = _clamp_p(2.0 * t_cdf(-abs(t), n - 1))
     return TestResult(t, p, "t", n)
 
 
@@ -429,7 +410,7 @@ def tost(diffs: Sequence[float], margin: float, alpha: float = 0.05) -> TostResu
         return TostResult(abs(mean) < margin, None, None, None, margin, n, degenerate=True)
     se = sd / math.sqrt(n)
     df = n - 1
-    p_lower = _clamp_p(1.0 - t_cdf((mean + margin) / se, df))
+    p_lower = _clamp_p(t_cdf(-(mean + margin) / se, df))
     p_upper = _clamp_p(t_cdf((mean - margin) / se, df))
     p = max(p_lower, p_upper)
     return TostResult(p < alpha, p, p_lower, p_upper, margin, n)
@@ -459,6 +440,18 @@ def lin_ccc(x: Sequence[float], y: Sequence[float]) -> float:
     return 2.0 * sxy / denom
 
 
+def _centred_r(a: np.ndarray, b: np.ndarray) -> float | None:
+    """Pearson r of two equal-length vectors, clipped to [-1, 1]; None when
+    either is constant."""
+    sa = a - a.mean()
+    sb = b - b.mean()
+    na = float(np.sqrt((sa**2).sum()))
+    nb = float(np.sqrt((sb**2).sum()))
+    if na == 0.0 or nb == 0.0:
+        return None
+    return min(max(float(sa @ sb) / (na * nb), -1.0), 1.0)
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> TestResult:
     """Pearson correlation with a two-sided t-approximation p-value."""
     a = np.asarray(x, dtype=float)
@@ -466,18 +459,13 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> TestResult:
     n = len(a)
     if n < 3:
         raise ValueError("need at least 3 points")
-    sa = a - a.mean()
-    sb = b - b.mean()
-    na = float(np.sqrt((sa**2).sum()))
-    nb = float(np.sqrt((sb**2).sum()))
-    if na == 0.0 or nb == 0.0:
+    r = _centred_r(a, b)
+    if r is None:
         return TestResult(math.nan, None, "pearson", n, degenerate=True)
-    r = float(sa @ sb) / (na * nb)
-    r = min(max(r, -1.0), 1.0)
     if 1.0 - r * r <= 0.0:
         return TestResult(r, _TINY_P, "pearson", n)
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = _clamp_p(2.0 * (1.0 - t_cdf(abs(t), n - 2)))
+    p = _clamp_p(2.0 * t_cdf(-abs(t), n - 2))
     return TestResult(r, p, "pearson", n)
 
 
@@ -548,12 +536,7 @@ def lag1_autocorr(series: Sequence[float]) -> TestResult:
     x = np.asarray(series, dtype=float)
     if len(x) < 3:
         raise ValueError("need at least 3 points")
-    a, b = x[:-1], x[1:]
-    sa = a - a.mean()
-    sb = b - b.mean()
-    na = float(np.sqrt((sa**2).sum()))
-    nb = float(np.sqrt((sb**2).sum()))
-    if na == 0.0 or nb == 0.0:
+    r = _centred_r(x[:-1], x[1:])
+    if r is None:
         return TestResult(math.nan, None, "lag1", len(x), degenerate=True)
-    r = float(sa @ sb) / (na * nb)
-    return TestResult(min(max(r, -1.0), 1.0), None, "lag1", len(x))
+    return TestResult(r, None, "lag1", len(x))

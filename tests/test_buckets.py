@@ -14,8 +14,6 @@ from crossbt.buckets import (
     CovariateTable,
     InfeasibleConstraint,
     Partition,
-    _score_buckets,
-    _scoring_matrix,
     bucket_quadratic_forms,
     compute_covariates,
     mahalanobis_score,
@@ -38,15 +36,15 @@ def _serial_rerandomize(cov, sectors, bucket_size, n_buckets, n_candidates, seed
         sector_list = [sectors[a] for a in cov.assets]
     else:
         sector_list = [""] * len(cov.assets)
-    mean, inv, _ = _scoring_matrix(cov, bucket_size)
     best_score, best = math.inf, None
     for i in range(n_candidates):
         drawn = sample_partition(len(cov.assets), sector_list, bucket_size, n_buckets,
                                  substream(seed, i), sector_constraint)
-        score = _score_buckets(drawn, cov.values, mean, inv)
+        named = tuple(tuple(cov.assets[j] for j in b) for b in drawn)
+        score = mahalanobis_score(Partition(named, 0.0, seed, 1), cov)
         if score < best_score:
-            best_score, best = score, drawn
-    return tuple(tuple(cov.assets[j] for j in b) for b in best), best_score
+            best_score, best = score, named
+    return best, best_score
 
 
 def _outcome(fn, *args, **kwargs):
@@ -151,7 +149,7 @@ class TestRerandomize:
         cov = self._cov(bucket_universe)
         part = rerandomize(cov, bucket_universe.sectors, 6, 5, 1, seed=3)
         assert part.n_candidates == 1
-        assert part.score == pytest.approx(mahalanobis_score(part, cov), rel=1e-12)
+        assert mahalanobis_score(part, cov) == part.score
 
     def test_identical_covariates_score_zero(self):
         pm = _panel(np.full((40, 4), 10.0), sectors=["s0", "s1", "s0", "s1"])
@@ -193,8 +191,7 @@ class TestRerandomize:
             buckets = sample_partition(36, sectors, 6, 5, substream(9, i))
             named = tuple(tuple(cov.assets[j] for j in b) for b in buckets)
             rescored.append(mahalanobis_score(Partition(named, 0.0, 9, 1), cov))
-        assert part.score <= min(rescored) + 1e-12
-        assert part.score == pytest.approx(min(rescored), rel=1e-9)
+        assert part.score == min(rescored)
 
     def test_no_sector_map_with_constraint_disabled(self):
         rng = np.random.default_rng(12)

@@ -21,6 +21,7 @@ from crossbt.engine import (
     annual_turnover,
     path_key,
     performance_metrics,
+    resolve_convention,
     run_buckets,
     run_variant,
 )
@@ -131,6 +132,12 @@ class TestRunConfig:
     def test_cost_regime_membership_enforced(self):
         with pytest.raises(ValueError):
             _config(cost_regimes_bps=(18.0,), benchmarks=("bm01", "bm09"))
+
+    @pytest.mark.parametrize("bps", [1e4, -18.0])
+    def test_cost_outside_the_rate_range_rejected(self, bps):
+        # The cost is a listed regime, so only the range check can refuse it.
+        with pytest.raises(ValueError, match="benchmark bm01 cost"):
+            _config(cost_overrides_bps={"bm01": bps}, cost_regimes_bps=(bps, 0.0, 18.0, 36.0, 60.0))
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(ValueError):
@@ -439,6 +446,21 @@ class TestGridTask:
             for cell, (engine, conv) in zip(cells, roster):
                 alone = self._alone("bm09", bucket, bucket_pm, engine, conv, rate, 10)
                 assert self._cell_bits(cell) == self._cell_bits(alone)
+
+    def test_a_cell_whose_metrics_fail_is_a_cell_error(self):
+        # A one-day truncation reports one equity point, too few for
+        # performance_metrics; that cell alone fails and analyze still runs.
+        trunc1 = resolve_convention("post|abs|x1|atomic|aligned|trunc1").id
+        store = run_suite(_config(engines=("reference", "pre_trade", trunc1)))
+        for (_, _, engine), cell in store.cells.items():
+            if engine == trunc1:
+                assert cell.error == "ValueError: need at least 2 equity points"
+            else:
+                assert cell.ok
+        findings = validate_results(store)
+        assert {(f.kind, f.engine) for f in findings} == {("CellError", trunc1)}
+        assert len(findings) == len(store.config.benchmarks) * len(store.bucket_ids)
+        assert analyze(store).tables["validation"] == [vars(f) for f in findings]
 
 
 #: Equity values that must survive the text round trip bit for bit.
@@ -809,6 +831,15 @@ class TestValidate:
         del store.cells[key]
         findings = validate_results(store)
         assert any(f.kind == "MissingCell" for f in findings)
+
+    def test_zero_equity_detected(self, demo_store):
+        store = copy.copy(demo_store)
+        store.cells = dict(demo_store.cells)
+        key = next(iter(store.cells))
+        equity = store.cells[key].equity.copy()
+        equity[-1] = 0.0
+        store.cells[key] = replace(store.cells[key], equity=equity)
+        assert validate_results(store) == [harness.Finding("NonPositiveEquity", *key)]
 
 
 class TestAnalyze:

@@ -58,6 +58,11 @@ class TestKernel:
         assert chi2_sf(0.0, 3) == 1.0
         assert chi2_sf(3.841458820694124, 1) == pytest.approx(0.05, abs=1e-10)
 
+    @pytest.mark.parametrize("df", [1, 2, 4, 5, 19, 30, 1000])
+    @pytest.mark.parametrize("p", [1e-10, 0.025, 0.3, 0.9, 0.975])
+    def test_t_quantile_matches_scipy_ppf(self, p, df):
+        assert t_quantile(p, df) == pytest.approx(scipy_stats.t.ppf(p, df), rel=1e-12)
+
     def test_t_cdf_quantile_mutual_inverses(self):
         for df in (1, 2, 3, 5, 10, 30, 60):
             for p in (0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999):
@@ -149,6 +154,13 @@ class TestOneSampleT:
         res = one_sample_t([1.0, 2.0, 3.0])
         assert res.statistic == pytest.approx(3.4641, abs=1e-4)
         assert res.p_value == pytest.approx(0.0742, abs=2e-4)
+
+    def test_far_tail_keeps_its_digits(self):
+        # t = 14142 at 4 df: t_cdf(t) rounds to 1, so 1 - t_cdf(t) would be 0
+        # and clamp to the smallest normal float; the tail is about 1.5e-16.
+        d = [1.0, 1.0 + 1e-4, 1.0 - 1e-4, 1.0 + 2e-4, 1.0 - 2e-4]
+        res = one_sample_t(d)
+        assert res.p_value == pytest.approx(scipy_stats.ttest_1samp(d, 0.0).pvalue, rel=1e-12, abs=0.0)
 
 
 class TestBhFdr:
