@@ -32,7 +32,6 @@ from .engine import (
     cost_intensity,
     performance_metrics,
     resolve_convention,
-    run_batch,
     run_buckets,
     run_variant,
     trade_cost,

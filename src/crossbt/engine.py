@@ -155,30 +155,14 @@ def truncated(days: int, base: EngineConvention = REFERENCE) -> EngineConvention
     return replace(base, truncate_after=days)
 
 
-def path_key(conv: EngineConvention, rate: float) -> tuple:
-    """The convention axes that change the simulated holdings and cash.
-
-    Equity reporting and truncation only change what is reported, so two
-    conventions with equal keys at a rate simulate the same path. At a zero
-    rate every fee is exactly 0.0, so the rate, multiplier and fill axes
-    drop out as well and only the trade timing is left.
-    """
-    if rate > 0.0:
-        return (
-            conv.return_timing,
-            conv.rate_interpretation,
-            conv.commission_multiplier,
-            conv.fill_sequencing,
-        )
-    return (conv.return_timing,)
-
-
 def path_convention(conv: EngineConvention, rate: float) -> EngineConvention:
-    """A full-length convention that simulates ``conv``'s path at ``rate``.
+    """The full-length convention that simulates ``conv``'s holdings path at ``rate``.
 
-    Every convention with ``conv``'s ``path_key`` derives from its run (see
-    ``run_variant``): it reports net of cost, is never truncated, and at a
-    zero rate is the atomic reference fill on ``conv``'s timing.
+    Equity reporting and truncation only change what is reported, so it
+    reports net of cost and is never truncated. At a zero rate every fee is
+    exactly 0.0, so the rate, multiplier and fill axes drop out as well: it
+    is the atomic reference fill on ``conv``'s timing. Two conventions share
+    a path at ``rate`` exactly when their path conventions are equal.
     """
     if rate > 0.0:
         return replace(conv, equity_reporting=EQUITY_POST, truncate_after=None)
@@ -456,10 +440,6 @@ def _event_weights(
     return dict(zip(days, schedule.entries.values()))
 
 
-def _reported_days(conv: EngineConvention, n_eval: int) -> int:
-    return n_eval if conv.truncate_after is None else min(conv.truncate_after, n_eval)
-
-
 def run_variant(
     schedule: WeightSchedule,
     prices: PriceMatrix,
@@ -473,44 +453,24 @@ def run_variant(
 
     Equity is reported for every calendar day from ``start`` onward (fewer
     under a truncation fault). Faults are silent by design; nothing raises
-    beyond input validation. The run is the one row of a ``run_batch``.
+    beyond input validation. The run is the one row of a ``run_buckets``.
 
     ``base`` is an earlier run of the same schedule, prices, capital, cost
-    and start under another convention, such as a row of a ``run_batch``.
-    When its ``path_key`` at this rate equals ``conv``'s and it covers the
-    days ``conv`` reports, the result is derived from it without
+    and start under another convention, such as a row of a ``run_buckets``.
+    When its ``path_convention`` at this rate equals ``conv``'s and it
+    covers the days ``conv`` reports, the result is derived from it without
     simulating (see ``_derive``), bit-identical to the simulated one.
-    ValueError for a base whose path key differs.
+    ValueError for a base on another path.
     """
-    entries = _event_weights(schedule, prices, initial_capital, start)
     if base is not None:
-        limit = _reported_days(conv, prices.n_days - start)
-        derived = _derive(base, prices, start, limit, cost.rate, conv)
+        _event_weights(schedule, prices, initial_capital, start)
+        derived = _derive(base, prices, start, cost.rate, conv)
         if derived is not None:
             return derived
-    ((series,),) = _simulate([entries], [prices], initial_capital, [conv], [cost.rate], start)
-    return series
-
-
-def run_batch(
-    schedule: WeightSchedule,
-    prices: PriceMatrix,
-    initial_capital: float,
-    rows: Sequence[tuple[EngineConvention, float]],
-    start: int = 0,
-) -> tuple[EquitySeries, ...]:
-    """Run one schedule under K ``(convention, rate)`` rows in one pass.
-
-    Row k's series is bit-identical to ``run_variant`` under its convention
-    and ``CostSpec(rate)``. The rows may differ on every convention axis
-    and in the rate, so a cost sweep is just more rows. The input checks
-    are ``run_variant``'s, the rates first. This is the one-bucket call of
-    ``run_buckets``.
-    """
-    (series,) = run_buckets([schedule], [prices], initial_capital, rows, start)
+    (series,) = run_buckets([schedule], [prices], initial_capital, [(conv, cost.rate)], start)
     if isinstance(series, ValueError):
         raise series
-    return series
+    return series[0]
 
 
 def run_buckets(
@@ -520,19 +480,27 @@ def run_buckets(
     rows: Sequence[tuple[EngineConvention, float]],
     start: int = 0,
 ) -> tuple[tuple[EquitySeries, ...] | ValueError, ...]:
-    """Run B buckets' schedules under the same K rows, stepped together.
+    """Run B buckets' schedules under the same K ``(convention, rate)`` rows.
 
-    Bucket b's entry is ``run_batch(schedules[b], prices[b], ...)``, bit
-    for bit, or the ValueError its input checks raise; the other buckets
-    run all the same. The rates are checked first, for every bucket at
-    once. The buckets must share one calendar and one width (ValueError
-    otherwise). The buckets that pass their checks run in one pass.
+    Bucket b's entry holds, for each row, ``run_variant(schedules[b],
+    prices[b], initial_capital, CostSpec(rate), conv, start)``, or is the
+    ValueError its input checks raise; the other buckets run all the same.
+    The rows may differ on every convention axis and in the rate, so a cost
+    sweep is just more rows. The rates are checked first, for every bucket
+    at once. The buckets must share one calendar and one width (ValueError
+    otherwise).
+
+    Rows with equal ``path_convention`` at one rate share a holdings path.
+    Each distinct path is simulated once, for every bucket that passes its
+    checks in one ``_simulate`` pass, and each row is ``_derive``d from its
+    path's run.
     """
-    rates = [CostSpec(rate).rate for _, rate in rows]
+    keys = [(path_convention(conv, rate), CostSpec(rate).rate) for conv, rate in rows]
     if len(schedules) != len(prices):
         raise ValueError(f"{len(schedules)} schedules for {len(prices)} price matrices")
     if any(pm.dates != prices[0].dates or pm.n_assets != prices[0].n_assets for pm in prices):
         raise ValueError("buckets must share one calendar and one width")
+    paths = list(dict.fromkeys(keys))
     out: list = [None] * len(schedules)
     entries: dict[int, dict[int, np.ndarray]] = {}
     for b, (schedule, pm) in enumerate(zip(schedules, prices)):
@@ -541,12 +509,16 @@ def run_buckets(
         except ValueError as exc:
             out[b] = exc
     if entries:
-        convs = [conv for conv, _ in rows]
         ran = _simulate(
-            list(entries.values()), [prices[b] for b in entries], initial_capital, convs, rates, start
+            list(entries.values()), [prices[b] for b in entries], initial_capital,
+            [conv for conv, _ in paths], [rate for _, rate in paths], start,
         )
         for b, series in zip(entries, ran):
-            out[b] = series
+            path = dict(zip(paths, series))
+            out[b] = tuple(
+                _derive(path[key], prices[b], start, rate, conv)
+                for key, (conv, rate) in zip(keys, rows)
+            )
     return tuple(out)
 
 
@@ -560,6 +532,8 @@ def _simulate(
 ) -> tuple[tuple[EquitySeries, ...], ...]:
     """Step the union of every row's event days once, for holdings ``(B, K, n)``.
 
+    Each row is a path: a full-length run reported net of cost, whatever
+    its convention's reporting and truncation (``_derive`` applies those).
     Bucket b trades its own weights ``entries[b]`` at its own prices
     ``prices[b]`` under each of the K rows. A row trades on its own event
     days: its bucket's days, or each one day later under shift1, where a
@@ -582,9 +556,7 @@ def _simulate(
     Pseg = P.transpose(1, 0, 2)[:, None]  # (B, 1, T, n): a segment mark per bucket
     dates, assets = prices[0].dates, [pm.assets for pm in prices]
     B, K, n = len(prices), len(convs), P.shape[2]
-    n_eval = len(dates) - start
-    limits = [_reported_days(conv, n_eval) for conv in convs]
-    end = start + max(limits, default=0)
+    end = len(dates)
 
     lag = np.array([conv.return_timing == TIMING_SHIFT1 for conv in convs], dtype=np.intp)
     days = [np.array(sorted(e), dtype=np.intp) for e in entries]
@@ -652,21 +624,19 @@ def _simulate(
     cost = np.array(cost).reshape(m, B, K)
     pre = np.array(pre).reshape(m, B, K)
     # A row reports net of the charge on the days it trades, else its mark.
-    report_net = active & np.array([conv.equity_reporting == EQUITY_POST for conv in convs], dtype=bool)
-    equity[..., union - start] = np.where(report_net, pre - cost, pre).transpose(1, 2, 0)
+    equity[..., union - start] = np.where(active, pre - cost, pre).transpose(1, 2, 0)
 
     out = []
     for b in range(B):
         bucket = []
         for k, conv in enumerate(convs):
-            limit = limits[k]
-            rows = np.flatnonzero(active[:, b, k] & (union < start + limit))
+            rows = np.flatnonzero(active[:, b, k])
             if k in sequential:
                 names = tuple(skipped.get((j, b, k), ()) for j in rows.tolist())
             else:
                 names = ((),) * len(rows)
             log = TradeLog(union[rows] - start, deltas[rows, b, k], cost[rows, b, k], pre[rows, b, k], names)
-            bucket.append(EquitySeries(dates[start : start + limit], equity[b, k, :limit], log, conv.id))
+            bucket.append(EquitySeries(dates[start:], equity[b, k], log, conv.id))
         out.append(tuple(bucket))
     return tuple(out)
 
@@ -675,32 +645,38 @@ def _derive(
     base: EquitySeries,
     prices: PriceMatrix,
     start: int,
-    limit: int,
     rate: float,
     conv: EngineConvention,
 ) -> EquitySeries | None:
-    """``conv``'s run over its first ``limit`` days from ``start``, as a view
-    of ``base``.
+    """``conv``'s run from ``start`` at ``rate``, as a view of ``base``, a run
+    on its path. The one place a convention's reporting and truncation apply.
 
-    The equity is ``base``'s prefix with each rebalance day re-reported
-    from the trade log, gross or net of the charge, exactly as the loop
-    reports it, in one fancy-index assignment; the log is ``base``'s first
-    rows up to the last day, its read-only columns shared. None where
-    ``base`` cannot give the run: it is shorter, or it is a sequential
-    fill other than ``conv``'s (a zero rate puts every fill on one path,
-    but an atomic delta of -0.0 is logged as +0.0 by a sequential fill and
-    cannot be recovered from it).
+    The run reports its first ``limit`` days (all of them, or the
+    truncation's count). Its equity is ``base``'s prefix with each
+    rebalance day re-reported from the trade log, gross or net of the
+    charge, exactly as the loop reports it, in one fancy-index assignment;
+    the log is ``base``'s first rows up to the last day, its read-only
+    columns shared. ``base`` itself when it already is that run. None where
+    ``base`` cannot give the run: it is shorter, or it is a sequential fill
+    other than ``conv``'s (a zero rate puts every fill on one path, but an
+    atomic delta of -0.0 is logged as +0.0 by a sequential fill and cannot
+    be recovered from it).
     """
     base_conv = EngineConvention.parse(base.engine_id)
-    if path_key(base_conv, rate) != path_key(conv, rate):
+    if path_convention(base_conv, rate) != path_convention(conv, rate):
         raise ValueError(
             f"base {base.engine_id!r} does not simulate the path of {conv.id!r} at rate {rate}"
         )
     if base.dates[:1] != prices.dates[start : start + 1]:
         raise ValueError(f"base starts on {base.dates[:1]}, not on day {start}")
+    limit = prices.n_days - start
+    if conv.truncate_after is not None:
+        limit = min(conv.truncate_after, limit)
     fill = base_conv.fill_sequencing
     if len(base.equity) < limit or fill not in (FILL_ATOMIC, conv.fill_sequencing):
         return None
+    if base_conv == conv and len(base.equity) == limit:
+        return base
     log = base.log.head(int(np.searchsorted(base.log.days, limit)))
     if fill != conv.fill_sequencing:
         # A sequential fill starts its deltas at +0.0 and writes only the

@@ -31,8 +31,6 @@ from .engine import (
     PerfStats,
     annual_turnover,
     cost_intensity,
-    path_convention,
-    path_key,
     performance_metrics,
     resolve_convention,
     run_buckets,
@@ -455,18 +453,12 @@ def _run_grid_task(args) -> list[tuple[str, str, float | None, list[CellResult]]
     """Run every engine for one benchmark over all its buckets; picklable for pools.
 
     Each bucket's schedule is built and checked on its own, and one
-    ``run_buckets`` call steps the buckets that pass together, one row per
-    distinct holdings path of the roster (one per ``path_key``); each cell
-    is then one ``run_variant`` call that derives its run as a view of its
-    path's row. One ``(benchmark, bucket, first weight sum, cells)`` per
-    bucket.
+    ``run_buckets`` call runs the roster's rows over the buckets that pass,
+    simulating each holdings path once; each cell is then one
+    ``run_variant`` call with its own row as the base. One ``(benchmark,
+    bucket, first weight sum, cells)`` per bucket.
     """
     bm_id, buckets, eval_start, rate, roster, capital = args
-    paths: dict[tuple, EngineConvention] = {}
-    for _, conv in roster:
-        key = path_key(conv, rate)
-        if key not in paths:
-            paths[key] = path_convention(conv, rate)
     out = []
     built = []
     for bucket_id, bucket_pm in buckets:
@@ -484,7 +476,7 @@ def _run_grid_task(args) -> list[tuple[str, str, float | None, list[CellResult]]
         [schedule for _, _, schedule, _ in built],
         [bucket_pm for _, bucket_pm, _, _ in built],
         capital,
-        [(conv, rate) for conv in paths.values()],
+        [(conv, rate) for _, conv in roster],
         eval_start,
     )
     for (bucket_id, bucket_pm, schedule, first_w), rows in zip(built, batches):
@@ -493,14 +485,10 @@ def _run_grid_task(args) -> list[tuple[str, str, float | None, list[CellResult]]
             msg = f"{type(rows).__name__}: {rows}"
             out.append((bm_id, bucket_id, first_w, _failed(bm_id, bucket_id, roster, msg)))
             continue
-        bases = dict(zip(paths, rows))
         cells: list[CellResult] = []
-        for engine_id, conv in roster:
+        for (engine_id, conv), row in zip(roster, rows):
             try:
-                series = run_variant(
-                    schedule, bucket_pm, capital, CostSpec(rate), conv, eval_start,
-                    base=bases[path_key(conv, rate)],
-                )
+                series = run_variant(schedule, bucket_pm, capital, CostSpec(rate), conv, eval_start, base=row)
                 cells.append(
                     CellResult(
                         bm_id,

@@ -341,7 +341,7 @@ def wilcoxon_signed_rank(diffs: Sequence[float]) -> TestResult:
     if dev <= 0.5:
         p = 1.0
     else:
-        p = 2.0 * (1.0 - normal_cdf((dev - 0.5) / sd))
+        p = 2.0 * normal_cdf(-(dev - 0.5) / sd)
     return TestResult(w_plus, _clamp_p(min(p, 1.0)), "wilcoxon-normal", n)
 
 
@@ -440,16 +440,17 @@ def lin_ccc(x: Sequence[float], y: Sequence[float]) -> float:
     return 2.0 * sxy / denom
 
 
-def _centred_r(a: np.ndarray, b: np.ndarray) -> float | None:
-    """Pearson r of two equal-length vectors, clipped to [-1, 1]; None when
-    either is constant."""
-    sa = a - a.mean()
-    sb = b - b.mean()
-    na = float(np.sqrt((sa**2).sum()))
-    nb = float(np.sqrt((sb**2).sum()))
-    if na == 0.0 or nb == 0.0:
-        return None
-    return min(max(float(sa @ sb) / (na * nb), -1.0), 1.0)
+def _centred_r(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson r of each row pair of two (..., n) arrays, over the last axis,
+    clipped to [-1, 1], and the mask of pairs with a constant row, whose r is
+    undefined. ``np.vecdot`` reduces each row as ``float(a @ b)`` does."""
+    sa = a - a.mean(axis=-1, keepdims=True)
+    sb = b - b.mean(axis=-1, keepdims=True)
+    na = np.sqrt((sa**2).sum(axis=-1))
+    nb = np.sqrt((sb**2).sum(axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.clip(np.vecdot(sa, sb) / (na * nb), -1.0, 1.0)
+    return r, (na == 0.0) | (nb == 0.0)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> TestResult:
@@ -459,9 +460,10 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> TestResult:
     n = len(a)
     if n < 3:
         raise ValueError("need at least 3 points")
-    r = _centred_r(a, b)
-    if r is None:
+    r, constant = _centred_r(a, b)
+    if constant:
         return TestResult(math.nan, None, "pearson", n, degenerate=True)
+    r = float(r)
     if 1.0 - r * r <= 0.0:
         return TestResult(r, _TINY_P, "pearson", n)
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
@@ -488,13 +490,8 @@ def spearman_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     k, n = rx.shape
     if n < 3:
         return np.zeros(k)
-    sa = rx - rx.mean(axis=-1, keepdims=True)
-    sb = ry - ry.mean(axis=-1, keepdims=True)
-    na = np.sqrt((sa**2).sum(axis=-1))
-    nb = np.sqrt((sb**2).sum(axis=-1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.clip(np.vecdot(sa, sb) / (na * nb), -1.0, 1.0)
-    r[(na == 0.0) | (nb == 0.0)] = 0.0
+    r, constant = _centred_r(rx, ry)
+    r[constant] = 0.0
     return r
 
 
@@ -536,7 +533,7 @@ def lag1_autocorr(series: Sequence[float]) -> TestResult:
     x = np.asarray(series, dtype=float)
     if len(x) < 3:
         raise ValueError("need at least 3 points")
-    r = _centred_r(x[:-1], x[1:])
-    if r is None:
+    r, constant = _centred_r(x[:-1], x[1:])
+    if constant:
         return TestResult(math.nan, None, "lag1", len(x), degenerate=True)
-    return TestResult(r, None, "lag1", len(x))
+    return TestResult(float(r), None, "lag1", len(x))

@@ -26,10 +26,9 @@ from crossbt.engine import (
     WeightSchedule,
     annual_turnover,
     cost_intensity,
-    path_key,
+    path_convention,
     performance_metrics,
     resolve_convention,
-    run_batch,
     run_buckets,
     run_variant,
     trade_cost,
@@ -305,14 +304,15 @@ class TestPathKey:
     def test_zero_rate_leaves_only_the_timing(self):
         for name, conv in CONVENTIONS.items():
             same = name != "shifted_one_day"
-            assert (path_key(conv, 0.0) == path_key(REFERENCE, 0.0)) == same, name
-        assert path_key(CONVENTIONS["shifted_one_day"], 0.0) == (TIMING_SHIFT1,)
+            assert (path_convention(conv, 0.0) == REFERENCE) == same, name
+        shifted = CONVENTIONS["shifted_one_day"]
+        assert path_convention(replace(shifted, fill_sequencing=FILL_FIFO), 0.0) == shifted
 
     def test_positive_rate_keeps_the_cost_and_fill_axes(self):
         shared = {"reference", "pre_trade"}
         for name, conv in CONVENTIONS.items():
-            assert (path_key(conv, 1e-4) == path_key(REFERENCE, 1e-4)) == (name in shared), name
-        assert path_key(truncated(5, CONVENTIONS["pre_trade"]), 1e-4) == path_key(REFERENCE, 1e-4)
+            assert path_convention(conv, 1e-4) == (REFERENCE if name in shared else conv), name
+        assert path_convention(truncated(5, CONVENTIONS["pre_trade"]), 1e-4) == REFERENCE
 
     @pytest.fixture
     def daily(self, small_universe):
@@ -332,6 +332,28 @@ class TestPathKey:
         base = run_variant(*args, REFERENCE, 30)
         with pytest.raises(ValueError, match="does not simulate the path"):
             run_variant(*args, CONVENTIONS["fifo_sequential"], 30, base=base)
+
+    def test_rows_on_one_path_reach_the_simulation_as_one_row(self, small_universe, daily, monkeypatch):
+        simulate = enginemod._simulate
+        passes = []
+
+        def spy(entries, prices, capital, convs, rates, start):
+            passes.append(list(zip(convs, rates)))
+            return simulate(entries, prices, capital, convs, rates, start)
+
+        monkeypatch.setattr(enginemod, "_simulate", spy)
+        fifo, shifted = CONVENTIONS["fifo_sequential"], CONVENTIONS["shifted_one_day"]
+        rows = [(REFERENCE, 0.0018), (CONVENTIONS["pre_trade"], 0.0018), (truncated(40), 0.0018),
+                (fifo, 0.0018), (REFERENCE, 0.0), (CONVENTIONS["pre_trade"], 0.0), (truncated(40), 0.0),
+                (fifo, 0.0), (shifted, 0.0), (truncated(40, shifted), 0.0)]
+        (got,) = run_buckets([daily], [small_universe], 1e6, rows, 30)
+        assert passes == [[(REFERENCE, 0.0018), (fifo, 0.0018), (REFERENCE, 0.0), (shifted, 0.0)]]
+        for series, (conv, rate) in zip(got, rows):
+            assert_same_run(series, run_variant_per_day(daily, small_universe, 1e6, CostSpec(rate), conv, 30))
+        # A row that is its path's run is returned as it is, not derived again.
+        args = (daily, small_universe, 1e6, CostSpec(0.0018))
+        assert run_variant(*args, REFERENCE, 30, base=got[0]) is got[0]
+        assert run_variant(*args, truncated(40), 30, base=got[2]) is got[2]
 
     @pytest.mark.parametrize("name", ["pre_trade", "fifo_sequential"])
     def test_a_write_through_a_derived_run_leaves_its_base_alone(self, small_universe, daily, name):
@@ -722,14 +744,22 @@ class TestPerDayOracle:
                 assert_same_run(run_variant(*args), run_variant_per_day(*args))
 
 
+def one_bucket(schedule, pm, capital, rows, start=0):
+    """The K series of a one-bucket ``run_buckets``; its input checks raise."""
+    (series,) = run_buckets([schedule], [pm], capital, rows, start)
+    if isinstance(series, ValueError):
+        raise series
+    return series
+
+
 class TestBatch:
-    """``run_batch`` against one per-day loop per row, bit for bit."""
+    """One bucket of ``run_buckets`` against one per-day loop per row, bit for bit."""
 
     @given(run=batch_runs())
     @settings(max_examples=250, deadline=None)
     def test_rows_equal_separate_per_day_runs(self, run):
         schedule, pm, capital, rows, start = run
-        batch = run_batch(schedule, pm, capital, rows, start)
+        batch = one_bucket(schedule, pm, capital, rows, start)
         assert len(batch) == len(rows)
         alone = [run_variant_per_day(schedule, pm, capital, CostSpec(rate), conv, start)
                  for conv, rate in rows]
@@ -738,7 +768,7 @@ class TestBatch:
         # Each row is a base for every drawn convention on its path.
         for series, (conv, rate) in zip(batch, rows):
             for (other, other_rate), want in zip(rows, alone):
-                if other_rate == rate and path_key(other, rate) == path_key(conv, rate):
+                if other_rate == rate and path_convention(other, rate) == path_convention(conv, rate):
                     derived = run_variant(schedule, pm, capital, CostSpec(rate), other, start, base=series)
                     assert_same_run(derived, want)
 
@@ -749,7 +779,7 @@ class TestBatch:
                              replace(CONVENTIONS["fifo_sequential"], return_timing=TIMING_SHIFT1,
                                      rate_interpretation=RATE_DIV100, commission_multiplier=3),
                              CONVENTIONS["shifted_one_day"], truncated(50, CONVENTIONS["pre_trade"]))]
-        batch = run_batch(sched, small_universe, 1e6, rows, 30)
+        batch = one_bucket(sched, small_universe, 1e6, rows, 30)
         assert any(tr.skipped for series in batch for tr in series.trades)
         for series, (conv, rate) in zip(batch, rows):
             want = run_variant_per_day(sched, small_universe, 1e6, CostSpec(rate), conv, 30)
@@ -757,22 +787,22 @@ class TestBatch:
 
     def test_checks_are_run_variants(self, tiny_panel, half_half):
         with pytest.raises(ValueError, match="cost rate"):
-            run_batch(WeightSchedule({"0": np.ones(2)}), tiny_panel, 1.0, [(REFERENCE, 1.0)])
+            one_bucket(WeightSchedule({"0": np.ones(2)}), tiny_panel, 1.0, [(REFERENCE, 1.0)])
         with pytest.raises(ValueError, match="precedes evaluation start"):
-            run_batch(half_half, tiny_panel, 1000.0, [(REFERENCE, 0.0)], 1)
-        assert run_batch(half_half, tiny_panel, 1000.0, []) == ()
+            one_bucket(half_half, tiny_panel, 1000.0, [(REFERENCE, 0.0)], 1)
+        assert one_bucket(half_half, tiny_panel, 1000.0, []) == ()
 
 
     @given(run=subset_batch_runs())
     @settings(max_examples=150, deadline=None)
     def test_rows_on_subset_prices_equal_separate_per_day_runs(self, run):
         schedule, pm, capital, rows, start = run
-        for series, (conv, rate) in zip(run_batch(schedule, pm, capital, rows, start), rows):
+        for series, (conv, rate) in zip(one_bucket(schedule, pm, capital, rows, start), rows):
             assert_same_run(series, run_variant_per_day(schedule, pm, capital, CostSpec(rate), conv, start))
 
 
 class TestBuckets:
-    """``run_buckets`` against one ``run_batch`` per bucket, bit for bit."""
+    """``run_buckets`` against one one-bucket call per bucket, bit for bit."""
 
     @given(run=bucket_runs())
     @settings(max_examples=200, deadline=None)
@@ -782,7 +812,7 @@ class TestBuckets:
         assert len(together) == len(schedules)
         for schedule, pm, got in zip(schedules, pms, together):
             try:
-                want = run_batch(schedule, pm, capital, rows, start)
+                want = one_bucket(schedule, pm, capital, rows, start)
             except ValueError as exc:
                 assert isinstance(got, ValueError) and str(got) == str(exc)
                 continue
@@ -848,7 +878,7 @@ class TestBuckets:
 
 
 class TestVecdotPremise:
-    """``run_batch`` (and so ``run_variant``, a one-row batch) marks the days
+    """``run_buckets`` (and so ``run_variant``, a one-row call) marks the days
     between event days with one ``np.vecdot`` and is bit-identical to the
     per-day loop only because ``vecdot`` reduces each row with the same BLAS
     dot as ``float(h @ p)``, and ``np.add.reduce`` sums each row of a block as
@@ -868,7 +898,7 @@ class TestVecdotPremise:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_batched_rows_equal_per_row_dots(self, order):
-        """``run_batch`` marks K rows of holdings at once: the segment mark
+        """``run_buckets`` marks K rows of holdings at once: the segment mark
         ``np.vecdot(P[a:b], H[:, None, :])`` and the day's ``np.vecdot(H, p)``."""
         rng = np.random.default_rng(12)
         for K in range(1, 9):
@@ -884,7 +914,7 @@ class TestVecdotPremise:
                 assert np.array_equal(np.vecdot(H, P[4]), [float(h @ P[4]) for h in H]), (K, n)
 
     def test_batched_row_sums_equal_per_row_sums(self):
-        """``run_batch`` sums each row of its C-ordered ``(K, n)`` deltas in one
+        """``run_buckets`` sums each row of its C-ordered ``(K, n)`` deltas in one
         ``np.add.reduce``; widths past 8 and 128 reach numpy's pairwise
         blocks. (A Fortran-ordered block is summed column by column instead,
         which is why the batch keeps its deltas in C order.)"""

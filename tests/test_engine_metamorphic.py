@@ -29,13 +29,13 @@ from crossbt.engine import (
     EngineConvention,
     WeightSchedule,
     annual_turnover,
-    path_key,
+    path_convention,
     run_variant,
     truncated,
 )
 from crossbt.marketdata import TRADING_DAYS_PER_YEAR, PriceMatrix
 
-from oracles import backtest_loop
+from oracles import backtest_loop, run_variant_per_day
 from test_engine import assert_same_run
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -155,8 +155,9 @@ def test_truncation_is_a_prefix_of_the_full_run(case, days):
 @settings(max_examples=30, deadline=None)
 def test_a_run_derived_from_a_base_on_its_path_equals_the_simulated_run(case, days):
     # Every pair of conventions over every axis (both cost axes moved at
-    # once): where the path keys agree the base yields the run bit for bit
-    # (or the run is simulated), and where they differ the base is an error.
+    # once): where the path conventions agree the base yields the per-day
+    # loop's run bit for bit (or the run is simulated), and where they
+    # differ the base is an error.
     pm, schedule, rate, capital = case
     convs = [
         EngineConvention(eq, rate_mode, k, fill, timing, trunc)
@@ -166,12 +167,13 @@ def test_a_run_derived_from_a_base_on_its_path_equals_the_simulated_run(case, da
         for timing in (TIMING_ALIGNED, TIMING_SHIFT1)
         for trunc in (None, days)
     ]
-    simulated = {conv: _run(case, conv) for conv in convs}
+    runs = {conv: _run(case, conv) for conv in convs}
     for conv in convs:
         args = (schedule, pm, capital, CostSpec(rate), conv)
-        for base_conv, base in simulated.items():
-            if path_key(conv, rate) == path_key(base_conv, rate):
-                assert_same_run(run_variant(*args, base=base), simulated[conv])
+        want = run_variant_per_day(*args)
+        for base_conv, base in runs.items():
+            if path_convention(conv, rate) == path_convention(base_conv, rate):
+                assert_same_run(run_variant(*args, base=base), want)
             else:
                 with pytest.raises(ValueError, match="does not simulate the path"):
                     run_variant(*args, base=base)

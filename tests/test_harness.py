@@ -19,7 +19,6 @@ from crossbt.engine import (
     CostSpec,
     WeightSchedule,
     annual_turnover,
-    path_key,
     performance_metrics,
     resolve_convention,
     run_buckets,
@@ -313,10 +312,10 @@ def _cells_equal(a: CellResult, b: CellResult) -> bool:
 
 
 class TestGridTask:
-    """``_run_grid_task`` steps all buckets of a benchmark in one stacked
-    pass, simulating each distinct holdings path once per bucket, and
-    derives every cell from its path's row; every cell must still be the
-    cell of its own run."""
+    """``_run_grid_task`` runs the roster's rows over all buckets of a
+    benchmark in one ``run_buckets`` call, which simulates each distinct
+    holdings path once, and makes each cell one ``run_variant`` call with
+    its row as the base; every cell must still be the cell of its own run."""
 
     @staticmethod
     def _cell_bits(c: CellResult) -> tuple:
@@ -367,14 +366,11 @@ class TestGridTask:
             counted["batch"].clear()
             counted["variant"].clear()
             results = harness._run_grid_task((bm, buckets, 0, rate, roster, 1e6))
-            # One pass over every bucket with one row per distinct path, then
-            # one call per cell.
+            # One call over every bucket with the roster's rows, then one
+            # call per cell.
             [(n_buckets, rows)] = counted["batch"]
             assert n_buckets == len(buckets)
-            assert [path_key(conv, rate) for conv in rows] == list(
-                dict.fromkeys(path_key(conv, rate) for _, conv in roster)
-            )
-            assert len(rows) < len(roster)
+            assert rows == [conv for _, conv in roster]
             assert counted["variant"] == [conv for _, conv in roster] * len(buckets)
             assert [(b, bucket) for b, bucket, _, _ in results] == [(bm, bucket) for bucket, _ in buckets]
             for (bucket, bucket_pm), (_, _, first_w, cells) in zip(buckets, results):

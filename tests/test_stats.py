@@ -219,7 +219,7 @@ class TestWilcoxon:
             mine = wilcoxon_signed_rank(d)
             w_ref, p_ref = wilcoxon_enumeration(list(d))
             assert mine.statistic == pytest.approx(w_ref, rel=1e-12)
-            assert mine.p_value == pytest.approx(p_ref, rel=1e-12)
+            assert mine.p_value == pytest.approx(p_ref, rel=1e-12, abs=0.0)
 
     def test_normal_approx_close_to_exact_at_n25(self):
         rng = np.random.default_rng(1234)
@@ -237,7 +237,15 @@ class TestWilcoxon:
         d = rng.normal(0.5, 1.0, 15)
         mine = wilcoxon_signed_rank(d)
         ref = scipy_stats.wilcoxon(d, alternative="two-sided", mode="exact")
-        assert mine.p_value == pytest.approx(ref.pvalue, rel=1e-9)
+        assert mine.p_value == pytest.approx(ref.pvalue, rel=1e-9, abs=0.0)
+
+    def test_normal_tail_keeps_its_digits(self):
+        # Past n = 20 the p-value is a normal tail; for 100 positive
+        # differences it lies near 4e-18, where 1 - normal_cdf(z) rounds to 0.
+        res = wilcoxon_signed_rank(list(range(1, 101)))
+        assert res.method == "wilcoxon-normal"
+        # scipy.stats.wilcoxon(range(1, 101), correction=True, method="approx")
+        assert res.p_value == pytest.approx(3.955911608899571e-18, rel=1e-12, abs=0.0)
 
 
 class TestPermutation:
@@ -256,7 +264,7 @@ class TestPermutation:
             d = rng.normal(0.4, 1.0, n)
             res = sign_flip_permutation(d, exhaustive=True)
             hits, total = sign_flip_count(list(d))
-            assert res.p_value == pytest.approx(hits / total, rel=1e-12)
+            assert res.p_value == pytest.approx(hits / total, rel=1e-12, abs=0.0)
 
     def test_addone_estimator_bounds(self):
         rng = np.random.default_rng(5)
@@ -324,8 +332,8 @@ class TestTost:
         se = d.std(ddof=1) / math.sqrt(len(d))
         t_low = (d.mean() + margin) / se
         t_up = (d.mean() - margin) / se
-        assert res.p_lower == pytest.approx(1 - scipy_stats.t.cdf(t_low, 4), rel=1e-9)
-        assert res.p_upper == pytest.approx(scipy_stats.t.cdf(t_up, 4), rel=1e-9)
+        assert res.p_lower == pytest.approx(1 - scipy_stats.t.cdf(t_low, 4), rel=1e-9, abs=0.0)
+        assert res.p_upper == pytest.approx(scipy_stats.t.cdf(t_up, 4), rel=1e-9, abs=0.0)
 
 
 class TestConcordance:
@@ -370,11 +378,11 @@ class TestCorrelations:
         mine = spearman(x, y)
         ref = scipy_stats.spearmanr(x, y)
         assert mine.statistic == pytest.approx(ref.statistic, rel=1e-12)
-        assert mine.p_value == pytest.approx(ref.pvalue, rel=1e-9)
+        assert mine.p_value == pytest.approx(ref.pvalue, rel=1e-9, abs=0.0)
         mine_p = pearson(x, y)
         ref_p = scipy_stats.pearsonr(x, y)
         assert mine_p.statistic == pytest.approx(ref_p.statistic, rel=1e-12)
-        assert mine_p.p_value == pytest.approx(ref_p.pvalue, rel=1e-6)
+        assert mine_p.p_value == pytest.approx(ref_p.pvalue, rel=1e-6, abs=0.0)
 
     def test_p_in_unit_interval_even_when_perfect(self):
         res = pearson([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
