@@ -6,6 +6,14 @@ Mahalanobis balance score is retained. Each candidate draws from its own
 RNG substream keyed by (seed, candidate index), so batched and serial
 candidate generation agree: ``rerandomize`` samples and scores candidates in
 vectorised blocks, and ``sample_partition`` is the single-draw reference.
+
+The batched sampler fills one bucket at a time rather than placing one
+asset at a time. The greedy fill offers each asset to the buckets in order,
+so bucket b only ever sees the assets buckets 0 to b - 1 left, in shuffle
+order. Under the sector constraint it takes the first of each of the
+``bucket_size`` sectors that turn up earliest among them; without it, the
+first ``bucket_size`` of them. That is the partition the asset-by-asset
+fill builds, and a bucket step needs only each sector's next untaken asset.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .marketdata import TRADING_DAYS_PER_YEAR, PriceMatrix, correlation_matrix
-from .rng import substream
+from .rng import substream_state
 from .stats import chi2_sf
 
 COVARIATE_NAMES = ("ann_vol", "mean_corr", "log_return")
@@ -224,6 +232,41 @@ def sample_partition(
     )
 
 
+def _bucket_positions(
+    orders: np.ndarray, sector_codes: np.ndarray, bucket_size: int, n_buckets: int
+) -> np.ndarray:
+    """Shuffle positions that each bucket of the sector-constrained greedy
+    fill takes, one bucket step at a time (see ``_sample_block``), for a
+    (rows, n_assets) block of shuffles. Returns (rows, n_buckets,
+    bucket_size) positions in ascending order per bucket; a bucket that
+    found too few sectors holds the sentinel position n_assets."""
+    n_rows, n_assets = orders.shape
+    sizes = np.bincount(sector_codes)
+    n_sectors = len(sizes)
+    # A row of ``queue`` lists each sector's shuffle positions in ascending
+    # order, one sector after another, each followed by the sentinel.
+    heads = np.concatenate(([0], np.cumsum(sizes + 1)[:-1]))
+    listed = np.ones(n_assets + n_sectors, dtype=bool)
+    listed[heads + sizes] = False
+    # Sector at each shuffle position; the sentinel belongs to the extra
+    # sector n_sectors, whose pointer nothing reads.
+    sector = np.full((n_rows, n_assets + 1), n_sectors, dtype=np.min_scalar_type(n_sectors))
+    sector[:, :n_assets] = sector_codes[orders]
+    queue = np.full((n_rows, n_assets + n_sectors), n_assets, dtype=np.intp)
+    queue[:, listed] = np.argsort(sector[:, :n_assets], axis=1, kind="stable")
+    # Column in ``queue`` of each sector's first untaken asset.
+    pointers = np.zeros((n_rows, n_sectors + 1), dtype=np.intp)
+    pointers[:, :n_sectors] = heads
+    row = np.arange(n_rows)[:, None]
+    taken = np.empty((n_rows, n_buckets, bucket_size), dtype=np.intp)
+    for b in range(n_buckets):
+        nxt = queue[row, pointers[:, :n_sectors]]
+        nxt.sort(axis=1)
+        taken[:, b] = nxt[:, :bucket_size]
+        pointers[row, sector[row, taken[:, b]]] += 1
+    return taken
+
+
 def _sample_block(
     seed: int,
     first: int,
@@ -237,40 +280,47 @@ def _sample_block(
     (count, n_buckets, bucket_size), each equal to ``sample_partition`` on
     ``substream(seed, candidate)``.
 
-    The greedy first-fit advances one shuffle position at a time across every
-    pending candidate. Each round gives every candidate still pending its next
-    restart, so each draws its shuffles from its own substream in the serial
-    order. ``sector_codes`` holds an integer sector per asset, or None when the
-    sector constraint is off.
+    The greedy first-fit is run one bucket at a time. Bucket b sees, in
+    shuffle order, the assets that buckets 0 to b - 1 did not take, because
+    an asset is offered to the buckets in order and stays with the first one
+    that accepts it. Bucket b accepts an asset while it has room and lacks
+    the asset's sector, so it takes the first free asset of each of the
+    ``bucket_size`` sectors whose first free asset comes earliest, and holds
+    them in shuffle order. Each sector's taken assets are thus always a
+    prefix of that sector's assets in shuffle order, and one pointer per
+    (candidate, sector) is all the state a bucket step needs. A candidate
+    fails exactly when some bucket finds fewer than ``bucket_size`` sectors
+    with a free asset left. With the sector constraint off (``sector_codes``
+    None), bucket b takes shuffle positions b * bucket_size to
+    (b + 1) * bucket_size - 1 and never fails.
+
+    ``sector_codes`` holds an integer sector per asset; with it, the caller
+    ensures ``bucket_size`` does not exceed the number of sectors. Each
+    round gives every candidate still pending its next restart. One Philox
+    draws every shuffle: it is set to the candidate's substream, or to where
+    that stream stopped, before each draw, so each candidate draws its
+    shuffles from its own substream in the serial order.
     """
-    rngs = [substream(seed, first + j) for j in range(count)]
+    bits = np.random.Philox(0)
+    shuffle = np.random.Generator(bits)
+    streams = [substream_state(seed, first + j) for j in range(count)]
     members = np.empty((count, n_buckets, bucket_size), dtype=np.intp)
     pending = np.arange(count)
-    if sector_codes is not None:
-        n_sectors = int(sector_codes.max()) + 1
     for _ in range(MAX_RESTARTS):
-        orders = np.stack([rngs[j].permutation(n_assets) for j in pending])
-        rows = np.arange(len(pending))
-        fill = np.zeros((len(pending), n_buckets), dtype=np.intp)
-        slots = np.empty((len(pending), n_buckets, bucket_size), dtype=np.intp)
-        if sector_codes is not None:
-            occupied = np.zeros((len(pending), n_sectors, n_buckets), dtype=bool)
-        for assets in orders.T:
-            # A complete candidate has no open bucket left, so it places no
-            # more assets, just as the serial sampler stops early.
-            open_ = fill < bucket_size
-            if sector_codes is not None:
-                sector = sector_codes[assets]
-                open_ &= ~occupied[rows, sector]
-            target = open_.argmax(axis=1)
-            placed = open_[rows, target]
-            r, b = rows[placed], target[placed]
-            slots[r, b, fill[r, b]] = assets[placed]
-            fill[r, b] += 1
-            if sector_codes is not None:
-                occupied[r, sector[placed], b] = True
-        done = (fill == bucket_size).all(axis=1)
-        members[pending[done]] = slots[done]
+        orders = np.empty((len(pending), n_assets), dtype=np.intp)
+        for row, j in enumerate(pending):
+            bits.state = streams[j]
+            orders[row] = shuffle.permutation(n_assets)
+            streams[j] = bits.state
+        if sector_codes is None:
+            members[pending] = orders[:, : n_buckets * bucket_size].reshape(-1, n_buckets, bucket_size)
+            return members
+        taken = _bucket_positions(orders, sector_codes, bucket_size, n_buckets)
+        done = (taken < n_assets).all(axis=(1, 2))
+        positions = taken[done].reshape(-1, n_buckets * bucket_size)
+        members[pending[done]] = np.take_along_axis(orders[done], positions, axis=1).reshape(
+            -1, n_buckets, bucket_size
+        )
         pending = pending[~done]
         if len(pending) == 0:
             return members

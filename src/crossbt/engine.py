@@ -249,17 +249,6 @@ class WeightSchedule:
         first = min(self.entries, key=lambda d: index[d])
         return float(np.sum(self.entries[first]))
 
-    def to_csv(self, path: str, prices: PriceMatrix) -> None:
-        import csv as _csv
-
-        index = prices.date_index()
-        with open(path, "w", newline="") as f:
-            writer = _csv.writer(f)
-            writer.writerow(["date", "asset", "weight"])
-            for date in sorted(self.entries, key=lambda d: index[d]):
-                for asset, w in zip(prices.assets, self.entries[date]):
-                    writer.writerow([date, asset, repr(float(w))])
-
 
 @dataclass(frozen=True)
 class TradeRecord:

@@ -1074,9 +1074,3 @@ def emit_reports(bundle: ReportBundle, directory: str) -> list[str]:
             json.dump(payload, f, sort_keys=True, indent=2)
         paths.append(path)
     return paths
-
-
-def read_table_csv(path: str) -> list[dict]:
-    """Inverse of write_table_csv with numeric fields left as strings."""
-    with open(path, newline="") as f:
-        return list(csv.DictReader(f))

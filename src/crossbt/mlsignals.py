@@ -8,7 +8,6 @@ come from the prior day's close.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Protocol
@@ -283,14 +282,3 @@ def walk_forward_signal(
         ranking = tuple(int(i) for i in np.lexsort((np.arange(n), -pred)))
         out.append(SignalRank(pm.dates[t], pred, ranking))
     return out
-
-
-def signals_to_csv(signals: Sequence[SignalRank], assets: Sequence[str], path: str) -> None:
-    """Long-format export: date, asset, predicted return, rank."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["date", "asset", "predicted_return", "rank"])
-        for sig in signals:
-            rank_of = {a: r for r, a in enumerate(sig.ranking, start=1)}
-            for i, asset in enumerate(assets):
-                writer.writerow([sig.date, asset, repr(float(sig.predicted[i])), rank_of[i]])

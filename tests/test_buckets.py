@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossbt import buckets as bucketmod
@@ -75,6 +75,21 @@ def _universes(draw):
     assets = tuple(f"A{i}" for i in range(n_assets))
     sectors = {a: f"s{k}" for a, k in zip(assets, labels)}
     return CovariateTable(assets, values), sectors, bucket_size, n_buckets
+
+
+@st.composite
+def _layouts(draw):
+    """Sector codes of a universe with uneven sectors, and a bucket layout
+    that may leave assets over or find no feasible partition at all."""
+    n_sectors = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 7), min_size=n_sectors, max_size=n_sectors))
+    codes = draw(st.permutations(np.repeat(np.arange(n_sectors), sizes).tolist()))
+    bucket_size = draw(st.integers(1, n_sectors))
+    # Layouts that use nearly every asset are the ones where a shuffle can
+    # dead-end and the candidate restarts.
+    most = len(codes) // bucket_size
+    n_buckets = draw(st.one_of(st.integers(max(1, most - 1), most), st.integers(1, most)))
+    return np.array(codes, dtype=np.intp), bucket_size, n_buckets
 
 
 def _panel(prices, sectors=None):
@@ -260,6 +275,46 @@ class TestRerandomize:
         buckets, score = _serial_rerandomize(*args, sector_constraint=sector_constraint)
         assert part.buckets == buckets
         assert part.score == score
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        layout=_layouts(),
+        seed=st.integers(-2**64, 2**66),
+        first=st.integers(0, 2**64 - 1),
+        count=st.integers(1, 6),
+        sector_constraint=st.booleans(),
+    )
+    # One sector must go in every bucket: candidates 3 and 6 take four
+    # shuffles each, 4 and 5 one.
+    @example(layout=(np.array([0, 0, 0, 0, 1, 2, 3, 4]), 2, 4), seed=0, first=3,
+             count=4, sector_constraint=True)
+    # Six of eight assets in one sector: two buckets of three never fit.
+    @example(layout=(np.array([0, 0, 0, 1, 0, 2, 0, 0]), 3, 2), seed=1, first=3,
+             count=2, sector_constraint=True)
+    @example(layout=(np.array([0, 0, 0, 1, 0, 2, 0, 0]), 3, 2), seed=1, first=3,
+             count=2, sector_constraint=False)
+    def test_each_block_candidate_matches_serial_reference(self, layout, seed, first, count,
+                                                           sector_constraint):
+        codes, bucket_size, n_buckets = layout
+        n = len(codes)
+        serial = []
+        for j in range(count):
+            try:
+                serial.append(sample_partition(n, codes.tolist(), bucket_size, n_buckets,
+                                               substream(seed, first + j), sector_constraint))
+            except InfeasibleConstraint:
+                serial.append(None)
+        args = (seed, first, count, n, codes if sector_constraint else None, bucket_size,
+                n_buckets)
+        if None in serial:
+            # A block fails when any of its candidates exhausts its restarts.
+            with pytest.raises(InfeasibleConstraint):
+                bucketmod._sample_block(*args)
+        else:
+            block = bucketmod._sample_block(*args)
+            assert block.shape == (count, n_buckets, bucket_size)
+            for j in range(count):
+                assert block[j].tolist() == serial[j]
 
     def test_infeasible_layout_raises_in_batch_and_serial(self):
         # Six of eight assets share one sector: two buckets of three cannot

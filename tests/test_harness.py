@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 import subprocess
@@ -32,7 +33,6 @@ from crossbt.harness import (
     RunConfig,
     analyze,
     emit_reports,
-    read_table_csv,
     run_suite,
     validate_results,
 )
@@ -1049,7 +1049,8 @@ class TestAnalyzeOracle:
 class TestEmit:
     def test_emitted_tables_reload(self, tmp_path, demo_bundle):
         paths = emit_reports(demo_bundle, str(tmp_path))
-        records = read_table_csv(str(tmp_path / "divergence_records.csv"))
+        with open(tmp_path / "divergence_records.csv", newline="") as f:
+            records = list(csv.DictReader(f))
         assert len(records) == len(demo_bundle.tables["divergence_records"])
         for row, orig in zip(records, demo_bundle.tables["divergence_records"]):
             assert float(row["rel_diff_pct"]) == orig["rel_diff_pct"]

@@ -14,7 +14,6 @@ from crossbt.mlsignals import (
     build_features,
     feature_panel,
     fit_elastic_net,
-    signals_to_csv,
     walk_forward_signal,
 )
 
@@ -329,15 +328,6 @@ class TestWalkForward:
     def test_gap_shorter_than_horizon_rejected(self):
         with pytest.raises(ValueError):
             WalkForwardConfig(gap=10, horizon=21)
-
-    def test_csv_export(self, tmp_path):
-        pm = generate_synthetic(SynthSpec(n_assets=3, n_days=320, seed=1, annual_vol=0.2))
-        signals = walk_forward_signal(pm, [280], WalkForwardConfig())
-        path = tmp_path / "signals.csv"
-        signals_to_csv(signals, pm.assets, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "date,asset,predicted_return,rank"
-        assert len(lines) == 1 + 3
 
     def test_top_n_gives_equal_weight_regardless_of_fit(self):
         from crossbt.strategies import ml_signal

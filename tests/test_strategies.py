@@ -287,10 +287,3 @@ class TestRegistry:
             assert a.entries.keys() == b.entries.keys()
             for date in a.entries:
                 assert np.array_equal(a.entries[date], b.entries[date])
-
-    def test_schedule_csv_export(self, tmp_path, small_universe):
-        sched = equal_weight(small_universe)
-        path = tmp_path / "sched.csv"
-        sched.to_csv(str(path), small_universe)
-        header = path.read_text().splitlines()[0]
-        assert header == "date,asset,weight"
