@@ -71,7 +71,6 @@ from .mlsignals import (
 )
 from .riskmetrics import (
     DivergenceRecord,
-    EngineSample,
     NotEnoughEngines,
     UndefinedAmplification,
     csi,
@@ -80,7 +79,6 @@ from .riskmetrics import (
     es_cv,
     es_range,
     floor_decomposition,
-    implementation_risk,
     iui,
     pairwise_divergence,
 )

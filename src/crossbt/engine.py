@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -96,6 +96,7 @@ class EngineConvention:
         )
 
     @classmethod
+    @lru_cache(maxsize=256)
     def parse(cls, text: str) -> "EngineConvention":
         parts = text.split("|")
         if len(parts) != 6:
@@ -155,6 +156,7 @@ def truncated(days: int, base: EngineConvention = REFERENCE) -> EngineConvention
     return replace(base, truncate_after=days)
 
 
+@lru_cache(maxsize=256)
 def path_convention(conv: EngineConvention, rate: float) -> EngineConvention:
     """The full-length convention that simulates ``conv``'s holdings path at ``rate``.
 

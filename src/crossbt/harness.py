@@ -277,6 +277,16 @@ class ResultStore:
     # -- persistence (flat files) -------------------------------------------
 
     def save(self, directory: str) -> None:
+        """Write ``store.json``, ``cells.csv`` and ``equity.csv`` under ``directory``.
+
+        ``equity.csv`` holds the rows ``csv.writer`` would write, one per
+        evaluation day of each cell with equity, cells in sorted key order,
+        values as ``repr`` writes them. Each cell's rows are one %-format
+        template (the cell's key fields, quoted once, before each date's
+        field and a ``%r``) filled from its equity in one call and written
+        at once, so one cell's text is held at a time. ValueError for a
+        field that holds a line break.
+        """
         os.makedirs(directory, exist_ok=True)
         meta = {
             "run_id": self.run_id,
@@ -299,19 +309,17 @@ class ResultStore:
                 stats = [getattr(c.stats, name) if c.ok else None for name in _PERF_TYPES]
                 row = [c.benchmark, c.bucket, c.engine, c.error, c.n_days, *stats, c.turnover]
                 writer.writerow(map(_format_cell, row))
-        # One write per cell; the rows are the ones csv.writer would write.
-        dates = [_csv_prefix(date) for date in self.eval_dates]
+        # A field's own % signs are escaped, so they are written as text.
+        dates = [_csv_prefix(date).replace("%", "%%") + "%r" for date in self.eval_dates]
         with open(os.path.join(directory, "equity.csv"), "w", newline="") as f:
             f.write(",".join(EQUITY_COLUMNS) + "\r\n")
             for key in sorted(self.cells):
                 c = self.cells[key]
-                if c.equity is None:
+                if c.equity is None or not len(c.equity):
                     continue
-                prefix = _csv_prefix(c.benchmark, c.bucket, c.engine)
-                values = map(repr, c.equity.tolist())
-                rows = "\r\n".join(map(str.__add__, [prefix + date for date in dates], values))
-                if rows:
-                    f.write(rows + "\r\n")
+                prefix = _csv_prefix(c.benchmark, c.bucket, c.engine).replace("%", "%%")
+                rows = prefix + ("\r\n" + prefix).join(dates[: len(c.equity)]) + "\r\n"
+                f.write(rows % tuple(c.equity.tolist()))
 
     @classmethod
     def load(cls, directory: str) -> "ResultStore":

@@ -140,6 +140,15 @@ def fit_elastic_net(X, y, cfg: ElasticNetConfig = ElasticNetConfig()) -> Elastic
     intercept is unpenalised; coefficients are returned on the original
     scale. Hitting max_iter returns the best iterate with converged=False
     rather than raising.
+
+    The descent runs on the k x k Gram matrix ``G = Xs.T @ Xs / n`` and
+    ``c = Xs.T @ yc / n`` of the standardised problem, keeping ``q = G @ b``
+    up to date as coordinates move, so a coordinate step costs O(k) rather
+    than two passes over the n rows. In exact arithmetic its iterates,
+    sweep count and stopping decision are those of the residual form
+    (``resid = yc - Xs @ b``) it replaced; in floating point they differ
+    by rounding only, within the bound ``tests/test_mlsignals.py`` derives
+    (``gram_cd_bound``).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -155,30 +164,33 @@ def fit_elastic_net(X, y, cfg: ElasticNetConfig = ElasticNetConfig()) -> Elastic
     y_mean = float(y.mean())
     yc = y - y_mean
 
+    gram = (Xs.T @ Xs / n).tolist()
+    c = (Xs.T @ yc / n).tolist()
+
     l1 = cfg.lam * cfg.alpha
     l2 = cfg.lam * (1.0 - cfg.alpha)
-    beta = np.zeros(k)
-    resid = yc.copy()
+    beta = [0.0] * k
+    q = [0.0] * k  # gram @ beta, updated when a coordinate moves
+    coords = np.flatnonzero(live).tolist()
     converged = False
     sweeps = 0
     for sweeps in range(1, cfg.max_iter + 1):
         max_change = 0.0
-        for j in range(k):
-            if not live[j]:
-                continue
-            xj = Xs[:, j]
-            rho = float(xj @ resid) / n + beta[j]
+        for j in coords:
+            old = beta[j]
+            rho = c[j] - q[j] + gram[j][j] * old
             new = _soft_threshold(rho, l1) / (1.0 + l2)
-            if new != beta[j]:
-                resid += xj * (beta[j] - new)
-                max_change = max(max_change, abs(new - beta[j]))
+            if new != old:
+                step = new - old
+                q = [qi + gi * step for qi, gi in zip(q, gram[j])]
+                max_change = max(max_change, abs(step))
                 beta[j] = new
         if max_change < cfg.tol:
             converged = True
             break
 
     coef = np.zeros(k)
-    coef[live] = beta[live] / sigma[live]
+    coef[live] = np.array(beta)[live] / sigma[live]
     intercept = y_mean - float(coef @ mu)
     return ElasticNetFit(coef, intercept, converged, sweeps)
 
@@ -269,7 +281,7 @@ def walk_forward_signal(
             )
         # Causality: every training target's forward window closes by t.
         assert s_hi + wf.horizon <= t
-        X = np.vstack([build_features(pm, s) for s in range(s_lo, s_hi + 1)])
+        X = np.concatenate([build_features(pm, s) for s in range(s_lo, s_hi + 1)])
         h = wf.horizon
         y = (p[s_lo + h : s_hi + h + 1] / p[s_lo : s_hi + 1] - 1.0).ravel()
         if float(np.std(y)) == 0.0:

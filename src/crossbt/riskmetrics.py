@@ -34,34 +34,12 @@ class UndefinedAmplification(ArithmeticError):
 
 
 def _values(sample) -> np.ndarray:
-    vals = np.asarray(getattr(sample, "values", sample), dtype=float)
+    vals = np.asarray(sample, dtype=float)
     if vals.ndim != 1 or len(vals) < 2:
         raise NotEnoughEngines("need values from at least 2 engines")
     if not np.all(np.isfinite(vals)):
         raise ValueError("engine values must be finite")
     return vals
-
-
-@dataclass(frozen=True)
-class EngineSample:
-    """One summary statistic's values across engines for a fixed cell."""
-
-    metric: str
-    engine_ids: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = _values(np.asarray(self.values, dtype=float))
-        if len(self.engine_ids) != len(vals):
-            raise ValueError("one value per engine id")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "engine_ids", tuple(self.engine_ids))
-
-
-def implementation_risk(sample) -> float:
-    """Cross-engine sample variance (divisor K-1) of the statistic."""
-    return float(np.var(_values(sample), ddof=1))
 
 
 def es_cv(sample) -> float | None:

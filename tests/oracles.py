@@ -193,6 +193,70 @@ def training_targets_loop(prices, s_lo, s_hi, horizon):
     return np.concatenate([prices[s + horizon] / prices[s] - 1.0 for s in range(s_lo, s_hi + 1)])
 
 
+def elastic_net_residual_cd(X, y, cfg):
+    """``mlsignals.fit_elastic_net`` as it was before it solved on the Gram
+    matrix: cyclic coordinate descent that keeps the residual and takes one
+    n-long dot product per coordinate per sweep.
+
+    Returns ``(coef, intercept, converged, n_iter, changes, peak)``:
+    ``changes`` holds each sweep's largest coefficient change, the number
+    the stopping rule compares with ``cfg.tol``, and ``peak`` is the largest
+    L1 norm the standardised coefficients reach after any update. Uses numpy
+    to pin the arithmetic of the replaced solver.
+    """
+    import numpy as np
+
+    def soft_threshold(z, gamma):
+        if z > gamma:
+            return z - gamma
+        if z < -gamma:
+            return z + gamma
+        return 0.0
+
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    n, k = X.shape
+
+    mu = X.mean(axis=0)
+    sigma = X.std(axis=0)
+    live = sigma > 0.0
+    Xs = np.zeros_like(X)
+    Xs[:, live] = (X[:, live] - mu[live]) / sigma[live]
+    y_mean = float(y.mean())
+    yc = y - y_mean
+
+    l1 = cfg.lam * cfg.alpha
+    l2 = cfg.lam * (1.0 - cfg.alpha)
+    beta = np.zeros(k)
+    resid = yc.copy()
+    converged = False
+    sweeps = 0
+    changes = []
+    peak = 0.0
+    for sweeps in range(1, cfg.max_iter + 1):
+        max_change = 0.0
+        for j in range(k):
+            if not live[j]:
+                continue
+            xj = Xs[:, j]
+            rho = float(xj @ resid) / n + beta[j]
+            new = soft_threshold(rho, l1) / (1.0 + l2)
+            if new != beta[j]:
+                resid += xj * (beta[j] - new)
+                max_change = max(max_change, abs(new - beta[j]))
+                beta[j] = new
+                peak = max(peak, float(np.abs(beta).sum()))
+        changes.append(max_change)
+        if max_change < cfg.tol:
+            converged = True
+            break
+
+    coef = np.zeros(k)
+    coef[live] = beta[live] / sigma[live]
+    intercept = y_mean - float(coef @ mu)
+    return coef, intercept, converged, sweeps, changes, peak
+
+
 # ---------------------------------------------------------------------------
 # Replaced per-draw statistics. Like ``features_per_day`` these use numpy on
 # purpose: they are the loops the batched forms replaced, kept to pin the

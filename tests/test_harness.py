@@ -565,9 +565,10 @@ class TestStoreFiles:
             ResultStore.load(str(tmp_path))
 
 
-#: Text for bucket ids and dates: CSV's delimiter and quote character, and
-#: ASCII controls at which str.splitlines breaks a line but a text file does not.
-_FIELD_TEXT = st.text(st.sampled_from(list('ab1- ,"\'\t\x0b\x0c\x1c\x1d\x1e')), max_size=5)
+#: Text for bucket ids and dates: CSV's delimiter and quote character, the
+#: writer's format character and two of its directive letters, and ASCII
+#: controls at which str.splitlines breaks a line but a text file does not.
+_FIELD_TEXT = st.text(st.sampled_from(list('ab1- ,"\'%rs\t\x0b\x0c\x1c\x1d\x1e')), max_size=5)
 
 _CELL_KINDS = st.lists(st.sampled_from(["ok", "error", "truncated", "zero"]), min_size=18, max_size=18)
 
@@ -668,6 +669,16 @@ class TestStoreOracle:
         if lf_endings:
             path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
         assert _loaded_equity(directory / "store") == _oracle_equity(store, path)
+
+    def test_format_directives_in_ids_and_dates_are_written_as_text(self, tmp_path, demo_store):
+        kinds = ["ok", "truncated", "error"] * 6
+        dates = [(0, "%r"), (1, "%%"), (2, "%s"), (3, "100%"), (4, '"%r",%')]
+        store = _odd_store(demo_store, kinds, ["%r", "%%", "a%s,"], dates, 3)
+        store.save(str(tmp_path / "store"))
+        save_equity_loop(store, tmp_path / "oracle.csv")
+        path = tmp_path / "store" / "equity.csv"
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert _loaded_equity(tmp_path / "store") == _oracle_equity(store, path)
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(

@@ -17,7 +17,12 @@ from crossbt.mlsignals import (
     walk_forward_signal,
 )
 
-from oracles import feature_recompute, features_per_day, training_targets_loop
+from oracles import (
+    elastic_net_residual_cd,
+    feature_recompute,
+    features_per_day,
+    training_targets_loop,
+)
 
 
 def _panel(prices):
@@ -272,6 +277,99 @@ class TestElasticNet:
         X2[:, 1] = X2[:, 1] * scale + shift
         rescaled = fit_elastic_net(X2, y, cfg)
         assert rescaled.predict(X2) == pytest.approx(base.predict(X), abs=1e-10)
+
+
+_U = np.finfo(float).eps / 2
+
+
+def gram_cd_bound(X, y, cfg, sweeps, peak):
+    """How far the Gram-form solver's standardised coefficients may lie from
+    the residual-form oracle's after ``sweeps`` sweeps of the same path.
+
+    Both forms evaluate ``rho`` for coordinate j from terms no larger than
+    ``m = rms(yc) + peak``: ``|c_j| <= rms(yc)`` and ``|(G b)_j| <= ||b||_1``
+    by Cauchy-Schwarz on unit-rms columns, with ``peak`` the largest
+    ``||b||_1`` on the path. One evaluation rounds by at most
+    ``(n + k + 3) u m`` (an n-long dot product, k Gram terms, three more
+    operations), and the state each form carries between updates (``q`` or
+    the residual) drifts by at most ``2 u m`` per update, so the t-th of
+    ``T = sweeps * k_live`` updates is off by at most
+    ``((n + k + 3) + 2 t) u m``; the two errors of a pair add, doubling
+    that. To first order on a fixed active set an update is the projection
+    of coordinate descent, which moves an error no further in the norm of
+    ``H = G + l2 I``, while a unit error in coordinate j has H-norm at most
+    1. Summing over the updates and leaving the H-norm through
+    ``lambda_min(H)`` over the live columns gives
+    ``2 u m (T (n + k + 3) + T (T + 1)) / sqrt(lambda_min(H))``.
+    Infinite when H is singular.
+    """
+    X = np.asarray(X, dtype=float)
+    n, k = X.shape
+    sigma = X.std(axis=0)
+    live = sigma > 0.0
+    if not live.any():
+        return 0.0
+    xs = (X[:, live] - X[:, live].mean(axis=0)) / sigma[live]
+    lam_min = float(np.linalg.eigvalsh(xs.T @ xs / n)[0]) + cfg.lam * (1.0 - cfg.alpha)
+    if lam_min <= 0.0:
+        return float("inf")
+    yc = y - y.mean()
+    m = float(np.sqrt(yc @ yc / n)) + peak
+    updates = sweeps * int(live.sum())
+    return 2 * _U * m * (updates * (n + k + 3) + updates * (updates + 1)) / np.sqrt(lam_min)
+
+
+@st.composite
+def enet_problems(draw):
+    """Up to 8 features on scales 1e-3..1e3 with a common factor (pairwise
+    correlation up to about 0.99), some held constant (dead), a sparse or
+    dense true model, and drawn penalty, mix, tolerance and sweep limit."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(k + 2, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mix = draw(st.floats(0.0, 10.0))
+    X = rng.normal(size=(n, k)) + mix * rng.normal(size=(n, 1))
+    X = X * 10.0 ** rng.uniform(-3, 3, size=k) + rng.normal(scale=10.0, size=k)
+    for j in draw(st.lists(st.integers(0, k - 1), max_size=k, unique=True)):
+        X[:, j] = float(draw(st.integers(-3, 3)))
+    truth = rng.normal(size=k) * (rng.uniform(size=k) < draw(st.floats(0.0, 1.0)))
+    xs = (X - X.mean(axis=0)) / np.where(X.std(axis=0) > 0, X.std(axis=0), 1.0)
+    y = xs @ truth + rng.normal(scale=draw(st.sampled_from([0.01, 0.3, 3.0])), size=n) + 5.0
+    cfg = ElasticNetConfig(
+        lam=draw(st.sampled_from([0.0, 1e-6, 1e-4, 1e-3, 0.01, 0.1, 1.0])),
+        alpha=draw(st.floats(0.0, 1.0)),
+        max_iter=draw(st.integers(1, 300)),
+        tol=10.0 ** draw(st.floats(-13.0, -3.0)),
+    )
+    return X, y, cfg
+
+
+class TestGramSolverAgainstResidualOracle:
+    """``fit_elastic_net`` against the residual-form solver it replaced, to
+    the bound ``gram_cd_bound`` derives."""
+
+    @given(problem=enet_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_same_path_within_rounding_bound(self, problem):
+        X, y, cfg = problem
+        fit = fit_elastic_net(X, y, cfg)
+        coef, intercept, converged, n_iter, changes, peak = elastic_net_residual_cd(X, y, cfg)
+        bound = gram_cd_bound(X, y, cfg, max(n_iter, fit.n_iter), peak)
+        if (fit.n_iter, fit.converged) != (n_iter, converged):
+            # The paths part only where a sweep's largest change, which the
+            # two forms know to within 2 * bound, straddles the tolerance.
+            parted = min(fit.n_iter, n_iter)
+            assert abs(changes[parted - 1] - cfg.tol) <= 2 * bound
+            return
+        sigma, mu = X.std(axis=0), X.mean(axis=0)
+        # Unscaling by sigma adds one rounding to each side.
+        slack = bound + 4 * _U * np.abs(coef * sigma)
+        assert np.all(np.abs(fit.coef - coef) * sigma <= slack)
+        assert np.all(fit.coef[sigma == 0.0] == 0.0)
+        # The intercept is y_mean - coef @ mu on each side: a k-term dot
+        # product and one subtraction, rounded on each side.
+        rounding = 4 * (X.shape[1] + 2) * _U * (abs(float(y.mean())) + float(np.abs(coef) @ np.abs(mu)))
+        assert abs(fit.intercept - intercept) <= float(np.abs(fit.coef - coef) @ np.abs(mu)) + rounding
 
 
 class TestWalkForward:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from crossbt.engine import CONVENTIONS, REFERENCE, CostSpec
 from crossbt.riskmetrics import (
     DivergenceRecord,
-    EngineSample,
     NotEnoughEngines,
     UndefinedAmplification,
     csi,
@@ -18,29 +17,10 @@ from crossbt.riskmetrics import (
     es_range,
     floor_decomposition,
     floor_divergence_pct,
-    implementation_risk,
     iui,
     pairwise_divergence,
     relative_difference,
 )
-
-
-class TestImplementationRisk:
-    def test_all_equal_is_zero(self):
-        assert implementation_risk([3.0, 3.0, 3.0]) == 0.0
-
-    def test_two_point_variance(self):
-        assert implementation_risk([0.0, 2.0]) == pytest.approx(2.0, rel=1e-12)
-
-    def test_shift_invariance(self):
-        vals = np.array([1.1, 2.7, -0.4, 0.9])
-        assert implementation_risk(vals + 17.3) == pytest.approx(
-            implementation_risk(vals), rel=1e-12
-        )
-
-    def test_needs_two_engines(self):
-        with pytest.raises(NotEnoughEngines):
-            implementation_risk([1.0])
 
 
 class TestEngineSpread:
@@ -62,7 +42,14 @@ class TestEngineSpread:
         rng = np.random.default_rng(3)
         for _ in range(20):
             vals = rng.normal(size=4)
-            assert (es_range(vals) == 0.0) == (implementation_risk(vals) == 0.0)
+            assert (es_range(vals) == 0.0) == (len(set(vals.tolist())) == 1)
+
+    def test_needs_two_finite_engine_values(self):
+        for spread in (es_cv, es_range, iui):
+            with pytest.raises(NotEnoughEngines):
+                spread([1.0])
+            with pytest.raises(ValueError, match="finite"):
+                spread([0.5, np.nan])
 
 
 class TestIui:
@@ -193,12 +180,3 @@ class TestDollarAmbiguity:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             dollar_ambiguity(-0.1, 1e9)
-
-
-def test_engine_sample_validation():
-    s = EngineSample("sharpe", ("a", "b"), np.array([0.5, 0.6]))
-    assert implementation_risk(s) == pytest.approx(0.005, rel=1e-9)
-    with pytest.raises(ValueError):
-        EngineSample("sharpe", ("a",), np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        EngineSample("sharpe", ("a", "b"), np.array([0.5, np.nan]))
