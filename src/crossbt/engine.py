@@ -96,7 +96,6 @@ class EngineConvention:
         )
 
     @classmethod
-    @lru_cache(maxsize=256)
     def parse(cls, text: str) -> "EngineConvention":
         parts = text.split("|")
         if len(parts) != 6:
@@ -308,17 +307,6 @@ class TradeLog:
             self.skipped[:count],
         )
 
-    @classmethod
-    def from_records(cls, records: tuple[TradeRecord, ...], dates: tuple[str, ...]) -> "TradeLog":
-        offset = {date: i for i, date in enumerate(dates)}
-        return cls(
-            np.array([offset[tr.date] for tr in records], dtype=np.intp),
-            np.stack([tr.deltas for tr in records]) if records else np.empty((0, 0)),
-            np.array([tr.cost for tr in records], dtype=float),
-            np.array([tr.pre_trade_value for tr in records], dtype=float),
-            tuple(tr.skipped for tr in records),
-        )
-
     def records(self, dates: tuple[str, ...]) -> tuple[TradeRecord, ...]:
         return tuple(
             map(
@@ -334,27 +322,22 @@ class TradeLog:
 
 @dataclass(frozen=True)
 class EquitySeries:
-    """Daily equity plus the trade log for one (schedule, engine) run.
+    """Daily equity plus the trade log for one run under ``conv``.
 
-    ``log`` is given as a ``TradeLog`` or as the run's ``TradeRecord``s,
-    which are stored as one. ``trades`` yields the records, built from the
-    log on first access.
+    ``trades`` yields the log's rows as ``TradeRecord``s, built on first
+    access.
     """
 
     dates: tuple[str, ...]
     equity: np.ndarray
     log: TradeLog
-    engine_id: str
+    conv: EngineConvention
 
     def __post_init__(self) -> None:
         eq = np.asarray(self.equity, dtype=float)
         eq.setflags(write=False)
         object.__setattr__(self, "equity", eq)
         object.__setattr__(self, "dates", tuple(self.dates))
-        if not isinstance(self.log, TradeLog):
-            records = tuple(self.log)
-            object.__setattr__(self, "log", TradeLog.from_records(records, self.dates))
-            self.__dict__["trades"] = records
 
     @cached_property
     def trades(self) -> tuple[TradeRecord, ...]:
@@ -447,17 +430,13 @@ def run_variant(
     beyond input validation. The run is the one row of a ``run_buckets``.
 
     ``base`` is an earlier run of the same schedule, prices, capital, cost
-    and start under another convention, such as a row of a ``run_buckets``.
-    When its ``path_convention`` at this rate equals ``conv``'s and it
-    covers the days ``conv`` reports, the result is derived from it without
-    simulating (see ``_derive``), bit-identical to the simulated one.
-    ValueError for a base on another path.
+    and start, such as a row of a ``run_buckets``. The run is then derived
+    from it without simulating, bit-identical to the simulated one, or
+    ``_derive`` raises a ValueError that says why it cannot be.
     """
     if base is not None:
         _event_weights(schedule, prices, initial_capital, start)
-        derived = _derive(base, prices, start, cost.rate, conv)
-        if derived is not None:
-            return derived
+        return _derive(base, prices, start, cost.rate, conv)
     (series,) = run_buckets([schedule], [prices], initial_capital, [(conv, cost.rate)], start)
     if isinstance(series, ValueError):
         raise series
@@ -627,7 +606,7 @@ def _simulate(
             else:
                 names = ((),) * len(rows)
             log = TradeLog(union[rows] - start, deltas[rows, b, k], cost[rows, b, k], pre[rows, b, k], names)
-            bucket.append(EquitySeries(dates[start:], equity[b, k], log, conv.id))
+            bucket.append(EquitySeries(dates[start:], equity[b, k], log, conv))
         out.append(tuple(bucket))
     return tuple(out)
 
@@ -638,7 +617,7 @@ def _derive(
     start: int,
     rate: float,
     conv: EngineConvention,
-) -> EquitySeries | None:
+) -> EquitySeries:
     """``conv``'s run from ``start`` at ``rate``, as a view of ``base``, a run
     on its path. The one place a convention's reporting and truncation apply.
 
@@ -647,26 +626,27 @@ def _derive(
     rebalance day re-reported from the trade log, gross or net of the
     charge, exactly as the loop reports it, in one fancy-index assignment;
     the log is ``base``'s first rows up to the last day, its read-only
-    columns shared. ``base`` itself when it already is that run. None where
-    ``base`` cannot give the run: it is shorter, or it is a sequential fill
-    other than ``conv``'s (a zero rate puts every fill on one path, but an
-    atomic delta of -0.0 is logged as +0.0 by a sequential fill and cannot
-    be recovered from it).
+    columns shared. ``base`` itself when it already is that run. ValueError
+    where ``base`` cannot give the run: it is on another path, starts on
+    another day, is shorter, or is a sequential fill other than ``conv``'s
+    (a zero rate puts every fill on one path, but an atomic delta of -0.0
+    is logged as +0.0 by a sequential fill and cannot be recovered from it).
     """
-    base_conv = EngineConvention.parse(base.engine_id)
-    if path_convention(base_conv, rate) != path_convention(conv, rate):
+    if path_convention(base.conv, rate) != path_convention(conv, rate):
         raise ValueError(
-            f"base {base.engine_id!r} does not simulate the path of {conv.id!r} at rate {rate}"
+            f"base {base.conv.id!r} does not simulate the path of {conv.id!r} at rate {rate}"
         )
     if base.dates[:1] != prices.dates[start : start + 1]:
         raise ValueError(f"base starts on {base.dates[:1]}, not on day {start}")
     limit = prices.n_days - start
     if conv.truncate_after is not None:
         limit = min(conv.truncate_after, limit)
-    fill = base_conv.fill_sequencing
-    if len(base.equity) < limit or fill not in (FILL_ATOMIC, conv.fill_sequencing):
-        return None
-    if base_conv == conv and len(base.equity) == limit:
+    if len(base.equity) < limit:
+        raise ValueError(f"base reports {len(base.equity)} days, {conv.id!r} reports {limit}")
+    fill = base.conv.fill_sequencing
+    if fill not in (FILL_ATOMIC, conv.fill_sequencing):
+        raise ValueError(f"a {fill} fill cannot give the {conv.fill_sequencing} fill's trade log")
+    if base.conv == conv and len(base.equity) == limit:
         return base
     log = base.log.head(int(np.searchsorted(base.log.days, limit)))
     if fill != conv.fill_sequencing:
@@ -678,7 +658,7 @@ def _derive(
         equity[log.days] = log.pre_trade_value
     else:
         equity[log.days] = log.pre_trade_value - log.cost
-    return EquitySeries(base.dates[:limit], equity, log, conv.id)
+    return EquitySeries(base.dates[:limit], equity, log, conv)
 
 
 @dataclass(frozen=True)

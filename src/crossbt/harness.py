@@ -140,7 +140,8 @@ class RunConfig:
         object.__setattr__(self, "_roster", tuple(sorted(resolved.items())))
         if len(self._roster) < 2:
             raise ValueError("need at least 2 distinct engine conventions")
-        unknown = [b for b in self.benchmarks if b not in BENCHMARKS]
+        # An override for an unregistered id would never apply, yet enter the run id.
+        unknown = [b for b in (*self.benchmarks, *self.cost_overrides_bps) if b not in BENCHMARKS]
         if unknown:
             raise ValueError(f"unknown benchmarks: {unknown}")
         if len(set(self.benchmarks)) < len(self.benchmarks):
@@ -1033,7 +1034,6 @@ def analyze(store: ResultStore) -> ReportBundle:
         "run_id": store.run_id,
         "package_version": __version__,
         "config": store.config.canonical_dict(),
-        "engine_conventions": {eid: eid for eid in store.engine_ids},
         "constants": dict(REPORT_CONSTANTS),
     }
     return ReportBundle(store.run_id, metadata, tables, bucket_qc, conjecture)

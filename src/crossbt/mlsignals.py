@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -195,33 +194,6 @@ def fit_elastic_net(X, y, cfg: ElasticNetConfig = ElasticNetConfig()) -> Elastic
     return ElasticNetFit(coef, intercept, converged, sweeps)
 
 
-class Learner(Protocol):
-    """Pluggable prediction model for the walk-forward loop.
-
-    Alternative model families plug in by implementing this protocol; only
-    the elastic net ships here.
-    """
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "Learner": ...
-
-    def predict(self, X: np.ndarray) -> np.ndarray: ...
-
-
-class ElasticNetLearner:
-    def __init__(self, cfg: ElasticNetConfig = ElasticNetConfig()):
-        self.cfg = cfg
-        self.fit_: ElasticNetFit | None = None
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "ElasticNetLearner":
-        self.fit_ = fit_elastic_net(X, y, self.cfg)
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.fit_ is None:
-            raise RuntimeError("fit before predict")
-        return self.fit_.predict(X)
-
-
 @dataclass(frozen=True)
 class WalkForwardConfig:
     """Rolling training window, train/predict gap, target horizon, picks."""
@@ -258,7 +230,6 @@ def walk_forward_signal(
     rebalances: Sequence[int],
     wf: WalkForwardConfig = WalkForwardConfig(),
     net: ElasticNetConfig = ElasticNetConfig(),
-    learner: Learner | None = None,
 ) -> list[SignalRank]:
     """Fit-and-predict at each rebalance using only past data.
 
@@ -288,9 +259,7 @@ def walk_forward_signal(
             pred = np.zeros(n)
             out.append(SignalRank(pm.dates[t], pred, tuple(range(n)), degenerate=True))
             continue
-        model = learner if learner is not None else ElasticNetLearner(net)
-        model.fit(X, y)
-        pred = np.asarray(model.predict(build_features(pm, t - 1)), dtype=float)
+        pred = fit_elastic_net(X, y, net).predict(build_features(pm, t - 1))
         ranking = tuple(int(i) for i in np.lexsort((np.arange(n), -pred)))
         out.append(SignalRank(pm.dates[t], pred, ranking))
     return out

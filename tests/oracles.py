@@ -775,7 +775,6 @@ def analyze_loop(store):
         "run_id": store.run_id,
         "package_version": __version__,
         "config": cfg.canonical_dict(),
-        "engine_conventions": {eid: eid for eid in engines},
         "constants": {
             "annualisation_days": 252,
             "sharpe_risk_free_rate": 0.0,
@@ -851,6 +850,7 @@ def run_variant_per_day(schedule, prices, initial_capital, cost, conv, start=0):
         FILL_ATOMIC,
         TIMING_SHIFT1,
         EquitySeries,
+        TradeLog,
         TradeRecord,
         trade_cost,
     )
@@ -903,7 +903,14 @@ def run_variant_per_day(schedule, prices, initial_capital, cost, conv, start=0):
         else:
             equity[k] = cash + float(h @ p)
 
-    return EquitySeries(prices.dates[start : start + limit], equity, tuple(trades), conv.id)
+    log = TradeLog(
+        np.array([index[tr.date] - start for tr in trades], dtype=np.intp),
+        np.array([tr.deltas for tr in trades], dtype=float).reshape(len(trades), prices.n_assets),
+        np.array([tr.cost for tr in trades], dtype=float),
+        np.array([tr.pre_trade_value for tr in trades], dtype=float),
+        tuple(tr.skipped for tr in trades),
+    )
+    return EquitySeries(prices.dates[start : start + limit], equity, log, conv)
 
 
 # ---------------------------------------------------------------------------

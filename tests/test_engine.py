@@ -23,6 +23,7 @@ from crossbt.engine import (
     CostSpec,
     EngineConvention,
     EquitySeries,
+    TradeLog,
     WeightSchedule,
     annual_turnover,
     cost_intensity,
@@ -318,11 +319,18 @@ class TestPathKey:
     def daily(self, small_universe):
         return equal_weight(small_universe, start=30, freq="daily")
 
-    def test_short_base_is_simulated_past(self, small_universe, daily):
+    def test_base_that_cannot_give_the_run_raises(self, small_universe, daily):
         args = (daily, small_universe, 1e6, CostSpec(0.0018))
         base = run_variant(*args, truncated(40), 30)
-        derived = run_variant(*args, CONVENTIONS["pre_trade"], 30, base=base)
-        assert_same_run(derived, run_variant(*args, CONVENTIONS["pre_trade"], 30))
+        with pytest.raises(ValueError, match="base reports 40 days"):
+            run_variant(*args, CONVENTIONS["pre_trade"], 30, base=base)
+        # At a zero rate every fill shares one path, but a sequential fill's
+        # log cannot give another fill's.
+        args = (daily, small_universe, 1e6, CostSpec(0.0))
+        base = run_variant(*args, CONVENTIONS["fifo_sequential"], 30)
+        for conv in (REFERENCE, CONVENTIONS["sells_first"]):
+            with pytest.raises(ValueError, match="fifo fill cannot give"):
+                run_variant(*args, conv, 30, base=base)
 
     def test_base_on_another_start_or_path_raises(self, small_universe, daily):
         args = (daily, small_universe, 1e6, CostSpec(0.0018))
@@ -383,20 +391,24 @@ class TestTradeCostMechanism:
             assert trade_cost(notional, rate, CONVENTIONS["double_commission"]) == 2.0 * ref
 
 
+def _no_trades(dates, equity) -> EquitySeries:
+    empty = np.empty(0)
+    log = TradeLog(np.empty(0, dtype=np.intp), np.empty((0, 0)), empty, empty, ())
+    return EquitySeries(dates, equity, log, REFERENCE)
+
+
 class TestPerformanceMetrics:
     def test_total_return_example(self):
-        series = EquitySeries(("1", "2"), np.array([100.0, 110.0]), (), "post")
+        series = _no_trades(("1", "2"), np.array([100.0, 110.0]))
         stats = performance_metrics(series)
         assert stats.total_return_pct == pytest.approx(10.0, rel=1e-12)
 
     def test_monotone_no_drawdown(self):
-        series = EquitySeries(
-            tuple(str(i) for i in range(5)), np.array([100.0, 101, 102, 105, 110]), (), "post"
-        )
+        series = _no_trades(tuple(str(i) for i in range(5)), np.array([100.0, 101, 102, 105, 110]))
         assert performance_metrics(series).max_drawdown_pct == 0.0
 
     def test_drawdown_hand_case(self):
-        series = EquitySeries(("1", "2", "3", "4"), np.array([100.0, 120, 90, 100]), (), "post")
+        series = _no_trades(("1", "2", "3", "4"), np.array([100.0, 120, 90, 100]))
         assert performance_metrics(series).max_drawdown_pct == pytest.approx(25.0, rel=1e-12)
 
     def test_cagr_consistent_with_total_return(self, small_universe):
@@ -407,7 +419,7 @@ class TestPerformanceMetrics:
         assert stats.cagr_pct == pytest.approx(implied, rel=1e-9)
 
     def test_flat_equity_degenerate_sharpe(self):
-        series = EquitySeries(("1", "2", "3"), np.array([100.0, 100.0, 100.0]), (), "post")
+        series = _no_trades(("1", "2", "3"), np.array([100.0, 100.0, 100.0]))
         stats = performance_metrics(series)
         assert stats.sharpe == 0.0
         assert stats.degenerate_sharpe
@@ -415,8 +427,7 @@ class TestPerformanceMetrics:
     def test_sharpe_scale(self):
         rng = np.random.default_rng(0)
         eq = 100 * np.cumprod(1 + rng.normal(0.001, 0.01, 500))
-        series = EquitySeries(tuple(str(i) for i in range(501)),
-                              np.concatenate([[100.0], eq]), (), "post")
+        series = _no_trades(tuple(str(i) for i in range(501)), np.concatenate([[100.0], eq]))
         stats = performance_metrics(series)
         rets = np.diff(np.concatenate([[100.0], eq])) / np.concatenate([[100.0], eq])[:-1]
         expected = rets.mean() / rets.std(ddof=1) * math.sqrt(252)
@@ -623,7 +634,7 @@ def _bits(x) -> bytes:
 
 
 def assert_same_run(got: EquitySeries, want: EquitySeries) -> None:
-    assert got.engine_id == want.engine_id
+    assert got.conv == want.conv
     assert got.dates == want.dates
     assert got.equity.tobytes() == want.equity.tobytes()
     assert len(got.trades) == len(want.trades)
@@ -633,6 +644,17 @@ def assert_same_run(got: EquitySeries, want: EquitySeries) -> None:
         assert _bits(a.cost) == _bits(b.cost)
         assert _bits(a.pre_trade_value) == _bits(b.pre_trade_value)
         assert a.skipped == b.skipped
+
+
+def base_refusal(base: EquitySeries, want: EquitySeries) -> str | None:
+    """What the ValueError of deriving ``want`` from ``base``, a run on its
+    path, must match: ``base`` is shorter, or is another sequential fill.
+    None where the derivation must succeed."""
+    if len(base.equity) < len(want.equity):
+        return "base reports"
+    if base.conv.fill_sequencing not in (FILL_ATOMIC, want.conv.fill_sequencing):
+        return "fill cannot give"
+    return None
 
 
 RATES = st.one_of(st.just(0.0), st.just(0.06), st.floats(0.0, 0.06))
@@ -769,8 +791,13 @@ class TestBatch:
         for series, (conv, rate) in zip(batch, rows):
             for (other, other_rate), want in zip(rows, alone):
                 if other_rate == rate and path_convention(other, rate) == path_convention(conv, rate):
-                    derived = run_variant(schedule, pm, capital, CostSpec(rate), other, start, base=series)
-                    assert_same_run(derived, want)
+                    args = (schedule, pm, capital, CostSpec(rate), other, start)
+                    refusal = base_refusal(series, want)
+                    if refusal is None:
+                        assert_same_run(run_variant(*args, base=series), want)
+                    else:
+                        with pytest.raises(ValueError, match=refusal):
+                            run_variant(*args, base=series)
 
     def test_skipping_rows_at_mixed_rates_and_timings(self, small_universe):
         sched = rotation(small_universe, k=3, start=30)

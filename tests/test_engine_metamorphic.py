@@ -36,7 +36,7 @@ from crossbt.engine import (
 from crossbt.marketdata import TRADING_DAYS_PER_YEAR, PriceMatrix
 
 from oracles import backtest_loop, run_variant_per_day
-from test_engine import assert_same_run
+from test_engine import assert_same_run, base_refusal
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -156,8 +156,8 @@ def test_truncation_is_a_prefix_of_the_full_run(case, days):
 def test_a_run_derived_from_a_base_on_its_path_equals_the_simulated_run(case, days):
     # Every pair of conventions over every axis (both cost axes moved at
     # once): where the path conventions agree the base yields the per-day
-    # loop's run bit for bit (or the run is simulated), and where they
-    # differ the base is an error.
+    # loop's run bit for bit, unless it is shorter or another sequential
+    # fill, and where they differ the base is an error.
     pm, schedule, rate, capital = case
     convs = [
         EngineConvention(eq, rate_mode, k, fill, timing, trunc)
@@ -172,10 +172,14 @@ def test_a_run_derived_from_a_base_on_its_path_equals_the_simulated_run(case, da
         args = (schedule, pm, capital, CostSpec(rate), conv)
         want = run_variant_per_day(*args)
         for base_conv, base in runs.items():
-            if path_convention(conv, rate) == path_convention(base_conv, rate):
+            if path_convention(conv, rate) != path_convention(base_conv, rate):
+                refusal = "does not simulate the path"
+            else:
+                refusal = base_refusal(base, want)
+            if refusal is None:
                 assert_same_run(run_variant(*args, base=base), want)
             else:
-                with pytest.raises(ValueError, match="does not simulate the path"):
+                with pytest.raises(ValueError, match=refusal):
                     run_variant(*args, base=base)
 
 

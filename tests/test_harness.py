@@ -18,6 +18,7 @@ from crossbt.cli import EXIT_ERROR, main
 from crossbt.engine import (
     REFERENCE,
     CostSpec,
+    EngineConvention,
     WeightSchedule,
     annual_turnover,
     performance_metrics,
@@ -139,8 +140,14 @@ class TestRunConfig:
             _config(cost_overrides_bps={"bm01": bps}, cost_regimes_bps=(bps, 0.0, 18.0, 36.0, 60.0))
 
     def test_unknown_benchmark_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown benchmarks: \\['bm99'\\]"):
             _config(benchmarks=("bm99",))
+        # An override for an unregistered id would never apply, yet would
+        # enter the run id.
+        with pytest.raises(ValueError, match="unknown benchmarks: \\['bm1'\\]"):
+            _config(benchmarks=("bm01",), cost_overrides_bps={"bm1": 9.0})
+        # A registered benchmark the run leaves out may keep its override.
+        _config(benchmarks=("bm01",), cost_overrides_bps={"bm02": 25.0})
 
     def test_json_roundtrip_and_run_id(self):
         cfg = _config()
@@ -196,6 +203,20 @@ class TestRunConfig:
         monkeypatch.setattr(harness, "resolve_convention", lambda name: calls.append(name) or real(name))
         analyze(demo_store)
         assert calls == []
+
+    def test_run_suite_parses_no_convention(self, monkeypatch):
+        # Each run carries its convention, so deriving a cell from its row
+        # reads it instead of parsing the convention string again.
+        engines = ("reference", "pre_trade", "fifo_sequential", "post|abs|x2|atomic|aligned|trunc60")
+        cfg = _config(engines=engines)
+        calls = []
+        real = EngineConvention.parse.__func__
+        monkeypatch.setattr(
+            EngineConvention, "parse", classmethod(lambda cls, text: calls.append(text) or real(cls, text))
+        )
+        store = run_suite(cfg)
+        assert calls == []
+        assert not any(cell.error for cell in store.cells.values())
 
     def test_unknown_config_keys_rejected(self):
         obj = _config().canonical_dict()
@@ -1069,7 +1090,7 @@ class TestEmit:
         meta = json.loads((tmp_path / "run_metadata.json").read_text())
         assert meta["run_id"] == demo_bundle.run_id
         assert meta["config"]["seed"] == 3
-        assert "post|abs|x1|atomic|aligned|full" in meta["engine_conventions"]
+        assert "post|abs|x1|atomic|aligned|full" in meta["config"]["engines"]
         partition = json.loads((tmp_path / "partition.json").read_text())
         assert {"seed", "n_candidates", "score", "buckets"} <= set(partition)
 

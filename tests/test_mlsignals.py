@@ -1,14 +1,18 @@
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossbt import mlsignals
 from crossbt.marketdata import PriceMatrix, SynthSpec, generate_synthetic
 from crossbt.mlsignals import (
+    FEATURE_NAMES,
     ElasticNetConfig,
+    ElasticNetFit,
     NotEnoughHistory,
     WalkForwardConfig,
     build_features,
@@ -183,28 +187,25 @@ class TestWalkForwardAgainstOracle:
     @given(pm=price_panels(min_days=200, max_days=260), data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_training_targets_equal_the_per_day_loop(self, pm, data):
-        class Recorder:
-            y = None
+        targets = []
 
-            def fit(self, X, y):
-                self.y = y
-                return self
-
-            def predict(self, X):
-                return np.zeros(len(X))
+        def recorder(X, y, cfg):
+            targets.append(y)
+            return ElasticNetFit(np.zeros(X.shape[1]), 0.0, True, 0)
 
         gap = data.draw(st.integers(1, 30))
         wf = WalkForwardConfig(
             train_window=data.draw(st.integers(1, 30)), gap=gap, horizon=data.draw(st.integers(1, gap))
         )
         t = data.draw(st.integers(wf.min_history, pm.n_days - 1))
-        recorder = Recorder()
-        walk_forward_signal(pm, [t], wf, learner=recorder)
+        with mock.patch.object(mlsignals, "fit_elastic_net", recorder):
+            walk_forward_signal(pm, [t], wf)
         want = training_targets_loop(pm.prices, t - gap - wf.train_window + 1, t - gap, wf.horizon)
-        if recorder.y is None:  # a zero-variance target is never fitted
+        if not targets:  # a zero-variance target is never fitted
             assert float(np.std(want)) == 0.0
         else:
-            assert recorder.y.tobytes() == want.tobytes()
+            (y,) = targets
+            assert y.tobytes() == want.tobytes()
 
 
 class TestElasticNet:
@@ -435,16 +436,12 @@ class TestWalkForward:
         for w in sched.entries.values():
             assert np.all(w == 0.25)
 
-    def test_custom_learner_plugs_in(self):
-        class MeanLearner:
-            def fit(self, X, y):
-                self.mean = float(np.mean(y))
-                return self
-
-            def predict(self, X):
-                return np.full(len(X), self.mean)
-
+    def test_constant_predictions_rank_by_asset_index(self):
+        constant = ElasticNetFit(np.zeros(len(FEATURE_NAMES)), 0.01, True, 0)
         pm = generate_synthetic(SynthSpec(n_assets=3, n_days=320, seed=6, annual_vol=0.2))
-        signals = walk_forward_signal(pm, [280], WalkForwardConfig(), learner=MeanLearner())
+        with mock.patch.object(mlsignals, "fit_elastic_net", lambda X, y, cfg: constant):
+            (signal,) = walk_forward_signal(pm, [280], WalkForwardConfig())
         # Constant predictions tie; ranking falls back to asset index.
-        assert signals[0].ranking == (0, 1, 2)
+        assert signal.ranking == (0, 1, 2)
+        assert not signal.degenerate
+        assert np.all(signal.predicted == 0.01)
