@@ -54,7 +54,6 @@ from .marketdata import (
     HoleInPanel,
     PriceMatrix,
     SynthSpec,
-    UniverseStats,
     descriptive_stats,
     generate_synthetic,
     load_prices_csv,

@@ -32,27 +32,12 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FINDINGS = 2
 
-#: Built-in demonstration config used when --config is not given.
+#: Built-in demonstration config used when --config is not given: what it
+#: sets differs from the ``RunConfig``, ``SynthSpec`` and ``BucketConfig`` defaults.
 DEMO_CONFIG = {
     "seed": 7,
-    "synthetic": {
-        "n_assets": 36,
-        "n_days": 420,
-        "seed": None,
-        "annual_drift": 0.06,
-        "annual_vol": 0.25,
-        "correlation": 0.30,
-        "n_sectors": 6,
-    },
-    "buckets": {"n_buckets": 5, "bucket_size": 6, "n_candidates": 500},
-    "benchmarks": [
-        "bm01", "bm02", "bm03", "bm04", "bm05", "bm06", "bm07",
-        "bm08_enet", "bm09", "bm10", "bm11", "bm12",
-    ],
-    "engines": [
-        "reference", "pre_trade", "percent_divided",
-        "double_commission", "fifo_sequential", "shifted_one_day",
-    ],
+    "synthetic": {"n_assets": 36, "n_days": 420, "annual_drift": 0.06, "annual_vol": 0.25},
+    "buckets": {"n_candidates": 500},
     "permutation_draws": 2000,
     "bootstrap_draws": 1000,
 }

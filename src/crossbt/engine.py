@@ -667,7 +667,8 @@ class PerfStats:
 
     ``growth`` is the raw final/first equity ratio that the percent fields
     derive from; divergence computations use it so that reporting-basis
-    differences show up without market-level scaling.
+    differences show up without market-level scaling. ``cagr_pct`` is NaN
+    when ``growth`` is negative: a negative ratio has no real annual root.
     """
 
     total_return_pct: float
@@ -706,7 +707,7 @@ def performance_metrics(series: EquitySeries) -> PerfStats:
         raise ValueError("need at least 2 equity points")
     growth = float(eq[-1] / eq[0])
     total_return = (growth - 1.0) * 100.0
-    cagr = (growth ** (TRADING_DAYS_PER_YEAR / (len(eq) - 1)) - 1.0) * 100.0
+    cagr = (growth ** (TRADING_DAYS_PER_YEAR / (len(eq) - 1)) - 1.0) * 100.0 if growth >= 0 else math.nan
     rets = eq[1:] / eq[:-1] - 1.0
     degenerate = False
     if len(rets) < 2:

@@ -39,6 +39,7 @@ from .engine import (
     DEFAULT_ROSTER,
 )
 from .marketdata import (
+    TRADING_DAYS_PER_YEAR,
     PriceMatrix,
     SynthSpec,
     descriptive_stats,
@@ -158,6 +159,19 @@ class RunConfig:
                 )
         if self.synth is None and self.prices_csv is None:
             raise ValueError("config needs either a synthetic spec or a prices CSV")
+        # Checked here, not where each is read: most are read only after the grid has run.
+        for key, ok, rule in (
+            ("permutation_draws", self.permutation_draws >= 0, ">= 0"),
+            ("bootstrap_draws", self.bootstrap_draws >= 1, ">= 1"),
+            ("aum", self.aum >= 0, ">= 0"),
+            ("warmup", self.warmup is None or self.warmup >= 0, ">= 0"),
+            ("initial_capital", self.initial_capital > 0, "> 0"),
+            ("fdr_q", 0 < self.fdr_q <= 1, "in (0, 1]"),
+            ("tost_margins_pp", all(m > 0 for m in self.tost_margins_pp), "each > 0"),
+            ("daf_reference", self.daf_reference in BENCHMARKS, "a registered benchmark"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
     def benchmark_cost_bps(self, benchmark: str) -> float:
         if benchmark in self.cost_overrides_bps:
@@ -268,9 +282,6 @@ class ResultStore:
     @property
     def engine_ids(self) -> tuple[str, ...]:
         return tuple(eid for eid, _ in self.config.roster())
-
-    def conventions(self) -> dict[str, EngineConvention]:
-        return dict(self.config.roster())
 
     def cell(self, benchmark: str, bucket: str, engine: str) -> CellResult | None:
         return self.cells.get((benchmark, bucket, engine))
@@ -525,7 +536,7 @@ def run_suite(cfg: RunConfig, jobs: int = 1) -> ResultStore:
     pm = load_panel(cfg)
     partition = bucketmod.rerandomize(bucketmod.compute_covariates(pm), **partition_args(cfg, pm))
     balance = bucketmod.sector_balance(partition, pm.sectors) if pm.sectors else None
-    universe = descriptive_stats(pm).to_dict()
+    universe = descriptive_stats(pm)
 
     warmup = cfg.warmup
     if warmup is None:
@@ -538,7 +549,8 @@ def run_suite(cfg: RunConfig, jobs: int = 1) -> ResultStore:
     buckets = tuple((bucket_id, pm.subset(members))
                     for bucket_id, members in zip(partition.bucket_ids, partition.buckets))
     tasks = [
-        (bm_id, buckets, warmup, cfg.benchmark_cost_bps(bm_id) / 1e4, roster, cfg.initial_capital)
+        (bm_id, buckets, warmup, CostSpec.from_bps(cfg.benchmark_cost_bps(bm_id)).rate, roster,
+         cfg.initial_capital)
         for bm_id in cfg.benchmarks
     ]
 
@@ -675,7 +687,7 @@ TABLE_COLUMNS: dict[str, list[str]] = {
 
 #: Conventions the report's numbers rest on, recorded in its metadata.
 REPORT_CONSTANTS = {
-    "annualisation_days": 252,
+    "annualisation_days": TRADING_DAYS_PER_YEAR,
     "sharpe_risk_free_rate": 0.0,
     "spread_stdev_ddof": 1,
     "divergence_base": "lexicographically-first engine id in the pair",
@@ -867,13 +879,12 @@ def _floor_rows(t: CellTable) -> list[dict]:
     """Each pair's mean divergence split into the reporting floor, which
     needs every bucket's first schedule entry fully invested, and the rest."""
     store = t.store
-    conventions = store.conventions()
+    conventions = dict(store.config.roster())
     fully = {bm: _fully_invested(store, bm) for bm in t.cells}
     rows = []
     for (bm, (a, b)), mean in t.mean_divergence.items():
-        rec = DivergenceRecord(bm, "*", "total_return", a, b, mean)
         cost = CostSpec.from_bps(store.config.benchmark_cost_bps(bm))
-        split = floor_decomposition(rec, conventions, cost, fully[bm])
+        split = floor_decomposition(mean, conventions[a], conventions[b], cost, fully[bm])
         rows.append(
             _row(
                 "floor_decomposition", bm, a, b, mean,

@@ -12,7 +12,7 @@ import csv
 import logging
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
@@ -279,44 +279,6 @@ def generate_synthetic(spec: SynthSpec) -> PriceMatrix:
     return PriceMatrix(dates, assets, prices, sectors)
 
 
-@dataclass(frozen=True)
-class UniverseStats:
-    """Per-asset performance descriptives plus universe-level aggregates."""
-
-    assets: tuple[str, ...]
-    ann_return_pct: np.ndarray
-    ann_vol_pct: np.ndarray
-    max_drawdown_pct: np.ndarray
-    mean_pairwise_corr: float
-    min_pairwise_corr: float
-    max_pairwise_corr: float
-    sector_summary: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    @property
-    def mean_ann_return_pct(self) -> float:
-        return float(np.mean(self.ann_return_pct))
-
-    @property
-    def mean_ann_vol_pct(self) -> float:
-        return float(np.mean(self.ann_vol_pct))
-
-    @property
-    def mean_max_drawdown_pct(self) -> float:
-        return float(np.mean(self.max_drawdown_pct))
-
-    def to_dict(self) -> dict:
-        return {
-            "n_assets": len(self.assets),
-            "mean_ann_return_pct": self.mean_ann_return_pct,
-            "mean_ann_vol_pct": self.mean_ann_vol_pct,
-            "mean_max_drawdown_pct": self.mean_max_drawdown_pct,
-            "mean_pairwise_corr": self.mean_pairwise_corr,
-            "min_pairwise_corr": self.min_pairwise_corr,
-            "max_pairwise_corr": self.max_pairwise_corr,
-            "sectors": self.sector_summary,
-        }
-
-
 def max_drawdown_pct(series: np.ndarray) -> float:
     """Largest peak-to-trough decline, in percent of the running peak."""
     x = np.asarray(series, dtype=float)
@@ -337,8 +299,11 @@ def correlation_matrix(returns: np.ndarray) -> np.ndarray:
     return np.clip(corr, -1.0, 1.0)
 
 
-def descriptive_stats(pm: PriceMatrix) -> UniverseStats:
-    """Universe QC statistics over the full panel (annualisation factor 252).
+def descriptive_stats(pm: PriceMatrix) -> dict:
+    """The universe QC record over the full panel (annualisation factor 252),
+    as the result store keeps it: ``n_assets``, the mean over assets of the
+    annualised return, volatility and max drawdown, the mean, min and max
+    pairwise correlation, and ``sectors``, the same three means per sector.
 
     Per-asset annualised return is geometric, volatility is the sample
     standard deviation of daily simple returns scaled by sqrt(252), and
@@ -367,13 +332,13 @@ def descriptive_stats(pm: PriceMatrix) -> UniverseStats:
                 "ann_return_pct": float(np.mean(ann_ret[idx])),
                 "max_drawdown_pct": float(np.mean(mdd[idx])),
             }
-    return UniverseStats(
-        assets=pm.assets,
-        ann_return_pct=ann_ret,
-        ann_vol_pct=ann_vol,
-        max_drawdown_pct=mdd,
-        mean_pairwise_corr=float(np.mean(off)),
-        min_pairwise_corr=float(np.min(off)),
-        max_pairwise_corr=float(np.max(off)),
-        sector_summary=sector_summary,
-    )
+    return {
+        "n_assets": pm.n_assets,
+        "mean_ann_return_pct": float(np.mean(ann_ret)),
+        "mean_ann_vol_pct": float(np.mean(ann_vol)),
+        "mean_max_drawdown_pct": float(np.mean(mdd)),
+        "mean_pairwise_corr": float(np.mean(off)),
+        "min_pairwise_corr": float(np.min(off)),
+        "max_pairwise_corr": float(np.max(off)),
+        "sectors": sector_summary,
+    }

@@ -93,9 +93,10 @@ def csi(sharpe_sample) -> int:
 class DivergenceRecord:
     """Relative difference of one metric for one engine pair on one cell.
 
-    The pair is ordered lexicographically; NaN-free. ``absolute_fallback``
-    marks records where the base value was too small to divide by, so the
-    field holds an absolute (not relative) difference.
+    The pair is ordered lexicographically. ``rel_diff_pct`` is NaN only
+    where a value is: the cagr of an equity path whose growth is negative.
+    ``absolute_fallback`` marks records where the base value was too small
+    to divide by, so the field holds an absolute (not relative) difference.
     """
 
     benchmark: str
@@ -148,20 +149,18 @@ class FloorSplit:
 
 
 def floor_decomposition(
-    record: DivergenceRecord,
-    conventions: Mapping[str, EngineConvention],
+    divergence_pct: float,
+    a: EngineConvention,
+    b: EngineConvention,
     cost: CostSpec,
     fully_invested: bool = True,
 ) -> FloorSplit:
-    """Split a pair's divergence into the reporting-convention floor and the
-    residual cost-model disagreement (signed; may be negative)."""
-    reporting = {
-        conventions[record.engine_a].equity_reporting,
-        conventions[record.engine_b].equity_reporting,
-    }
-    mixed = reporting == {EQUITY_POST, EQUITY_GROSS}
+    """Split a pair's divergence, in percent, between conventions ``a`` and
+    ``b`` into the reporting-convention floor and the residual cost-model
+    disagreement (signed; may be negative)."""
+    mixed = {a.equity_reporting, b.equity_reporting} == {EQUITY_POST, EQUITY_GROSS}
     floor = floor_divergence_pct(cost.rate) if mixed and fully_invested else 0.0
-    return FloorSplit(floor, record.rel_diff_pct - floor, mixed)
+    return FloorSplit(floor, divergence_pct - floor, mixed)
 
 
 def dollar_ambiguity(divergence_pct: float, aum: float) -> float:

@@ -206,7 +206,6 @@ class TestResult:
     p_value: float | None
     method: str
     n: int
-    ci: tuple[float, float] | None = None
     degenerate: bool = False
 
 

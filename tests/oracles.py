@@ -386,7 +386,6 @@ def analyze_loop(store):
         validate_results,
     )
     from crossbt.riskmetrics import (
-        DivergenceRecord,
         csi,
         dollar_ambiguity,
         es_cv,
@@ -413,7 +412,7 @@ def analyze_loop(store):
 
     cfg = store.config
     engines = store.engine_ids
-    conventions = store.conventions()
+    conventions = dict(cfg.roster())
     buckets_sorted = list(store.bucket_ids)
     pairs = [
         (engines[i], engines[j])
@@ -644,8 +643,9 @@ def analyze_loop(store):
             if not series:
                 continue
             mean_div = float(np.mean(series))
-            rec = DivergenceRecord(bm, "*", "total_return", pair[0], pair[1], mean_div)
-            split = floor_decomposition(rec, conventions, CostSpec(rate), fully)
+            split = floor_decomposition(
+                mean_div, conventions[pair[0]], conventions[pair[1]], CostSpec(rate), fully
+            )
             floor_rows.append(
                 {
                     "benchmark": bm,

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crossbt import harness
-from crossbt.cli import EXIT_ERROR, main
+from crossbt.cli import DEMO_CONFIG, EXIT_ERROR, main
 from crossbt.engine import (
     REFERENCE,
     CostSpec,
@@ -37,7 +37,7 @@ from crossbt.harness import (
     run_suite,
     validate_results,
 )
-from crossbt.marketdata import SynthSpec
+from crossbt.marketdata import SynthSpec, descriptive_stats
 from crossbt.strategies import BENCHMARKS
 from crossbt.stats import cluster_bootstrap
 from oracles import (
@@ -149,6 +149,26 @@ class TestRunConfig:
         # A registered benchmark the run leaves out may keep its override.
         _config(benchmarks=("bm01",), cost_overrides_bps={"bm02": 25.0})
 
+    @pytest.mark.parametrize("key, bad, edge", [
+        ("permutation_draws", -1, 0),
+        ("bootstrap_draws", 0, 1),
+        ("aum", -5.0, 0.0),
+        ("warmup", -3, 0),
+        ("initial_capital", 0.0, 1e-6),
+        ("fdr_q", 1.5, 1.0),
+        ("fdr_q", 0.0, 1e-6),
+        ("tost_margins_pp", (0.1, 0.0), (0.1, 1e-6)),
+        # A registered reference the run leaves out stays legal: a run of a
+        # benchmark subset may omit bm01.
+        ("daf_reference", "bm1", "bm12"),
+    ])
+    def test_out_of_range_value_rejected(self, key, bad, edge):
+        # Refused when the config is built, naming the key; the nearest legal
+        # value builds.
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            _config(**{key: bad})
+        _config(**{key: edge})
+
     def test_json_roundtrip_and_run_id(self):
         cfg = _config()
         again = RunConfig.from_dict(json.loads(json.dumps(cfg.canonical_dict())))
@@ -242,6 +262,9 @@ class TestRunSuite:
     def test_full_grid_complete(self, demo_store):
         assert len(demo_store.cells) == 3 * 3 * 2
         assert all(c.ok for c in demo_store.cells.values())
+
+    def test_universe_is_the_panel_record(self, demo_store):
+        assert demo_store.universe == descriptive_stats(harness.load_panel(demo_store.config))
 
     def test_rerun_identical(self, demo_store):
         again = run_suite(_config())
@@ -1165,6 +1188,36 @@ class TestCli:
         p.write_text(json.dumps(cfg_obj))
         out = str(tmp_path / "trunc-out")
         assert main(["all", "--config", str(p), "--out", out]) == 2
+
+    def test_negative_equity_reaches_its_finding(self, tmp_path):
+        # At 3000 bps a doubled commission takes the x2 cells' equity below
+        # zero. Their cagr has no real value, yet every stage must read them.
+        x2 = "post|abs|x2|atomic|aligned|full"
+        cfg = {
+            "seed": 1,
+            "synthetic": {"n_assets": 12, "n_days": 120, "seed": None, "n_sectors": 6},
+            "buckets": {"n_buckets": 2, "bucket_size": 6, "n_candidates": 20},
+            "benchmarks": ["bm03"],
+            "engines": ["reference", x2],
+            "cost_regimes_bps": [0, 18, 36, 60, 3000],
+            "cost_overrides_bps": {"bm03": 3000},
+            "permutation_draws": 50,
+            "bootstrap_draws": 20,
+        }
+        p = tmp_path / "negative.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        for stage, code in (("run", 0), ("analyze", 2), ("report", 2)):
+            assert main([stage, "--config", str(p), "--out", str(out)]) == code, stage
+        bundle = json.loads((out / "analysis" / "bundle.json").read_text())
+        found = [(f["kind"], f["bucket"], f["engine"]) for f in bundle["tables"]["validation"]]
+        assert found == [("NonPositiveEquity", "B00", x2), ("NonPositiveEquity", "B01", x2)]
+        # str() of a complex number ends in "j)".
+        for name, text in _tree(out).items():
+            assert b"j)" not in text, name
+
+    def test_builtin_config_run_id(self):
+        assert RunConfig.from_dict(DEMO_CONFIG).run_id() == "fdc678179de9"
 
     def test_error_exit_code(self, tmp_path):
         assert main(["analyze", "--out", str(tmp_path / "nonexistent")]) == 1

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from crossbt.engine import CONVENTIONS, REFERENCE, CostSpec
 from crossbt.riskmetrics import (
-    DivergenceRecord,
     NotEnoughEngines,
     UndefinedAmplification,
     csi,
@@ -134,36 +133,26 @@ class TestFloor:
         assert floor_divergence_pct(0.0018) == pytest.approx(0.180324, abs=1e-6)
 
     def test_mixed_pair_gets_floor(self):
-        conventions = {
-            "gross|abs|x1|atomic|aligned|full": CONVENTIONS["pre_trade"],
-            "post|abs|x1|atomic|aligned|full": REFERENCE,
-        }
-        rec = DivergenceRecord(
-            "bm02", "B00", "total_return",
-            "gross|abs|x1|atomic|aligned|full", "post|abs|x1|atomic|aligned|full", 0.25,
+        split = floor_decomposition(
+            0.25, CONVENTIONS["pre_trade"], REFERENCE, CostSpec(0.0018), fully_invested=True
         )
-        split = floor_decomposition(rec, conventions, CostSpec(0.0018), fully_invested=True)
         assert split.mixed_reporting
         assert split.floor_pct == pytest.approx(0.180324, abs=1e-6)
         assert split.residual_pct == pytest.approx(0.25 - split.floor_pct, rel=1e-12)
 
     def test_same_convention_pair_no_floor(self):
-        conventions = {"a": REFERENCE, "b": CONVENTIONS["percent_divided"]}
-        rec = DivergenceRecord("bm", "B00", "total_return", "a", "b", 0.25)
-        split = floor_decomposition(rec, conventions, CostSpec(0.0018))
+        split = floor_decomposition(0.25, REFERENCE, CONVENTIONS["percent_divided"], CostSpec(0.0018))
         assert split.floor_pct == 0.0
         assert not split.mixed_reporting
 
     def test_zero_rate_no_floor(self):
-        conventions = {"a": CONVENTIONS["pre_trade"], "b": REFERENCE}
-        rec = DivergenceRecord("bm", "B00", "total_return", "a", "b", 0.0)
-        split = floor_decomposition(rec, conventions, CostSpec(0.0))
+        split = floor_decomposition(0.0, CONVENTIONS["pre_trade"], REFERENCE, CostSpec(0.0))
         assert split.floor_pct == 0.0
 
     def test_not_fully_invested_no_floor(self):
-        conventions = {"a": CONVENTIONS["pre_trade"], "b": REFERENCE}
-        rec = DivergenceRecord("bm11", "B00", "total_return", "a", "b", 0.1)
-        split = floor_decomposition(rec, conventions, CostSpec(0.0018), fully_invested=False)
+        split = floor_decomposition(
+            0.1, CONVENTIONS["pre_trade"], REFERENCE, CostSpec(0.0018), fully_invested=False
+        )
         assert split.floor_pct == 0.0
 
 
