@@ -21,6 +21,7 @@ from .harness import (
     ResultStore,
     RunConfig,
     analyze,
+    dumps_json,
     emit_reports,
     load_panel,
     partition_args,
@@ -89,7 +90,7 @@ def cmd_buckets(cfg: RunConfig, out: str, jobs: int) -> int:
         balance = sector_balance(partition, pm.sectors)
         qc["balance"] = asdict(balance)
     with open(os.path.join(out, "bucket_qc.json"), "w") as f:
-        json.dump(qc, f, sort_keys=True, indent=2)
+        f.write(dumps_json(qc, sort_keys=True, indent=2))
     print(
         f"partition of {cfg.buckets.n_buckets} x {cfg.buckets.bucket_size} "
         f"score {partition.score:.4f} -> {out}/partition.json"

@@ -15,8 +15,9 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from itertools import combinations, islice
 from typing import get_type_hints
@@ -89,6 +90,26 @@ EQUITY_COLUMNS = ["benchmark", "bucket", "engine", "date", "equity"]
 
 #: Dollar-translation ruler rows included in every ambiguity table.
 AMBIGUITY_RULER_PCTS = (0.10, 3.71)
+
+
+def dumps_json(obj, **kwargs) -> str:
+    """``json.dumps`` that writes a NaN or infinite float as ``null``: JSON
+    (RFC 8259) has no token for them. An object without one is encoded in
+    one pass; only one with one is copied, its non-finite floats replaced."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError:
+        return json.dumps(_finite_or_null(obj), allow_nan=False, **kwargs)
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +333,7 @@ class ResultStore:
             },
         }
         with open(os.path.join(directory, "store.json"), "w") as f:
-            json.dump(meta, f, sort_keys=True, indent=2)
+            f.write(dumps_json(meta, sort_keys=True, indent=2))
         with open(os.path.join(directory, "cells.csv"), "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(CELL_COLUMNS)
@@ -626,7 +647,8 @@ def validate_results(store: ResultStore) -> list[Finding]:
 
 @dataclass
 class ReportBundle:
-    """All analysis tables plus the metadata they cross-reference."""
+    """All analysis tables plus the metadata they cross-reference. Its JSON
+    writes a NaN value (the cagr of a negative equity path) as null."""
 
     run_id: str
     metadata: dict
@@ -637,7 +659,7 @@ class ReportBundle:
     def to_json(self) -> str:
         # No indent: with one, json always runs its pure-Python encoder,
         # about three times slower than the C one on a bundle.
-        return json.dumps(
+        return dumps_json(
             {
                 "run_id": self.run_id,
                 "metadata": self.metadata,
@@ -822,51 +844,74 @@ def _test_row(
     )
 
 
+def _stacked(test: Callable[[np.ndarray], list], series: list[Sequence[float]]) -> list:
+    """``test`` on each series, called once per series length on the (k, n)
+    stack of the series of that length; results in the order of ``series``."""
+    by_length: dict[int, list[int]] = {}
+    for i, s in enumerate(series):
+        by_length.setdefault(len(s), []).append(i)
+    out: list = [None] * len(series)
+    for rows in by_length.values():
+        for i, result in zip(rows, test(np.array([series[i] for i in rows]))):
+            out[i] = result
+    return out
+
+
 def _stats_rows(t: CellTable) -> list[dict]:
     """The test battery on each pair's divergence series, with the t-tests'
-    Benjamini-Hochberg rejections over all benchmarks and pairs."""
+    Benjamini-Hochberg rejections over all benchmarks and pairs. Each test
+    runs once per series length, on the stack of the series of that length."""
     cfg = t.store.config
     tested = {key: series for key, series in t.divergence.items() if len(series) >= 2}
-    t_tests = {key: one_sample_t(series) for key, series in tested.items()}
-    family = [key for key, res in t_tests.items() if not res.degenerate and res.p_value is not None]
+    series = list(tested.values())
+    t_tests = _stacked(one_sample_t, series)
+    wilcoxon = _stacked(wilcoxon_signed_rank, series)
+    tosts = [_stacked(lambda d: tost(d, margin), series) for margin in cfg.tost_margins_pp]
+    long = [i for i, d in enumerate(series) if len(d) >= 3]
+    lag1 = dict(zip(long, _stacked(lag1_autocorr, [series[i] for i in long])))
+    family = [i for i, res in enumerate(t_tests) if not res.degenerate and res.p_value is not None]
     rejected = {}
     if family:
-        rejected = dict(zip(family, map(bool, bh_fdr([t_tests[k].p_value for k in family], cfg.fdr_q))))
+        rejected = dict(zip(family, map(bool, bh_fdr([t_tests[i].p_value for i in family], cfg.fdr_q))))
     rows = []
-    for (bm, pair), series in tested.items():
-        label, n = f"{pair[0]} vs {pair[1]}", len(series)
-        t_res = t_tests[(bm, pair)]
-        rows.append(_test_row(bm, label, n, "t", t_res, _statistic(t_res), rejected.get((bm, pair))))
-        w_res = wilcoxon_signed_rank(series)
+    for i, ((bm, pair), d) in enumerate(tested.items()):
+        label, n = f"{pair[0]} vs {pair[1]}", len(d)
+        t_res = t_tests[i]
+        rows.append(_test_row(bm, label, n, "t", t_res, _statistic(t_res), rejected.get(i)))
+        w_res = wilcoxon[i]
         rows.append(_test_row(bm, label, n, w_res.method, w_res, _statistic(w_res)))
         perm_seed = derived_seed(cfg.seed, "perm", bm, label)
-        p_res = sign_flip_permutation(series, draws=cfg.permutation_draws, seed=perm_seed)
+        p_res = sign_flip_permutation(d, draws=cfg.permutation_draws, seed=perm_seed)
         rows.append(_test_row(bm, label, n, "permutation", p_res, p_res.statistic))
-        for margin in cfg.tost_margins_pp:
-            t_eq = tost(series, margin)
+        for margin, results in zip(cfg.tost_margins_pp, tosts):
+            t_eq = results[i]
             rows.append(_test_row(bm, label, n, "tost", t_eq, equivalent=t_eq.equivalent, margin_pp=margin))
-        if n >= 3:
-            l_res = lag1_autocorr(series)
+        if i in lag1:
+            l_res = lag1[i]
             rows.append(_test_row(bm, label, n, "lag1_autocorr", l_res, _statistic(l_res)))
     return rows
 
 
 def _concordance_rows(t: CellTable) -> tuple[list[dict], list[dict]]:
     """Lin's CCC of each engine pair across buckets, and its minimum over
-    pairs, per benchmark and metric."""
-    rows, minima = [], []
+    pairs, per benchmark and metric. A pair's values over its common buckets
+    are one row, engine a's then engine b's, and the CCCs run once per row
+    length."""
+    keys, rows_ab = [], []
     for bm, row in t.cells.items():
         for metric in DIVERGENCE_METRICS:
-            cccs = []
             for a, b in t.pairs:
                 both = {c.bucket: c.values[metric] for c in row if {a, b} <= c.values[metric].keys()}
-                common = sorted(both)
-                if len(common) < 2:
-                    continue
-                cccs.append(lin_ccc([both[k][a] for k in common], [both[k][b] for k in common]))
-                rows.append(_row("concordance", bm, metric, a, b, cccs[-1], len(common)))
-            if cccs:
-                minima.append(_row("concordance_min", bm, metric, float(np.min(cccs))))
+                if len(both) >= 2:
+                    common = sorted(both)
+                    keys.append((bm, metric, a, b))
+                    rows_ab.append([both[k][a] for k in common] + [both[k][b] for k in common])
+    cccs = _stacked(lambda ab: lin_ccc(*np.split(ab, 2, axis=1)).tolist(), rows_ab)
+    rows, by_metric = [], {}
+    for (bm, metric, a, b), ccc, ab in zip(keys, cccs, rows_ab):
+        rows.append(_row("concordance", bm, metric, a, b, ccc, len(ab) // 2))
+        by_metric.setdefault((bm, metric), []).append(ccc)
+    minima = [_row("concordance_min", bm, metric, float(np.min(v))) for (bm, metric), v in by_metric.items()]
     return rows, minima
 
 
@@ -930,7 +975,8 @@ def _resampled_means(
     counts = keep.sum(axis=-1)
     packed = np.take_along_axis(picked, np.argsort(~keep, axis=-1, kind="stable"), axis=-1)
     means = np.full(len(index), np.nan)
-    for c in np.unique(counts[counts > 0]):
+    # A set, not np.unique: its first call imports numpy.ma.
+    for c in set(counts[counts > 0].tolist()):
         rows = counts == c
         means[rows] = np.ascontiguousarray(packed[rows, :c]).mean(axis=-1)
     return means, counts > 0
@@ -1090,6 +1136,6 @@ def emit_reports(bundle: ReportBundle, directory: str) -> list[str]:
     ]:
         path = os.path.join(directory, f"{name}.json")
         with open(path, "w") as f:
-            json.dump(payload, f, sort_keys=True, indent=2)
+            f.write(dumps_json(payload, sort_keys=True, indent=2))
         paths.append(path)
     return paths

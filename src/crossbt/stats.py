@@ -20,11 +20,14 @@ _TINY_P = float(np.finfo(float).tiny)
 
 _EXHAUSTIVE_CAP = 16
 
-#: Sign-flip draws per chunk. The generator carries an unused 32-bit half
-#: over from one call to the next, so the chunks read the same signs as one
-#: dense draw. BLAS forms a matrix-vector product a few rows at a time, and
-#: a row in a partial block can round differently; a power of two keeps
-#: every row in the same place of those blocks as in one dense product.
+#: Sign-flip draws per chunk, for a series of 32 or more; a shorter series
+#: takes SIGN_CHUNK times the largest power of two that keeps a chunk within
+#: SIGN_CHUNK * 32 sign values (8192 rows at n = 3). The generator carries an
+#: unused 32-bit half over from one call to the next, so the chunks read the
+#: same signs as one dense draw at any chunk size. BLAS forms a matrix-vector
+#: product a few rows at a time, and a row in a partial block can round
+#: differently; a power of two keeps every row in the same place of those
+#: blocks as in one dense product.
 SIGN_CHUNK = 1024
 
 
@@ -259,18 +262,35 @@ def average_ranks(values: Sequence[float] | np.ndarray) -> np.ndarray:
 # Location tests
 # ---------------------------------------------------------------------------
 
-def one_sample_t(diffs: Sequence[float]) -> TestResult:
-    """Two-sided one-sample t-test of mean zero."""
-    d = np.asarray(diffs, dtype=float)
-    n = len(d)
+def _stack(values: Sequence[float] | np.ndarray) -> tuple[np.ndarray, bool]:
+    """A series or a (k, n) stack of series as a (k, n) float array, and
+    whether it was one series.
+
+    The tests below reduce each row along the last axis, which numpy sums
+    pairwise per row exactly as it sums one 1-D series, so row i of a stack
+    gives the 1-D result of that row bit for bit.
+    """
+    a = np.asarray(values, dtype=float)
+    if a.ndim not in (1, 2):
+        raise ValueError("need a series or a (k, n) stack of series")
+    return np.atleast_2d(a), a.ndim == 1
+
+
+def one_sample_t(diffs: Sequence[float] | np.ndarray) -> TestResult | list[TestResult]:
+    """Two-sided one-sample t-test of mean zero. A (k, n) stack is tested
+    row by row and gives a list of k results."""
+    d, one = _stack(diffs)
+    n = d.shape[-1]
     if n < 2:
         raise ValueError("need at least 2 observations")
-    sd = float(np.std(d, ddof=1))
-    if sd == 0.0:
-        return TestResult(math.nan, None, "t", n, degenerate=True)
-    t = float(np.mean(d)) / (sd / math.sqrt(n))
-    p = _clamp_p(2.0 * t_cdf(-abs(t), n - 1))
-    return TestResult(t, p, "t", n)
+    out = []
+    for mean, sd in zip(d.mean(axis=-1).tolist(), d.std(axis=-1, ddof=1).tolist()):
+        if sd == 0.0:
+            out.append(TestResult(math.nan, None, "t", n, degenerate=True))
+            continue
+        t = mean / (sd / math.sqrt(n))
+        out.append(TestResult(t, _clamp_p(2.0 * t_cdf(-abs(t), n - 1)), "t", n))
+    return out[0] if one else out
 
 
 def bh_fdr(p_values: Sequence[float], q: float) -> np.ndarray:
@@ -293,55 +313,81 @@ def bh_fdr(p_values: Sequence[float], q: float) -> np.ndarray:
     return reject
 
 
-def _wilcoxon_exact_p(doubled_ranks: np.ndarray, doubled_w: int, n: int) -> float:
-    """Exact two-sided p for W+ by enumerating the sign-flip distribution.
+def _wilcoxon_exact_p(doubled_ranks: np.ndarray, doubled_w: np.ndarray) -> np.ndarray:
+    """Exact two-sided p for W+ of each row of a (k, n) stack of doubled
+    ranks, by enumerating the sign-flip distribution.
 
     Uses the subset-sum polynomial over doubled ranks (average ranks are
     half-integers) - equivalent to full enumeration of all 2^n assignments.
+    Every count and sum is an integer below 2^53, so each is exact.
     """
-    total = int(doubled_ranks.sum())
-    counts = np.zeros(total + 1)
-    counts[0] = 1.0
-    for r in doubled_ranks:
-        shifted = np.zeros_like(counts)
-        shifted[r:] = counts[: total + 1 - r]
-        counts = counts + shifted
+    k, n = doubled_ranks.shape
+    total = n * (n + 1)  # average ranks sum to n(n + 1)/2 whatever the ties
+    support = np.arange(total + 1)
+    counts = np.zeros((k, total + 1))
+    counts[:, 0] = 1.0
+    for r in doubled_ranks.T:
+        source = support - r[:, None]
+        shifted = np.take_along_axis(counts, np.maximum(source, 0), axis=-1)
+        counts = counts + np.where(source >= 0, shifted, 0.0)
     center = total / 2.0
-    dev = abs(doubled_w - center)
-    support = np.arange(total + 1, dtype=float)
-    mask = np.abs(support - center) >= dev - 1e-9
-    return float(counts[mask].sum() / 2.0**n)
+    dev = np.abs(doubled_w - center)
+    mask = np.abs(support - center) >= dev[:, None] - 1e-9
+    return np.where(mask, counts, 0.0).sum(axis=-1) / 2.0**n
 
 
-def wilcoxon_signed_rank(diffs: Sequence[float]) -> TestResult:
+def _tie_term(a: np.ndarray) -> np.ndarray:
+    """Sum of c^3 - c over the tie groups of each row's nonzero values, c
+    the group's size; NaNs form one group, as ``np.unique`` counts them.
+
+    A group of c adds 3j(j + 1) for its j-th member, j = 0..c-1.
+    """
+    s = np.sort(a, axis=-1)
+    tied = (s[:, 1:] == s[:, :-1]) | np.isnan(s[:, 1:]) & np.isnan(s[:, :-1])
+    starts = np.ones(s.shape, dtype=bool)
+    starts[:, 1:] = ~tied | (s[:, 1:] == 0.0)
+    pos = np.broadcast_to(np.arange(s.shape[-1]), s.shape)
+    j = pos - np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    return (3 * j * (j + 1)).sum(axis=-1)
+
+
+def wilcoxon_signed_rank(diffs: Sequence[float] | np.ndarray) -> TestResult | list[TestResult]:
     """Wilcoxon signed-rank test, two-sided.
 
     Zeros are dropped; ties get average ranks. Exact p by full sign
     enumeration for n <= 20, else a normal approximation with tie and
-    continuity corrections.
+    continuity corrections. A (k, n) stack is tested row by row, each row
+    dropping its own zeros, and gives a list of k results.
     """
-    d = np.asarray(diffs, dtype=float)
-    d = d[d != 0.0]
-    n = len(d)
-    if n == 0:
-        return TestResult(math.nan, None, "wilcoxon", 0, degenerate=True)
-    ranks = average_ranks(np.abs(d))
-    w_plus = float(ranks[d > 0].sum())
-    if n <= 20:
-        doubled = np.rint(2.0 * ranks).astype(int)
-        p = _wilcoxon_exact_p(doubled, int(round(2.0 * w_plus)), n)
-        return TestResult(w_plus, _clamp_p(p), "wilcoxon-exact", n)
-    mu = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(np.abs(d), return_counts=True)
-    tie_term = float(np.sum(tie_counts.astype(float) ** 3 - tie_counts))
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
-    sd = math.sqrt(var)
-    dev = abs(w_plus - mu)
-    if dev <= 0.5:
-        p = 1.0
-    else:
-        p = 2.0 * normal_cdf(-(dev - 0.5) / sd)
-    return TestResult(w_plus, _clamp_p(min(p, 1.0)), "wilcoxon-normal", n)
+    d, one = _stack(diffs)
+    ns = np.count_nonzero(d != 0.0, axis=-1)
+    # Zeros rank below every other |d|, so a value's rank among its row's
+    # nonzero values is its rank less the row's zero count; half-integer
+    # ranks keep this and every W+ sum exact.
+    ranks = average_ranks(np.abs(d)) - (d.shape[-1] - ns)[:, None]
+    w_plus = np.where(d > 0, ranks, 0.0).sum(axis=-1)
+    p = np.zeros(len(d))
+    for n in set(ns[(ns > 0) & (ns <= 20)].tolist()):
+        rows = ns == n
+        doubled = np.rint(2.0 * ranks[rows][d[rows] != 0.0]).astype(int).reshape(-1, n)
+        p[rows] = _wilcoxon_exact_p(doubled, np.rint(2.0 * w_plus[rows]).astype(int))
+    wide = ns > 20
+    ties = np.zeros(len(d))
+    if wide.any():
+        ties[wide] = _tie_term(np.abs(d[wide]))
+    out = []
+    for n, w, p_exact, tie_term in zip(ns.tolist(), w_plus.tolist(), p.tolist(), ties.tolist()):
+        if n == 0:
+            out.append(TestResult(math.nan, None, "wilcoxon", 0, degenerate=True))
+        elif n <= 20:
+            out.append(TestResult(w, _clamp_p(p_exact), "wilcoxon-exact", n))
+        else:
+            mu = n * (n + 1) / 4.0
+            sd = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0)
+            dev = abs(w - mu)
+            p_normal = 1.0 if dev <= 0.5 else 2.0 * normal_cdf(-(dev - 0.5) / sd)
+            out.append(TestResult(w, _clamp_p(min(p_normal, 1.0)), "wilcoxon-normal", n))
+    return out[0] if one else out
 
 
 def sign_flip_permutation(
@@ -357,8 +403,9 @@ def sign_flip_permutation(
     function of (seed, draws) at any evaluation order or thread count. The
     add-one estimator keeps p strictly positive. ``exhaustive=True``
     enumerates all 2^n sign vectors instead (n capped at 16) and reports
-    the exact count. Signs are drawn ``SIGN_CHUNK`` rows at a time from one
-    generator, so memory stays flat in ``draws``.
+    the exact count. Signs are drawn in chunks of at least ``SIGN_CHUNK``
+    rows from one generator (see ``SIGN_CHUNK``), so memory stays flat in
+    ``draws``.
     """
     d = np.asarray(diffs, dtype=float)
     n = len(d)
@@ -383,60 +430,73 @@ def sign_flip_permutation(
     floor = obs - n * np.finfo(float).eps * float(np.mean(np.abs(d)))
     gen = substream(seed, 0)
     hits = 0
-    for start in range(0, draws, SIGN_CHUNK):
-        signs = gen.integers(0, 2, size=(min(SIGN_CHUNK, draws - start), n)) * 2.0 - 1.0
+    chunk = SIGN_CHUNK << max((32 // n).bit_length() - 1, 0)
+    for start in range(0, draws, chunk):
+        signs = gen.integers(0, 2, size=(min(chunk, draws - start), n)) * 2.0 - 1.0
         hits += int(np.count_nonzero(np.abs(signs @ d) / n >= floor))
     p = (hits + 1) / (draws + 1)
     return TestResult(obs, _clamp_p(p), "perm-mc", n)
 
 
-def tost(diffs: Sequence[float], margin: float, alpha: float = 0.05) -> TostResult:
+def tost(
+    diffs: Sequence[float] | np.ndarray, margin: float, alpha: float = 0.05
+) -> TostResult | list[TostResult]:
     """Schuirmann two one-sided tests of practical equivalence within ±margin.
 
     Equivalent iff both one-sided p-values fall below alpha. A zero-variance
     sample is declared equivalent iff |mean| < margin, with the degenerate
-    flag set.
+    flag set. A (k, n) stack is tested row by row and gives a list of k
+    results.
     """
     if margin <= 0:
         raise ValueError("margin must be positive")
-    d = np.asarray(diffs, dtype=float)
-    n = len(d)
+    d, one = _stack(diffs)
+    n = d.shape[-1]
     if n == 0:
         raise ValueError("empty sample")
-    mean = float(np.mean(d))
-    sd = float(np.std(d, ddof=1)) if n >= 2 else 0.0
-    if n < 2 or sd == 0.0:
-        return TostResult(abs(mean) < margin, None, None, None, margin, n, degenerate=True)
-    se = sd / math.sqrt(n)
-    df = n - 1
-    p_lower = _clamp_p(t_cdf(-(mean + margin) / se, df))
-    p_upper = _clamp_p(t_cdf((mean - margin) / se, df))
-    p = max(p_lower, p_upper)
-    return TostResult(p < alpha, p, p_lower, p_upper, margin, n)
+    sds = d.std(axis=-1, ddof=1).tolist() if n >= 2 else [0.0] * len(d)
+    out = []
+    for mean, sd in zip(d.mean(axis=-1).tolist(), sds):
+        if sd == 0.0:
+            out.append(TostResult(abs(mean) < margin, None, None, None, margin, n, degenerate=True))
+            continue
+        se = sd / math.sqrt(n)
+        p_lower = _clamp_p(t_cdf(-(mean + margin) / se, n - 1))
+        p_upper = _clamp_p(t_cdf((mean - margin) / se, n - 1))
+        p = max(p_lower, p_upper)
+        out.append(TostResult(p < alpha, p, p_lower, p_upper, margin, n))
+    return out[0] if one else out
 
 
 # ---------------------------------------------------------------------------
 # Agreement measures
 # ---------------------------------------------------------------------------
 
-def lin_ccc(x: Sequence[float], y: Sequence[float]) -> float:
+def lin_ccc(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float | np.ndarray:
     """Lin's concordance correlation coefficient (population moments).
 
     rho_c = 2 s_xy / (s_x^2 + s_y^2 + (mean_x - mean_y)^2). Two identical
-    constant vectors are in perfect agreement and return 1.0.
+    constant vectors are in perfect agreement and return 1.0. Two (k, n)
+    stacks give the k coefficients of their row pairs.
     """
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
-        raise ValueError("need two equal-length vectors of >= 2 points")
-    ma, mb = float(np.mean(a)), float(np.mean(b))
-    sxy = float(np.mean((a - ma) * (b - mb)))
-    sx2 = float(np.mean((a - ma) ** 2))
-    sy2 = float(np.mean((b - mb) ** 2))
-    denom = sx2 + sy2 + (ma - mb) ** 2
-    if denom == 0.0:
-        return 1.0
-    return 2.0 * sxy / denom
+    if a.shape != b.shape or a.ndim not in (1, 2) or a.shape[-1] < 2:
+        raise ValueError("need two equal-length vectors of >= 2 points, or two stacks of them")
+    (a, one), (b, _) = _stack(a), _stack(b)
+    ma, mb = a.mean(axis=-1), b.mean(axis=-1)
+    da, db = a - ma[:, None], b - mb[:, None]
+    moments = zip(
+        ma.tolist(), mb.tolist(), (da * db).mean(axis=-1).tolist(),
+        (da**2).mean(axis=-1).tolist(), (db**2).mean(axis=-1).tolist(),
+    )
+    out = []
+    for mx, my, sxy, sx2, sy2 in moments:
+        # A Python float power is libm's pow, which need not round as x * x
+        # (np.square) does; keeping it keeps every coefficient's bytes.
+        denom = sx2 + sy2 + (mx - my) ** 2
+        out.append(1.0 if denom == 0.0 else 2.0 * sxy / denom)
+    return out[0] if one else np.array(out)
 
 
 def _centred_r(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -522,17 +582,44 @@ def cluster_bootstrap(
     vals = np.asarray(statistic(indices), dtype=float)
     if vals.shape != (draws,):
         raise ValueError(f"statistic returned shape {vals.shape} for {draws} draws")
-    lo, hi = np.percentile(vals, [2.5, 97.5])
-    return BootstrapResult(point, (float(lo), float(hi)), draws, m)
+    lo, hi = _percentiles(vals, [2.5, 97.5]).tolist()
+    return BootstrapResult(point, (lo, hi), draws, m)
 
 
-def lag1_autocorr(series: Sequence[float]) -> TestResult:
+def _percentiles(values: np.ndarray, q: Sequence[float]) -> np.ndarray:
+    """``np.percentile(values, q)`` of a 1-D array, bit for bit: numpy's
+    linear interpolation over one partition at the indices numpy picks.
+
+    np.percentile picks its order statistics through ``np.unique``, whose
+    first call imports numpy.ma (about 12 ms). A sort would not do: it may
+    order -0.0 and 0.0 unlike the partition, and so sign a zero percentile
+    differently.
+    """
+    virtual = (len(values) - 1) * (np.asarray(q, dtype=float) / 100)
+    below = np.floor(virtual)
+    # At or past the last index numpy reads the last value on both sides,
+    # with the weight measured from index -1.
+    below[virtual >= len(values) - 1] = -1
+    t = virtual - below
+    lo = below.astype(np.intp)
+    hi = np.where(lo < 0, -1, lo + 1)
+    s = np.partition(values, sorted({0, -1, *lo.tolist(), *hi.tolist()}))
+    a, b = s[lo], s[hi]
+    diff = b - a
+    out = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+    return np.full(len(out), s[-1]) if np.isnan(s[-1]) else out
+
+
+def lag1_autocorr(series: Sequence[float] | np.ndarray) -> TestResult | list[TestResult]:
     """Lag-1 autocorrelation: Pearson correlation of the series with itself
-    shifted by one position."""
-    x = np.asarray(series, dtype=float)
-    if len(x) < 3:
+    shifted by one position. A (k, n) stack gives a list of k results."""
+    x, one = _stack(series)
+    n = x.shape[-1]
+    if n < 3:
         raise ValueError("need at least 3 points")
-    r, constant = _centred_r(x[:-1], x[1:])
-    if constant:
-        return TestResult(math.nan, None, "lag1", len(x), degenerate=True)
-    return TestResult(float(r), None, "lag1", len(x))
+    r, constant = _centred_r(x[:, :-1], x[:, 1:])
+    out = [
+        TestResult(math.nan, None, "lag1", n, degenerate=True) if flat else TestResult(rho, None, "lag1", n)
+        for rho, flat in zip(r.tolist(), constant.tolist())
+    ]
+    return out[0] if one else out

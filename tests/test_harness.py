@@ -39,7 +39,7 @@ from crossbt.harness import (
 )
 from crossbt.marketdata import SynthSpec, descriptive_stats
 from crossbt.strategies import BENCHMARKS
-from crossbt.stats import cluster_bootstrap
+from crossbt.stats import cluster_bootstrap, lin_ccc
 from oracles import (
     analyze_loop,
     cluster_bootstrap_per_draw,
@@ -998,6 +998,20 @@ class TestAnalyze:
         mins = {(r["benchmark"], r["metric"]) for r in demo_bundle.tables["concordance_min"]}
         assert ("bm01", "total_return") in mins
 
+    def test_concordance_over_unequal_common_buckets(self, wide_store):
+        # Dropped cells leave the bm01 pairs 2, 3 and 4 common buckets, so
+        # their CCCs run as three stacks.
+        e = wide_store.engine_ids
+        store = _damaged(wide_store, dropped=[("bm01", "B00", e[0]), ("bm01", "B01", e[0]), ("bm01", "B01", e[1])])
+        rows = [r for r in analyze(store).tables["concordance"] if r["benchmark"] == "bm01"]
+        assert {r["n_buckets"] for r in rows} == {2, 3, 4}
+        for r in rows:
+            pair = (r["engine_a"], r["engine_b"])
+            common = sorted(b for b in store.bucket_ids if all(store.cell("bm01", b, x) for x in pair))
+            x, y = ([store.cell("bm01", b, x).stats.metric(r["metric"]) for b in common] for x in pair)
+            assert r["n_buckets"] == len(common)
+            assert repr(r["ccc"]) == repr(lin_ccc(x, y))
+
     def test_dollar_table_ruler_rows(self, demo_bundle):
         rows = {r["benchmark"]: r for r in demo_bundle.tables["dollar_ambiguity"]}
         assert rows["ruler_0.10pct"]["annual_ambiguity_usd"] == 1_000_000.0
@@ -1101,6 +1115,18 @@ class TestAnalyzeOracle:
         assert analyze(damaged).to_json() == analyze_loop(damaged).to_json()
 
 
+class TestStrictJson:
+    def test_non_finite_floats_become_null(self):
+        obj = {"a": [1.5, float("nan"), (float("inf"), -float("inf"))], "b": {"c": np.float64("nan")}, "d": "NaN"}
+        text = harness.dumps_json(obj, sort_keys=True)
+        assert text == '{"a": [1.5, null, [null, null]], "b": {"c": null}, "d": "NaN"}'
+
+    def test_finite_object_is_plain_json(self):
+        obj = {"z": [0.1, -0.0, 1e300, None, True], "a": {"n": 3}}
+        for kwargs in ({}, {"sort_keys": True}, {"sort_keys": True, "indent": 2}):
+            assert harness.dumps_json(obj, **kwargs) == json.dumps(obj, **kwargs)
+
+
 class TestEmit:
     def test_emitted_tables_reload(self, tmp_path, demo_bundle):
         paths = emit_reports(demo_bundle, str(tmp_path))
@@ -1120,6 +1146,23 @@ class TestEmit:
     def test_unwritable_dir_raises(self, demo_bundle):
         with pytest.raises(OSError):
             emit_reports(demo_bundle, "/proc/definitely/not/writable")
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+# Runs ``crossbt analyze`` in a fresh interpreter and fails if it imported numpy.ma.
+ANALYZE_WITHOUT_NUMPY_MA = '''
+import sys
+
+import crossbt.cli
+
+code = crossbt.cli.main(["analyze"] + sys.argv[1:])
+if "numpy.ma" in sys.modules:
+    sys.exit("analyze imported numpy.ma")
+sys.exit(code)
+'''
 
 
 class TestCli:
@@ -1215,6 +1258,39 @@ class TestCli:
         # str() of a complex number ends in "j)".
         for name, text in _tree(out).items():
             assert b"j)" not in text, name
+        # The NaN cagr cells are null in every JSON file, which strict JSON
+        # parsers read; Python's json would also read a bare NaN token.
+        for path in out.rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
+        ccc = {r["metric"]: r["ccc"] for r in bundle["tables"]["concordance"]}
+        assert ccc["cagr"] is None and ccc["total_return"] is not None
+
+    def test_analyze_leaves_numpy_ma_unimported(self, tmp_path):
+        # numpy.ma costs about 12 ms to import; np.percentile and np.unique
+        # import it on their first call. 22 buckets of 2 take the Wilcoxon
+        # normal approximation and the cluster bootstrap.
+        cfg = {
+            "seed": 5,
+            "synthetic": {"n_assets": 44, "n_days": 140, "seed": None, "n_sectors": 2},
+            "buckets": {"n_buckets": 22, "bucket_size": 2, "n_candidates": 20},
+            "benchmarks": ["bm01", "bm02", "bm09"],
+            "engines": ["reference", "pre_trade"],
+            "permutation_draws": 100,
+            "bootstrap_draws": 50,
+        }
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", ANALYZE_WITHOUT_NUMPY_MA, "--config", str(p), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        tests = {r["test"] for r in json.loads((out / "analysis" / "bundle.json").read_text())["tables"]["stats_tests"]}
+        assert "wilcoxon-normal" in tests
 
     def test_builtin_config_run_id(self):
         assert RunConfig.from_dict(DEMO_CONFIG).run_id() == "fdc678179de9"

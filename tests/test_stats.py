@@ -456,6 +456,23 @@ class TestClusterBootstrap:
         )
         assert np.array([res.point, *res.ci95]).tobytes() == np.array([point, *ci]).tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25]),
+                st.integers(-2, 2).map(float),
+                st.floats(-1.0, 1.0),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_percentiles_equal_numpy(self, values):
+        v = np.array(values)
+        for q in ([2.5, 97.5], [0.0, 50.0, 100.0], [33.3]):
+            assert stats_mod._percentiles(v, q).tobytes() == np.percentile(v, q).tobytes()
+
 
 class TestLag1:
     def test_alternating_series(self):
@@ -551,8 +568,103 @@ class TestSpearmanRows:
             assert got[i] == (0.0 if res.degenerate else res.statistic)
 
 
+_STACK_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]),
+    st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3),
+)
+
+
+def _stack_rows(n: int, k: int):
+    """k rows of n values: free rows with ties, zeros and signed zeros, and
+    constant rows (all zero when the constant is ±0.0)."""
+    row = st.one_of(
+        st.lists(_STACK_VALUE, min_size=n, max_size=n),
+        _STACK_VALUE.map(lambda v: [v] * n),
+    )
+    return st.lists(row, min_size=k, max_size=k)
+
+
+# n = 21 is Wilcoxon's first normal-approximation length, unless the row
+# holds a zero.
+_STACK_SHAPES = st.tuples(st.sampled_from([2, 3, 4, 16, 21, 25]), st.integers(1, 6))
+
+
+def _same_rows(stacked, singles) -> None:
+    # repr tells -0.0 from 0.0 and spells every float to its last bit.
+    assert len(stacked) == len(singles)
+    for got, expected in zip(stacked, singles):
+        assert repr(got) == repr(expected)
+
+
+class TestStackedRows:
+    """Each stacked test on a (k, n) array against its 1-D call on each row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_STACK_SHAPES.flatmap(lambda s: _stack_rows(*s)))
+    def test_one_sample_t(self, rows):
+        d = np.array(rows)
+        _same_rows(one_sample_t(d), [one_sample_t(row) for row in d])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_STACK_SHAPES.flatmap(lambda s: _stack_rows(*s)), st.sampled_from([0.1, 0.5, 2.0]))
+    def test_tost(self, rows, margin):
+        d = np.array(rows)
+        _same_rows(tost(d, margin), [tost(row, margin) for row in d])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_STACK_SHAPES.filter(lambda s: s[0] >= 3).flatmap(lambda s: _stack_rows(*s)))
+    def test_lag1_autocorr(self, rows):
+        d = np.array(rows)
+        _same_rows(lag1_autocorr(d), [lag1_autocorr(row) for row in d])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_STACK_SHAPES.flatmap(lambda s: _stack_rows(*s)))
+    def test_wilcoxon(self, rows):
+        d = np.array(rows)
+        _same_rows(wilcoxon_signed_rank(d), [wilcoxon_signed_rank(row) for row in d])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_STACK_SHAPES.flatmap(lambda s: st.tuples(_stack_rows(*s), _stack_rows(*s))))
+    def test_lin_ccc(self, xy):
+        x, y = np.array(xy[0]), np.array(xy[1])
+        got = lin_ccc(x, y)
+        assert got.shape == (len(x),)
+        _same_rows(got.tolist(), [lin_ccc(a, b) for a, b in zip(x, y)])
+
+    def test_wilcoxon_rows_drop_their_own_zeros(self):
+        rng = np.random.default_rng(3)
+        d = rng.choice([-1.0, 1.0], size=(5, 24)) * rng.integers(1, 9, size=(5, 24))
+        d[1, :3] = 0.0  # 21 left: the normal approximation
+        d[2, ::6] = -0.0  # 20 left: exact enumeration
+        d[3, :] = 0.0  # none left: degenerate
+        d[4, 5:] = 0.0  # 5 left
+        got = wilcoxon_signed_rank(d)
+        assert [(r.method, r.n) for r in got] == [
+            ("wilcoxon-normal", 24), ("wilcoxon-normal", 21), ("wilcoxon-exact", 20),
+            ("wilcoxon", 0), ("wilcoxon-exact", 5),
+        ]
+        assert got[3].p_value is None and got[3].degenerate
+        _same_rows(got, [wilcoxon_signed_rank(row) for row in d])
+
+    def test_one_series_gives_one_result(self):
+        d = [1.0, 2.0, 4.0, 3.0]
+        assert isinstance(one_sample_t(d), stats_mod.TestResult)
+        assert isinstance(lin_ccc(d, d), float)
+        assert one_sample_t(np.array([d])) == [one_sample_t(d)]
+
+    def test_other_ranks_rejected(self):
+        for fn in (one_sample_t, wilcoxon_signed_rank, lag1_autocorr, lambda d: tost(d, 0.5)):
+            with pytest.raises(ValueError):
+                fn(np.ones((2, 3, 4)))
+        with pytest.raises(ValueError):
+            lin_ccc(np.ones((2, 3)), np.ones((3, 3)))
+
+
 class TestSignFlipChunks:
-    @pytest.mark.parametrize("draws", [1, 1023, 1025, 2049, 5003])
+    # Series shorter than 32 take chunks of up to 32768 rows (n = 1): one
+    # chunk at 5000 draws, several at 40000.
+    @pytest.mark.parametrize("draws", [1, 1023, 1025, 2049, 5000, 5003, 40000])
     def test_chunked_equals_one_shot(self, draws):
         rng = np.random.default_rng(draws)
         for n in range(1, 34):
@@ -576,8 +688,27 @@ class TestSignFlipChunks:
             stats_mod.SIGN_CHUNK = old
         assert got.p_value == sign_flip_one_shot(d, draws, seed)
 
-    def test_chunk_is_a_power_of_two(self):
+    def test_chunk_is_a_power_of_two(self, monkeypatch):
         assert SIGN_CHUNK >= 64 and SIGN_CHUNK & (SIGN_CHUNK - 1) == 0
+        # The rows each call draws at once: SIGN_CHUNK times the largest power
+        # of two that keeps a chunk within SIGN_CHUNK * 32 sign values.
+        sizes = []
+        real = stats_mod.substream
+
+        class Spy:
+            def __init__(self, seed, stream):
+                self.gen = real(seed, stream)
+
+            def integers(self, low, high, size):
+                sizes.append(size[0])
+                return self.gen.integers(low, high, size=size)
+
+        monkeypatch.setattr(stats_mod, "substream", Spy)
+        expected = {1: 32768, 2: 16384, 3: 8192, 4: 8192, 16: 2048, 17: 1024, 32: 1024, 33: 1024, 200: 1024}
+        for n, rows in expected.items():
+            sizes.clear()
+            sign_flip_permutation(np.ones(n), draws=10**5, seed=0)
+            assert set(sizes[:-1]) == {rows}, n
 
     def test_negative_draws_rejected(self):
         with pytest.raises(ValueError):
