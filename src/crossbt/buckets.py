@@ -5,15 +5,10 @@ under the sector-distinctness constraint) and the one minimising a
 Mahalanobis balance score is retained. Each candidate draws from its own
 RNG substream keyed by (seed, candidate index), so batched and serial
 candidate generation agree: ``rerandomize`` samples and scores candidates in
-vectorised blocks, and ``sample_partition`` is the single-draw reference.
-
-The batched sampler fills one bucket at a time rather than placing one
-asset at a time. The greedy fill offers each asset to the buckets in order,
-so bucket b only ever sees the assets buckets 0 to b - 1 left, in shuffle
-order. Under the sector constraint it takes the first of each of the
-``bucket_size`` sectors that turn up earliest among them; without it, the
-first ``bucket_size`` of them. That is the partition the asset-by-asset
-fill builds, and a bucket step needs only each sector's next untaken asset.
+vectorised blocks, and ``sample_partition`` draws one partition through the
+same bucket steps. The asset-by-asset fill they are tested against is
+``tests/oracles.py``'s ``greedy_fill_loop``; ``_sample_block`` explains why
+one step per bucket builds the partition that fill builds.
 """
 
 from __future__ import annotations
@@ -198,34 +193,22 @@ def sample_partition(
     in the first bucket with room whose sectors it does not collide with;
     dead ends restart with a fresh shuffle, capped at ``max_restarts``.
 
-    This is the single-draw API and the serial reference that the batched
-    sampler inside ``rerandomize`` is tested against: candidate ``i`` there
+    This is the single-draw API: each shuffle is filled as a one-row block
+    by the bucket steps of ``_bucket_positions``, with each asset its own
+    sector when the constraint is off, so candidate ``i`` of ``rerandomize``
     equals this function on ``substream(seed, i)``.
     """
+    labels = sectors[:n_assets] if sector_constraint else range(n_assets)
+    codes = np.unique(list(labels), return_inverse=True)[1]
+    # A bucket takes each asset from another sector: with fewer sectors than
+    # slots, every shuffle fails unless there is no bucket to fill.
+    fits = n_buckets == 0 or bucket_size <= len(np.bincount(codes))
     for _ in range(max_restarts):
         order = rng.permutation(n_assets)
-        buckets: list[list[int]] = [[] for _ in range(n_buckets)]
-        bucket_sectors: list[set] = [set() for _ in range(n_buckets)]
-        placed = 0
-        for idx in order:
-            if placed == bucket_size * n_buckets:
-                break
-            target = None
-            for b in range(n_buckets):
-                if len(buckets[b]) >= bucket_size:
-                    continue
-                if sector_constraint and sectors[idx] in bucket_sectors[b]:
-                    continue
-                target = b
-                break
-            if target is None:
-                # Unplaceable asset is only a dead end if buckets still need fills.
-                continue
-            buckets[target].append(int(idx))
-            bucket_sectors[target].add(sectors[idx])
-            placed += 1
-        if placed == bucket_size * n_buckets:
-            return buckets
+        if fits:
+            taken = _bucket_positions(order[None], codes, bucket_size, n_buckets)[0]
+            if (taken < n_assets).all():
+                return order[taken].tolist()
     raise InfeasibleConstraint(
         f"no sector-feasible partition after {max_restarts} restarts "
         f"({n_buckets} buckets of {bucket_size})"
@@ -341,11 +324,11 @@ def rerandomize(
 ) -> Partition:
     """Draw candidate partitions and retain the one with the best balance.
 
-    Candidate ``i`` is ``sample_partition`` on ``substream(seed, i)``.
-    Candidates are sampled and scored in blocks of ``CANDIDATE_BLOCK``, which
-    bounds memory and leaves every draw and score unchanged. Deterministic for
-    a fixed seed; the returned score is the minimum over all sampled
-    candidates (ties keep the earliest candidate).
+    Candidate ``i`` is the partition ``sample_partition`` draws from
+    ``substream(seed, i)``. Candidates are sampled and scored in blocks of
+    ``CANDIDATE_BLOCK``, which bounds memory and leaves every draw and score
+    unchanged. Deterministic for a fixed seed; the returned score is the
+    minimum over all sampled candidates (ties keep the earliest candidate).
     """
     n = len(cov.assets)
     if bucket_size < 1 or n_buckets < 1:

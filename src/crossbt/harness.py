@@ -184,11 +184,12 @@ class RunConfig:
         for key, ok, rule in (
             ("permutation_draws", self.permutation_draws >= 0, ">= 0"),
             ("bootstrap_draws", self.bootstrap_draws >= 1, ">= 1"),
-            ("aum", self.aum >= 0, ">= 0"),
+            ("aum", 0 <= self.aum < math.inf, "finite and >= 0"),
             ("warmup", self.warmup is None or self.warmup >= 0, ">= 0"),
-            ("initial_capital", self.initial_capital > 0, "> 0"),
+            ("initial_capital", 0 < self.initial_capital < math.inf, "finite and > 0"),
             ("fdr_q", 0 < self.fdr_q <= 1, "in (0, 1]"),
-            ("tost_margins_pp", all(m > 0 for m in self.tost_margins_pp), "each > 0"),
+            ("tost_margins_pp", all(0 < m < math.inf for m in self.tost_margins_pp), "each finite and > 0"),
+            ("cost_regimes_bps", all(map(math.isfinite, self.cost_regimes_bps)), "each finite"),
             ("daf_reference", self.daf_reference in BENCHMARKS, "a registered benchmark"),
         ):
             if not ok:

@@ -136,6 +136,8 @@ def load_prices_csv(path: str, sectors_path: str | None = None) -> PriceMatrix:
         if not header or len(header) < 2:
             raise ValueError(f"{path}: header must be a date column plus tickers")
         assets = tuple(h.strip() for h in header[1:])
+        if "" in assets:
+            raise ValueError(f"{path}: header column {assets.index('') + 2} has no ticker")
         dates: list[str] = []
         rows: list[list[float]] = []
         for row in reader:
@@ -174,14 +176,19 @@ def write_prices_csv(pm: PriceMatrix, path: str) -> None:
 
 
 def load_sector_map(path: str) -> dict[str, str]:
-    """Two-column CSV ``ticker,sector`` with a header row."""
+    """Two-column CSV ``ticker,sector`` with a header row; one row per ticker, none blank."""
     sectors: dict[str, str] = {}
     with open(path, newline="") as f:
         reader = csv.reader(f)
         next(reader, None)
         for row in reader:
             if len(row) >= 2 and row[0].strip():
-                sectors[row[0].strip()] = row[1].strip()
+                ticker, sector = row[0].strip(), row[1].strip()
+                if ticker in sectors:
+                    raise ValueError(f"{path}: ticker {ticker!r} listed twice")
+                if not sector:
+                    raise ValueError(f"{path}: ticker {ticker!r} has a blank sector")
+                sectors[ticker] = sector
     return sectors
 
 

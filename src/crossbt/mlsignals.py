@@ -215,6 +215,12 @@ class WalkForwardConfig:
         return _MIN_HISTORY + self.train_window + self.gap - 1
 
 
+def momentum_ranking(returns: Sequence[float]) -> np.ndarray:
+    """Asset indices ordered best-first, ties broken by lower index."""
+    r = np.asarray(returns, dtype=float)
+    return np.lexsort((np.arange(len(r)), -r))
+
+
 @dataclass(frozen=True)
 class SignalRank:
     """Model output at one rebalance: predictions and best-first ordering."""
@@ -236,8 +242,8 @@ def walk_forward_signal(
     Training pairs pool all assets: features at day s, realised return over
     (s, s + horizon], for s across the window ending ``gap`` days before the
     rebalance. Prediction uses features from the day before the rebalance.
-    A zero-variance training target yields a uniform (index-ordered) ranking
-    flagged degenerate. Ties rank by asset index.
+    A zero-variance training target predicts 0 for every asset, so the ranking
+    is the index order, and is flagged degenerate. Ties rank by asset index.
     """
     p = pm.prices
     n = pm.n_assets
@@ -255,11 +261,7 @@ def walk_forward_signal(
         X = np.concatenate([build_features(pm, s) for s in range(s_lo, s_hi + 1)])
         h = wf.horizon
         y = (p[s_lo + h : s_hi + h + 1] / p[s_lo : s_hi + 1] - 1.0).ravel()
-        if float(np.std(y)) == 0.0:
-            pred = np.zeros(n)
-            out.append(SignalRank(pm.dates[t], pred, tuple(range(n)), degenerate=True))
-            continue
-        pred = fit_elastic_net(X, y, net).predict(build_features(pm, t - 1))
-        ranking = tuple(int(i) for i in np.lexsort((np.arange(n), -pred)))
-        out.append(SignalRank(pm.dates[t], pred, ranking))
+        degenerate = float(np.std(y)) == 0.0
+        pred = np.zeros(n) if degenerate else fit_elastic_net(X, y, net).predict(build_features(pm, t - 1))
+        out.append(SignalRank(pm.dates[t], pred, tuple(int(i) for i in momentum_ranking(pred)), degenerate))
     return out

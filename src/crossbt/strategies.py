@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import WeightSchedule
 from .marketdata import PriceMatrix
-from .mlsignals import ElasticNetConfig, WalkForwardConfig, walk_forward_signal
+from .mlsignals import ElasticNetConfig, WalkForwardConfig, momentum_ranking, walk_forward_signal
 
 MONTH_DAYS = 21
 
@@ -33,17 +33,28 @@ def rebalance_indices(n_days: int, start: int, freq: str) -> list[int]:
     raise ValueError(f"unknown frequency {freq!r}")
 
 
+def _schedule(pm: PriceMatrix, start: int, freq: str, rule: Callable[[int, int], np.ndarray]) -> WeightSchedule:
+    """The schedule holding ``rule(j, t)`` at the j-th rebalance, on day index t."""
+    idxs = rebalance_indices(pm.n_days, start, freq)
+    return WeightSchedule({pm.dates[t]: rule(j, t) for j, t in enumerate(idxs)})
+
+
+def _holding(n: int, members, weight) -> np.ndarray:
+    """Weight vector of n assets holding ``weight`` in ``members``, cash elsewhere."""
+    w = np.zeros(n)
+    w[members] = weight
+    return w
+
+
 def equal_weight(pm: PriceMatrix, start: int = 0, freq: str = "monthly") -> WeightSchedule:
     """1/N in every asset at each rebalance."""
     w = np.full(pm.n_assets, 1.0 / pm.n_assets)
-    idxs = rebalance_indices(pm.n_days, start, freq)
-    return WeightSchedule({pm.dates[t]: w for t in idxs})
+    return _schedule(pm, start, freq, lambda j, t: w)
 
 
 def buy_and_hold(pm: PriceMatrix, start: int = 0) -> WeightSchedule:
     """Equal weights bought once on the first day, drifting thereafter."""
-    w = np.full(pm.n_assets, 1.0 / pm.n_assets)
-    return WeightSchedule({pm.dates[start]: w})
+    return equal_weight(pm, start, "once")
 
 
 def _rotating_members(j: int, k: int, n: int, phase: int) -> list[int]:
@@ -59,12 +70,7 @@ def rotation(
     n = pm.n_assets
     if not 1 <= k <= n:
         raise ValueError("subset size must lie in [1, n_assets]")
-    entries = {}
-    for j, t in enumerate(rebalance_indices(pm.n_days, start, freq)):
-        w = np.zeros(n)
-        w[_rotating_members(j, k, n, phase)] = 1.0 / k
-        entries[pm.dates[t]] = w
-    return WeightSchedule(entries)
+    return _schedule(pm, start, freq, lambda j, t: _holding(n, _rotating_members(j, k, n, phase), 1.0 / k))
 
 
 def sma_filter(
@@ -74,15 +80,12 @@ def sma_filter(
     moving average; all cash when none qualify."""
     if start < window:
         raise ValueError(f"start {start} leaves less than {window} days of look-back")
-    entries = {}
-    for t in rebalance_indices(pm.n_days, start, freq):
-        sma = pm.prices[t - window : t].mean(axis=0)
-        held = pm.prices[t - 1] > sma
-        w = np.zeros(pm.n_assets)
-        if held.any():
-            w[held] = 1.0 / held.sum()
-        entries[pm.dates[t]] = w
-    return WeightSchedule(entries)
+
+    def rule(j: int, t: int) -> np.ndarray:
+        held = pm.prices[t - 1] > pm.prices[t - window : t].mean(axis=0)
+        return _holding(pm.n_assets, held, 1.0 / max(held.sum(), 1))
+
+    return _schedule(pm, start, freq, rule)
 
 
 def inverse_vol_weights(vols: Sequence[float]) -> np.ndarray:
@@ -95,9 +98,7 @@ def inverse_vol_weights(vols: Sequence[float]) -> np.ndarray:
     if np.any(v < 0):
         raise ValueError("volatilities must be >= 0")
     if np.any(v == 0.0):
-        w = np.zeros(len(v))
-        w[v == 0.0] = 1.0 / np.count_nonzero(v == 0.0)
-        return w
+        return _holding(len(v), v == 0.0, 1.0 / np.count_nonzero(v == 0.0))
     inv = 1.0 / v
     return inv / inv.sum()
 
@@ -108,19 +109,12 @@ def inverse_vol(
     """Weights inversely proportional to trailing realised volatility."""
     if start < window + 1:
         raise ValueError(f"start {start} leaves less than {window + 1} days of look-back")
-    entries = {}
-    for t in rebalance_indices(pm.n_days, start, freq):
+
+    def rule(j: int, t: int) -> np.ndarray:
         block = pm.prices[t - window - 1 : t]
-        rets = block[1:] / block[:-1] - 1.0
-        vols = np.std(rets, axis=0, ddof=1)
-        entries[pm.dates[t]] = inverse_vol_weights(vols)
-    return WeightSchedule(entries)
+        return inverse_vol_weights(np.std(block[1:] / block[:-1] - 1.0, axis=0, ddof=1))
 
-
-def momentum_ranking(returns: Sequence[float]) -> np.ndarray:
-    """Asset indices ordered best-first, ties broken by lower index."""
-    r = np.asarray(returns, dtype=float)
-    return np.lexsort((np.arange(len(r)), -r))
+    return _schedule(pm, start, freq, rule)
 
 
 def cross_momentum(
@@ -138,24 +132,17 @@ def cross_momentum(
     if start < lookback:
         raise ValueError(f"start {start} leaves less than {lookback} days of look-back")
     top = min(top, pm.n_assets)
-    entries = {}
-    for t in rebalance_indices(pm.n_days, start, freq):
+
+    def rule(j: int, t: int) -> np.ndarray:
         rets = pm.prices[t - skip] / pm.prices[t - lookback] - 1.0
-        chosen = momentum_ranking(rets)[:top]
-        w = np.zeros(pm.n_assets)
-        w[chosen] = 1.0 / top
-        entries[pm.dates[t]] = w
-    return WeightSchedule(entries)
+        return _holding(pm.n_assets, momentum_ranking(rets)[:top], 1.0 / top)
+
+    return _schedule(pm, start, freq, rule)
 
 
 def binary_switch(pm: PriceMatrix, start: int = 0, a: int = 0, b: int = 1) -> WeightSchedule:
     """All-in on asset ``a`` on odd evaluation days and ``b`` on even days."""
-    entries = {}
-    for day, t in enumerate(rebalance_indices(pm.n_days, start, "daily"), start=1):
-        w = np.zeros(pm.n_assets)
-        w[a if day % 2 == 1 else b] = 1.0
-        entries[pm.dates[t]] = w
-    return WeightSchedule(entries)
+    return _schedule(pm, start, "daily", lambda j, t: _holding(pm.n_assets, b if j % 2 else a, 1.0))
 
 
 def tiered_cash(
@@ -166,16 +153,10 @@ def tiered_cash(
     phase: int = 0,
 ) -> WeightSchedule:
     """Tiered allocation over a rotating ordered asset tuple."""
-    k = len(tiers)
-    if k > pm.n_assets:
+    k, n = len(tiers), pm.n_assets
+    if k > n:
         raise ValueError("more tiers than assets")
-    entries = {}
-    for j, t in enumerate(rebalance_indices(pm.n_days, start, freq)):
-        w = np.zeros(pm.n_assets)
-        for tier, idx in zip(tiers, _rotating_members(j, k, pm.n_assets, phase)):
-            w[idx] = tier
-        entries[pm.dates[t]] = w
-    return WeightSchedule(entries)
+    return _schedule(pm, start, freq, lambda j, t: _holding(n, _rotating_members(j, k, n, phase), tiers))
 
 
 def concentrated(
@@ -184,12 +165,7 @@ def concentrated(
     """Nearly everything in one rotating asset, the rest in cash."""
     if not 0 < weight <= 1:
         raise ValueError("weight must lie in (0, 1]")
-    entries = {}
-    for j, t in enumerate(rebalance_indices(pm.n_days, start, freq)):
-        w = np.zeros(pm.n_assets)
-        w[j % pm.n_assets] = weight
-        entries[pm.dates[t]] = w
-    return WeightSchedule(entries)
+    return _schedule(pm, start, freq, lambda j, t: _holding(pm.n_assets, j % pm.n_assets, weight))
 
 
 def ml_signal(
@@ -201,15 +177,10 @@ def ml_signal(
     """Equal weight in the walk-forward model's top predicted assets."""
     wf = wf or WalkForwardConfig()
     net = net or ElasticNetConfig()
-    idxs = rebalance_indices(pm.n_days, start, "monthly")
-    signals = walk_forward_signal(pm, idxs, wf, net)
+    signals = walk_forward_signal(pm, rebalance_indices(pm.n_days, start, "monthly"), wf, net)
     top = min(wf.top, pm.n_assets)
-    entries = {}
-    for sig in signals:
-        w = np.zeros(pm.n_assets)
-        w[list(sig.ranking[:top])] = 1.0 / top
-        entries[sig.date] = w
-    return WeightSchedule(entries)
+    return _schedule(pm, start, "monthly",
+                     lambda j, t: _holding(pm.n_assets, list(signals[j].ranking[:top]), 1.0 / top))
 
 
 @dataclass(frozen=True)

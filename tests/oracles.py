@@ -145,6 +145,50 @@ def quadratic_balance_score(bucket_index_lists, covariates, bucket_size):
     return score
 
 
+def greedy_fill_loop(n_assets, sectors, bucket_size, n_buckets, rng, sector_constraint=True,
+                     max_restarts=None):
+    """The sector-constrained greedy fill, one asset at a time.
+
+    Shuffles assets with ``rng.permutation`` and places each asset in the
+    first bucket with room whose sectors it does not collide with; dead ends
+    restart with a fresh shuffle, capped at ``max_restarts`` (default
+    ``buckets.MAX_RESTARTS``). Returns lists of asset indices, or raises
+    ``InfeasibleConstraint``.
+    """
+    from crossbt.buckets import MAX_RESTARTS, InfeasibleConstraint
+
+    if max_restarts is None:
+        max_restarts = MAX_RESTARTS
+    for _ in range(max_restarts):
+        order = rng.permutation(n_assets)
+        buckets = [[] for _ in range(n_buckets)]
+        bucket_sectors = [set() for _ in range(n_buckets)]
+        placed = 0
+        for idx in order:
+            if placed == bucket_size * n_buckets:
+                break
+            target = None
+            for b in range(n_buckets):
+                if len(buckets[b]) >= bucket_size:
+                    continue
+                if sector_constraint and sectors[idx] in bucket_sectors[b]:
+                    continue
+                target = b
+                break
+            if target is None:
+                # Unplaceable asset is only a dead end if buckets still need fills.
+                continue
+            buckets[target].append(int(idx))
+            bucket_sectors[target].add(sectors[idx])
+            placed += 1
+        if placed == bucket_size * n_buckets:
+            return buckets
+    raise InfeasibleConstraint(
+        f"no sector-feasible partition after {max_restarts} restarts "
+        f"({n_buckets} buckets of {bucket_size})"
+    )
+
+
 def feature_recompute(prices, t):
     """Spreadsheet-style recomputation of the five features for one asset.
 

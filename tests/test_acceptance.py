@@ -15,7 +15,6 @@ from crossbt.buckets import (
     compute_covariates,
     mahalanobis_score,
     rerandomize,
-    sample_partition,
     sector_balance,
 )
 from crossbt.cli import main
@@ -41,7 +40,7 @@ from crossbt.stats import (
 )
 from crossbt.strategies import BENCHMARKS
 
-from oracles import backtest_loop, bh_threshold_enum, sign_flip_count, wilcoxon_enumeration
+from oracles import backtest_loop, bh_threshold_enum, greedy_fill_loop, sign_flip_count, wilcoxon_enumeration
 
 
 def _report(number: int, description: str, passed: bool) -> None:
@@ -322,7 +321,7 @@ def test_criterion_11_bucket_qc():
     sectors = [pm.sectors[a] for a in cov.assets]
     scores = []
     for i in range(n_cand):
-        buckets = sample_partition(36, sectors, 6, 6, substream(111, i))
+        buckets = greedy_fill_loop(36, sectors, 6, 6, substream(111, i))
         named = tuple(tuple(cov.assets[j] for j in b) for b in buckets)
         scores.append(mahalanobis_score(Partition(named, 0.0, 111, 1), cov))
     ok = ok and part.score <= float(np.median(scores))

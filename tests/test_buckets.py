@@ -25,12 +25,12 @@ from crossbt.marketdata import PriceMatrix
 from crossbt.rng import substream
 from crossbt.stats import chi2_sf
 
-from oracles import quadratic_balance_score
+from oracles import greedy_fill_loop, quadratic_balance_score
 
 
 def _serial_rerandomize(cov, sectors, bucket_size, n_buckets, n_candidates, seed,
                         sector_constraint=True):
-    """Reference rerandomisation: one ``sample_partition`` per candidate on
+    """Reference rerandomisation: one ``greedy_fill_loop`` per candidate on
     its own substream, each scored alone, keeping the first strict minimum."""
     if sector_constraint:
         sector_list = [sectors[a] for a in cov.assets]
@@ -38,7 +38,7 @@ def _serial_rerandomize(cov, sectors, bucket_size, n_buckets, n_candidates, seed
         sector_list = [""] * len(cov.assets)
     best_score, best = math.inf, None
     for i in range(n_candidates):
-        drawn = sample_partition(len(cov.assets), sector_list, bucket_size, n_buckets,
+        drawn = greedy_fill_loop(len(cov.assets), sector_list, bucket_size, n_buckets,
                                  substream(seed, i), sector_constraint)
         named = tuple(tuple(cov.assets[j] for j in b) for b in drawn)
         score = mahalanobis_score(Partition(named, 0.0, seed, 1), cov)
@@ -156,6 +156,41 @@ class TestMahalanobisScore:
         assert mine == pytest.approx(brute, rel=1e-12)
 
 
+@st.composite
+def _any_layouts(draw):
+    """Sector labels and a bucket layout that may have more slots than assets,
+    more slots per bucket than sectors, or no slot at all."""
+    n_sectors = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.sampled_from([f"s{k}" for k in range(n_sectors)]), max_size=24))
+    return labels, draw(st.integers(0, 8)), draw(st.integers(0, 8))
+
+
+class TestSamplePartition:
+    @settings(max_examples=300, deadline=None)
+    @given(layout=_any_layouts(), seed=st.integers(0, 2**64 - 1), sector_constraint=st.booleans(),
+           max_restarts=st.integers(1, 6))
+    # One sector must go in every bucket: shuffles dead-end, then one fits.
+    @example(layout=(["a"] * 4 + ["b", "c", "d", "e"], 2, 4), seed=0, sector_constraint=True,
+             max_restarts=100)
+    @example(layout=(["a"] * 8, 3, 2), seed=1, sector_constraint=False, max_restarts=2)
+    @example(layout=(["a", "b"] * 3, 2, 4), seed=2, sector_constraint=False, max_restarts=2)
+    @example(layout=(["a", "b"] * 3, 3, 1), seed=3, sector_constraint=True, max_restarts=2)
+    @example(layout=(["a", "b"] * 3, 3, 0), seed=4, sector_constraint=True, max_restarts=2)
+    @example(layout=(["a", "b"] * 3, 0, 2), seed=5, sector_constraint=True, max_restarts=2)
+    def test_equals_greedy_fill_loop(self, layout, seed, sector_constraint, max_restarts):
+        # Same partition or both infeasible, and the generator left in the
+        # same state: one permutation per attempt on both sides.
+        labels, bucket_size, n_buckets = layout
+        args = (len(labels), labels, bucket_size, n_buckets)
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        drawn = [
+            _outcome(fill, *args, rng, sector_constraint, max_restarts)
+            for fill, rng in zip((sample_partition, greedy_fill_loop), rngs)
+        ]
+        assert drawn[0] == drawn[1]
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
 class TestRerandomize:
     def _cov(self, pm):
         return compute_covariates(pm)
@@ -203,7 +238,7 @@ class TestRerandomize:
         sectors = [bucket_universe.sectors[a] for a in cov.assets]
         rescored = []
         for i in range(n_cand):
-            buckets = sample_partition(36, sectors, 6, 5, substream(9, i))
+            buckets = greedy_fill_loop(36, sectors, 6, 5, substream(9, i))
             named = tuple(tuple(cov.assets[j] for j in b) for b in buckets)
             rescored.append(mahalanobis_score(Partition(named, 0.0, 9, 1), cov))
         assert part.score == min(rescored)
@@ -300,7 +335,7 @@ class TestRerandomize:
         serial = []
         for j in range(count):
             try:
-                serial.append(sample_partition(n, codes.tolist(), bucket_size, n_buckets,
+                serial.append(greedy_fill_loop(n, codes.tolist(), bucket_size, n_buckets,
                                                substream(seed, first + j), sector_constraint))
             except InfeasibleConstraint:
                 serial.append(None)

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -166,6 +167,20 @@ class TestRunConfig:
         # Refused when the config is built, naming the key; the nearest legal
         # value builds.
         with pytest.raises(ValueError, match=f"^{key} must be "):
+            _config(**{key: bad})
+        _config(**{key: edge})
+
+    @pytest.mark.parametrize("key, bad, edge", [
+        ("aum", math.inf, 1e300),
+        ("initial_capital", math.inf, 1e300),
+        ("tost_margins_pp", (0.1, math.inf), (0.1, 1e300)),
+        ("cost_regimes_bps", (0.0, 18.0, 36.0, 60.0, math.inf), (0.0, 18.0, 36.0, 60.0, 1e300)),
+        ("cost_regimes_bps", (0.0, 18.0, 36.0, 60.0, math.nan), (0.0, 18.0, 36.0, 60.0, -1e300)),
+    ])
+    def test_non_finite_value_rejected(self, key, bad, edge):
+        # A store.json writes a non-finite number as null, which no config
+        # reads back; the config refuses it when built, naming the key.
+        with pytest.raises(ValueError, match=f"^{key} must be .*finite"):
             _config(**{key: bad})
         _config(**{key: edge})
 
@@ -1217,6 +1232,22 @@ class TestCli:
         assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
         assert main(["report", "--config", cfg, "--seed", "99", "--out", str(out)]) == 1
         assert not (out / "report").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("aum", math.inf),
+        ("initial_capital", math.inf),
+        ("tost_margins_pp", [0.1, math.inf]),
+        ("cost_regimes_bps", [0, 18, 36, 60, math.nan]),
+    ])
+    def test_run_refuses_a_non_finite_config_value(self, tmp_path, capsys, key, value):
+        p = Path(self._write_config(tmp_path))
+        cfg = json.loads(p.read_text())
+        cfg[key] = value
+        p.write_text(json.dumps(cfg))  # Infinity and NaN tokens, as Python's json writes them
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 1
+        assert not (out / "store").exists()
+        assert f"{key} must be" in capsys.readouterr().err
 
     def test_all_command(self, tmp_path):
         cfg = self._write_config(tmp_path)

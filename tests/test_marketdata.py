@@ -79,6 +79,21 @@ class TestLoadCsv:
         pm = load_prices_csv(p)
         assert pm.dates == ("2024-01-02", "2024-01-03")
 
+    def test_blank_header_ticker_named(self, tmp_path):
+        p = _write(tmp_path / "p.csv", "date,A,B,\n1,10.0,20.0\n2,11.0,21.0\n")
+        with pytest.raises(ValueError, match="header column 4 has no ticker"):
+            load_prices_csv(p)
+
+    def test_sector_listed_twice_named(self, tmp_path):
+        s = _write(tmp_path / "s.csv", "ticker,sector\nA,X\nB,Y\nA,Z\n")
+        with pytest.raises(ValueError, match="ticker 'A' listed twice"):
+            load_sector_map(s)
+
+    def test_blank_sector_named(self, tmp_path):
+        s = _write(tmp_path / "s.csv", "ticker,sector\nA,X\nB, \n")
+        with pytest.raises(ValueError, match="ticker 'B' has a blank sector"):
+            load_sector_map(s)
+
     def test_sector_sidecar(self, tmp_path):
         p = _write(tmp_path / "p.csv", "date,X,Y\n1,10.0,20.0\n2,11.0,21.0\n")
         s = _write(tmp_path / "s.csv", "ticker,sector\nX,tech\nY,energy\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crossbt import mlsignals
 from crossbt.engine import WeightSchedule
 from crossbt.marketdata import PriceMatrix, SynthSpec, generate_synthetic
 from crossbt.strategies import (
@@ -143,6 +144,9 @@ class TestCrossMomentum:
         assert list(momentum_ranking([0.10, 0.05, -0.02])) == [0, 1, 2]
         assert list(momentum_ranking([0.05, 0.10, -0.02])[:2]) == [1, 0]
 
+    def test_one_ranking_for_momentum_and_the_ml_signal(self):
+        assert momentum_ranking is mlsignals.momentum_ranking
+
     def test_ties_break_by_index(self):
         assert list(momentum_ranking([0.1, 0.1, 0.1])) == [0, 1, 2]
 
@@ -257,6 +261,18 @@ class TestRegistry:
             index = pm.date_index()
             for date in sched.entries:
                 assert index[date] >= start
+
+    @pytest.mark.parametrize("bm_id", list(BENCHMARKS))
+    def test_schedule_days_follow_the_stated_frequency(self, bm_id):
+        # Demo 04 and the registry report ``freq``; the builder must use it.
+        pm = generate_synthetic(
+            SynthSpec(n_assets=6, n_days=340, seed=23, annual_vol=0.3, annual_drift=0.1)
+        )
+        spec = BENCHMARKS[bm_id]
+        index = pm.date_index()
+        for start in (spec.warmup, spec.warmup + 4, 290):
+            days = [index[date] for date in spec.build(pm, start).entries]
+            assert days == rebalance_indices(pm.n_days, start, spec.freq), start
 
     def test_signal_causality(self):
         # Perturbing prices on or after a rebalance date must not change
