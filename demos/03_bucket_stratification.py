@@ -16,7 +16,6 @@ from crossbt.buckets import (
     sample_partition,
     sector_balance,
 )
-from crossbt.rng import substream
 
 panel = generate_synthetic(
     SynthSpec(n_assets=36, n_days=504, seed=1, annual_drift=0.05, annual_vol=0.3, n_sectors=6)
@@ -25,8 +24,7 @@ cov = compute_covariates(panel)
 print("covariates per asset: annualised vol, mean pairwise corr, log total return")
 print(f"first asset: {np.round(cov.values[0], 4)}")
 
-naive_buckets = sample_partition(36, [panel.sectors[a] for a in cov.assets], 6, 6,
-                                 substream(123, 0))
+naive_buckets = sample_partition(36, [panel.sectors[a] for a in cov.assets], 6, 6, 123)
 naive = Partition(
     tuple(tuple(cov.assets[i] for i in b) for b in naive_buckets), 0.0, 123, 1
 )

@@ -5,10 +5,10 @@ under the sector-distinctness constraint) and the one minimising a
 Mahalanobis balance score is retained. Each candidate draws from its own
 RNG substream keyed by (seed, candidate index), so batched and serial
 candidate generation agree: ``rerandomize`` samples and scores candidates in
-vectorised blocks, and ``sample_partition`` draws one partition through the
-same bucket steps. The asset-by-asset fill they are tested against is
-``tests/oracles.py``'s ``greedy_fill_loop``; ``_sample_block`` explains why
-one step per bucket builds the partition that fill builds.
+vectorised blocks, and ``sample_partition`` is its candidate 0. Candidate
+``i`` equals the asset-by-asset fill of ``tests/oracles.py``'s
+``greedy_fill_loop`` on ``substream(seed, i)``; ``_sample_block`` explains
+why one step per bucket builds the partition that fill builds.
 """
 
 from __future__ import annotations
@@ -183,36 +183,24 @@ def sample_partition(
     sectors: Sequence[str],
     bucket_size: int,
     n_buckets: int,
-    rng: np.random.Generator,
+    seed: int,
     sector_constraint: bool = True,
-    max_restarts: int = MAX_RESTARTS,
 ) -> list[list[int]]:
     """One random sector-feasible partition (asset indices), or raise.
 
-    Shuffles assets uniformly and fills buckets greedily, placing each asset
-    in the first bucket with room whose sectors it does not collide with;
-    dead ends restart with a fresh shuffle, capped at ``max_restarts``.
-
-    This is the single-draw API: each shuffle is filled as a one-row block
-    by the bucket steps of ``_bucket_positions``, with each asset its own
-    sector when the constraint is off, so candidate ``i`` of ``rerandomize``
-    equals this function on ``substream(seed, i)``.
+    The single-draw API: candidate 0 of ``rerandomize``'s sampler for
+    ``seed``, so it shuffles ``substream(seed, 0)`` and fills buckets as
+    ``_sample_block`` describes. A layout with more slots than assets, or
+    with more slots per bucket than sectors, raises at once.
     """
-    labels = sectors[:n_assets] if sector_constraint else range(n_assets)
-    codes = np.unique(list(labels), return_inverse=True)[1]
-    # A bucket takes each asset from another sector: with fewer sectors than
-    # slots, every shuffle fails unless there is no bucket to fill.
-    fits = n_buckets == 0 or bucket_size <= len(np.bincount(codes))
-    for _ in range(max_restarts):
-        order = rng.permutation(n_assets)
-        if fits:
-            taken = _bucket_positions(order[None], codes, bucket_size, n_buckets)[0]
-            if (taken < n_assets).all():
-                return order[taken].tolist()
-    raise InfeasibleConstraint(
-        f"no sector-feasible partition after {max_restarts} restarts "
-        f"({n_buckets} buckets of {bucket_size})"
-    )
+    codes = None
+    if sector_constraint:
+        labels, codes = np.unique(list(sectors[:n_assets]), return_inverse=True)
+        if n_buckets and bucket_size > len(labels):
+            raise InfeasibleConstraint(f"bucket size {bucket_size} exceeds {len(labels)} sectors")
+    if bucket_size * n_buckets > n_assets:
+        raise InfeasibleConstraint(f"{n_buckets} buckets of {bucket_size} exceed {n_assets} assets")
+    return _sample_block(seed, 0, 1, n_assets, codes, bucket_size, n_buckets)[0].tolist()
 
 
 def _bucket_positions(
@@ -260,8 +248,8 @@ def _sample_block(
     n_buckets: int,
 ) -> np.ndarray:
     """Candidates ``first`` to ``first + count - 1`` as asset indices of shape
-    (count, n_buckets, bucket_size), each equal to ``sample_partition`` on
-    ``substream(seed, candidate)``.
+    (count, n_buckets, bucket_size), each equal to the greedy first-fit of
+    ``tests/oracles.py``'s ``greedy_fill_loop`` on ``substream(seed, candidate)``.
 
     The greedy first-fit is run one bucket at a time. Bucket b sees, in
     shuffle order, the assets that buckets 0 to b - 1 did not take, because
@@ -277,12 +265,13 @@ def _sample_block(
     None), bucket b takes shuffle positions b * bucket_size to
     (b + 1) * bucket_size - 1 and never fails.
 
-    ``sector_codes`` holds an integer sector per asset; with it, the caller
-    ensures ``bucket_size`` does not exceed the number of sectors. Each
-    round gives every candidate still pending its next restart. One Philox
-    draws every shuffle: it is set to the candidate's substream, or to where
-    that stream stopped, before each draw, so each candidate draws its
-    shuffles from its own substream in the serial order.
+    ``sector_codes`` holds an integer sector per asset. The caller ensures
+    the slots fit the assets and, with ``sector_codes``, that ``bucket_size``
+    does not exceed the number of sectors. Each round gives every candidate
+    still pending its next restart. One Philox draws every shuffle: it is
+    set to the candidate's substream, or to where that stream stopped,
+    before each draw, so each candidate draws its shuffles from its own
+    substream in the serial order.
     """
     bits = np.random.Philox(0)
     shuffle = np.random.Generator(bits)
@@ -296,14 +285,11 @@ def _sample_block(
             orders[row] = shuffle.permutation(n_assets)
             streams[j] = bits.state
         if sector_codes is None:
-            members[pending] = orders[:, : n_buckets * bucket_size].reshape(-1, n_buckets, bucket_size)
+            members[pending] = orders[:, : n_buckets * bucket_size].reshape(members.shape)
             return members
         taken = _bucket_positions(orders, sector_codes, bucket_size, n_buckets)
         done = (taken < n_assets).all(axis=(1, 2))
-        positions = taken[done].reshape(-1, n_buckets * bucket_size)
-        members[pending[done]] = np.take_along_axis(orders[done], positions, axis=1).reshape(
-            -1, n_buckets, bucket_size
-        )
+        members[pending[done]] = np.take_along_axis(orders[done, None], taken[done], axis=2)
         pending = pending[~done]
         if len(pending) == 0:
             return members
@@ -324,10 +310,10 @@ def rerandomize(
 ) -> Partition:
     """Draw candidate partitions and retain the one with the best balance.
 
-    Candidate ``i`` is the partition ``sample_partition`` draws from
-    ``substream(seed, i)``. Candidates are sampled and scored in blocks of
-    ``CANDIDATE_BLOCK``, which bounds memory and leaves every draw and score
-    unchanged. Deterministic for a fixed seed; the returned score is the
+    Candidate ``i`` is the greedy first-fit partition of ``tests/oracles.py``'s
+    ``greedy_fill_loop`` on ``substream(seed, i)``. Candidates are sampled and
+    scored in blocks of ``CANDIDATE_BLOCK``, which bounds memory and leaves
+    every draw and score unchanged. Deterministic for a fixed seed; the returned score is the
     minimum over all sampled candidates (ties keep the earliest candidate).
     """
     n = len(cov.assets)

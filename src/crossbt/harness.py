@@ -20,6 +20,7 @@ import os
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from itertools import combinations, islice
+from operator import attrgetter
 from typing import get_type_hints
 
 import numpy as np
@@ -181,6 +182,7 @@ class RunConfig:
         if self.synth is None and self.prices_csv is None:
             raise ValueError("config needs either a synthetic spec or a prices CSV")
         # Checked here, not where each is read: most are read only after the grid has run.
+        b = self.buckets
         for key, ok, rule in (
             ("permutation_draws", self.permutation_draws >= 0, ">= 0"),
             ("bootstrap_draws", self.bootstrap_draws >= 1, ">= 1"),
@@ -191,9 +193,18 @@ class RunConfig:
             ("tost_margins_pp", all(0 < m < math.inf for m in self.tost_margins_pp), "each finite and > 0"),
             ("cost_regimes_bps", all(map(math.isfinite, self.cost_regimes_bps)), "each finite"),
             ("daf_reference", self.daf_reference in BENCHMARKS, "a registered benchmark"),
+            ("buckets.n_buckets", b.n_buckets >= 1, ">= 1"),
+            ("buckets.bucket_size", b.bucket_size >= 1, ">= 1"),
+            ("buckets.n_candidates", b.n_candidates >= 1, ">= 1"),
+            ("buckets.bucket_size",
+             self.prices_csv is not None or b.bucket_size * b.n_buckets <= self.synth.n_assets,
+             "<= synthetic.n_assets // buckets.n_buckets"),
+            ("sectors_csv",
+             self.prices_csv is None or self.sectors_csv is not None or not b.sector_constraint,
+             "set for a prices_csv while buckets.sector_constraint is on"),
         ):
             if not ok:
-                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+                raise ValueError(f"{key} must be {rule}, got {attrgetter(key)(self)!r}")
 
     def benchmark_cost_bps(self, benchmark: str) -> float:
         if benchmark in self.cost_overrides_bps:

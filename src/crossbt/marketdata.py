@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -138,6 +139,9 @@ def load_prices_csv(path: str, sectors_path: str | None = None) -> PriceMatrix:
         assets = tuple(h.strip() for h in header[1:])
         if "" in assets:
             raise ValueError(f"{path}: header column {assets.index('') + 2} has no ticker")
+        twice = [a for a, k in Counter(assets).items() if k > 1]
+        if twice:
+            raise ValueError(f"{path}: ticker {twice[0]!r} listed twice in the header")
         dates: list[str] = []
         rows: list[list[float]] = []
         for row in reader:
@@ -182,8 +186,8 @@ def load_sector_map(path: str) -> dict[str, str]:
         reader = csv.reader(f)
         next(reader, None)
         for row in reader:
-            if len(row) >= 2 and row[0].strip():
-                ticker, sector = row[0].strip(), row[1].strip()
+            if row and row[0].strip():
+                ticker, sector = row[0].strip(), (row[1] if len(row) > 1 else "").strip()
                 if ticker in sectors:
                     raise ValueError(f"{path}: ticker {ticker!r} listed twice")
                 if not sector:

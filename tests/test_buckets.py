@@ -167,28 +167,35 @@ def _any_layouts(draw):
 
 class TestSamplePartition:
     @settings(max_examples=300, deadline=None)
-    @given(layout=_any_layouts(), seed=st.integers(0, 2**64 - 1), sector_constraint=st.booleans(),
-           max_restarts=st.integers(1, 6))
-    # One sector must go in every bucket: shuffles dead-end, then one fits.
-    @example(layout=(["a"] * 4 + ["b", "c", "d", "e"], 2, 4), seed=0, sector_constraint=True,
-             max_restarts=100)
-    @example(layout=(["a"] * 8, 3, 2), seed=1, sector_constraint=False, max_restarts=2)
-    @example(layout=(["a", "b"] * 3, 2, 4), seed=2, sector_constraint=False, max_restarts=2)
-    @example(layout=(["a", "b"] * 3, 3, 1), seed=3, sector_constraint=True, max_restarts=2)
-    @example(layout=(["a", "b"] * 3, 3, 0), seed=4, sector_constraint=True, max_restarts=2)
-    @example(layout=(["a", "b"] * 3, 0, 2), seed=5, sector_constraint=True, max_restarts=2)
-    def test_equals_greedy_fill_loop(self, layout, seed, sector_constraint, max_restarts):
-        # Same partition or both infeasible, and the generator left in the
-        # same state: one permutation per attempt on both sides.
+    @given(layout=_any_layouts(), seed=st.integers(-2**64, 2**66), sector_constraint=st.booleans())
+    # One sector must go in every bucket: four shuffles dead-end, the fifth fits.
+    @example(layout=(["a"] * 4 + ["b", "c", "d", "e"], 2, 4), seed=15, sector_constraint=True)
+    @example(layout=(["a"] * 8, 3, 2), seed=1, sector_constraint=False)
+    @example(layout=(["a", "b"] * 3, 2, 4), seed=2, sector_constraint=False)
+    @example(layout=(["a", "b"] * 3, 3, 1), seed=3, sector_constraint=True)
+    @example(layout=(["a", "b"] * 3, 3, 0), seed=4, sector_constraint=True)
+    @example(layout=(["a", "b"] * 3, 0, 2), seed=5, sector_constraint=True)
+    def test_equals_greedy_fill_loop(self, layout, seed, sector_constraint):
+        # Same partition as the asset-by-asset fill on candidate 0's
+        # substream, or both infeasible.
         labels, bucket_size, n_buckets = layout
         args = (len(labels), labels, bucket_size, n_buckets)
-        rngs = [np.random.default_rng(seed) for _ in range(2)]
-        drawn = [
-            _outcome(fill, *args, rng, sector_constraint, max_restarts)
-            for fill, rng in zip((sample_partition, greedy_fill_loop), rngs)
-        ]
-        assert drawn[0] == drawn[1]
-        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        drawn = _outcome(sample_partition, *args, seed, sector_constraint)
+        assert drawn == _outcome(greedy_fill_loop, *args, substream(seed, 0), sector_constraint)
+
+    @settings(max_examples=60, deadline=None)
+    @given(universe=_universes(), seed=st.integers(0, 2**64 - 1), sector_constraint=st.booleans())
+    def test_is_candidate_zero_of_rerandomize(self, universe, seed, sector_constraint):
+        cov, sectors, bucket_size, n_buckets = universe
+        args = (cov, sectors, bucket_size, n_buckets, 1, seed, sector_constraint)
+        best = _outcome(rerandomize, *args)
+        labels = [sectors[a] for a in cov.assets]
+        drawn = _outcome(sample_partition, len(cov.assets), labels, bucket_size, n_buckets, seed,
+                         sector_constraint)
+        if best == "infeasible":
+            assert drawn == "infeasible"
+        else:
+            assert best[0] == tuple(tuple(cov.assets[i] for i in b) for b in drawn)
 
 
 class TestRerandomize:

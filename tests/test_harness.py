@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -35,6 +36,7 @@ from crossbt.harness import (
     RunConfig,
     analyze,
     emit_reports,
+    partition_args,
     run_suite,
     validate_results,
 )
@@ -184,6 +186,37 @@ class TestRunConfig:
             _config(**{key: bad})
         _config(**{key: edge})
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"buckets": BucketConfig(bucket_size=0)}, "buckets.bucket_size must be >= 1, got 0"),
+        ({"buckets": BucketConfig(bucket_size=-1)}, "buckets.bucket_size must be >= 1, got -1"),
+        ({"buckets": BucketConfig(n_buckets=0)}, "buckets.n_buckets must be >= 1, got 0"),
+        ({"buckets": BucketConfig(n_candidates=0)}, "buckets.n_candidates must be >= 1, got 0"),
+        ({"buckets": BucketConfig(n_buckets=3, bucket_size=6),
+          "synth": SynthSpec(n_assets=12, n_days=140, seed=3)},
+         "buckets.bucket_size must be <= synthetic.n_assets // buckets.n_buckets, got 6"),
+        ({"synth": None, "prices_csv": "prices.csv"},
+         "sectors_csv must be set for a prices_csv while buckets.sector_constraint is on, got None"),
+    ])
+    def test_partition_that_cannot_run_rejected(self, overrides, message):
+        # Refused when the config is built, before gen-data writes a panel
+        # that the buckets and run stages would then refuse.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _config(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"buckets": BucketConfig(n_buckets=3, bucket_size=6, n_candidates=1)},
+        {"prices_csv": "prices.csv", "sectors_csv": "sectors.csv",
+         "buckets": BucketConfig(n_buckets=3, bucket_size=7)},
+        {"synth": None, "prices_csv": "prices.csv", "sectors_csv": "sectors.csv"},
+        {"synth": None, "prices_csv": "prices.csv",
+         "buckets": BucketConfig(sector_constraint=False)},
+    ])
+    def test_partition_that_may_run_accepted(self, overrides):
+        # Every slot of the 18-asset panel filled; the synthetic spec not the
+        # panel when a prices CSV is given; a CSV's labels come with it or are
+        # not needed.
+        _config(**overrides)
+
     def test_json_roundtrip_and_run_id(self):
         cfg = _config()
         again = RunConfig.from_dict(json.loads(json.dumps(cfg.canonical_dict())))
@@ -313,7 +346,7 @@ class TestRunSuite:
         assert len(store.bucket_ids) == 30
 
     def test_csv_panel_without_sectors(self, tmp_path):
-        from crossbt.marketdata import generate_synthetic, write_prices_csv
+        from crossbt.marketdata import generate_synthetic, load_prices_csv, write_prices_csv
 
         pm = generate_synthetic(SynthSpec(n_assets=12, n_days=120, seed=4, annual_vol=0.2))
         path = tmp_path / "p.csv"
@@ -334,16 +367,18 @@ class TestRunSuite:
         bundle = analyze(store)
         assert bundle.bucket_qc["balance"] is None
         # Requesting the constraint without sector labels is an error, not a
-        # silent degrade.
-        strict = RunConfig(
-            seed=1,
-            prices_csv=str(path),
-            buckets=BucketConfig(n_buckets=2, bucket_size=6, n_candidates=10),
-            benchmarks=("bm01",),
-            engines=("reference", "pre_trade"),
-        )
+        # silent degrade: the config refuses it, and so does the partition
+        # stage given a panel without labels.
         with pytest.raises(ValueError, match="sector"):
-            run_suite(strict)
+            RunConfig(
+                seed=1,
+                prices_csv=str(path),
+                buckets=BucketConfig(n_buckets=2, bucket_size=6, n_candidates=10),
+                benchmarks=("bm01",),
+                engines=("reference", "pre_trade"),
+            )
+        with pytest.raises(ValueError, match="sector"):
+            partition_args(_config(), load_prices_csv(str(path)))
 
     def test_store_roundtrip(self, tmp_path, demo_store):
         demo_store.save(str(tmp_path / "store"))
@@ -1232,6 +1267,20 @@ class TestCli:
         assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
         assert main(["report", "--config", cfg, "--seed", "99", "--out", str(out)]) == 1
         assert not (out / "report").exists()
+
+    @pytest.mark.parametrize("buckets", [
+        {"n_buckets": 0, "bucket_size": 6, "n_candidates": 20},
+        {"n_buckets": 4, "bucket_size": 6, "n_candidates": 20},
+    ])
+    def test_gen_data_refuses_a_partition_that_cannot_run(self, tmp_path, capsys, buckets):
+        p = Path(self._write_config(tmp_path))
+        cfg = json.loads(p.read_text())
+        cfg["buckets"] = buckets
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", str(p), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "buckets." in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("aum", math.inf),

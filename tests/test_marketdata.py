@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,16 @@ class TestLoadCsv:
         s = _write(tmp_path / "s.csv", "ticker,sector\nA,X\nB, \n")
         with pytest.raises(ValueError, match="ticker 'B' has a blank sector"):
             load_sector_map(s)
+
+    def test_ticker_without_sector_named(self, tmp_path):
+        s = _write(tmp_path / "s.csv", "ticker,sector\nA\nB,Y\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(s)}: ticker 'A' has a blank sector$"):
+            load_sector_map(s)
+
+    def test_header_ticker_listed_twice_named(self, tmp_path):
+        p = _write(tmp_path / "p.csv", "date,A,B,A\n1,10.0,20.0,30.0\n2,11.0,21.0,31.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(p)}: ticker 'A' listed twice in the header$"):
+            load_prices_csv(p)
 
     def test_sector_sidecar(self, tmp_path):
         p = _write(tmp_path / "p.csv", "date,X,Y\n1,10.0,20.0\n2,11.0,21.0\n")
