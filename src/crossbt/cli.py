@@ -121,7 +121,7 @@ def _check_run_id(found: str, cfg: RunConfig, what: str) -> None:
 
 
 def cmd_analyze(cfg: RunConfig, out: str, jobs: int) -> int:
-    store = ResultStore.load(_store_dir(out))
+    store = ResultStore.load_cells(_store_dir(out))
     _check_run_id(store.run_id, cfg, _store_dir(out))
     bundle = analyze(store)
     os.makedirs(os.path.dirname(_bundle_path(out)), exist_ok=True)

@@ -18,7 +18,7 @@ import json
 import math
 import os
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from itertools import combinations, islice
 from operator import attrgetter
 from typing import get_type_hints
@@ -83,8 +83,8 @@ FULLY_INVESTED_TOL = 1e-9
 _PERF_TYPES = get_type_hints(PerfStats)
 
 #: Columns of ``cells.csv`` in a saved store: the cell key, the error and
-#: length, every ``PerfStats`` field, then turnover.
-CELL_COLUMNS = ["benchmark", "bucket", "engine", "error", "n_days", *_PERF_TYPES, "turnover"]
+#: length, every ``PerfStats`` field, then turnover and the smallest equity.
+CELL_COLUMNS = ["benchmark", "bucket", "engine", "error", "n_days", *_PERF_TYPES, "turnover", "min_equity"]
 
 #: Columns of the long ``equity.csv`` in a saved store.
 EQUITY_COLUMNS = ["benchmark", "bucket", "engine", "date", "equity"]
@@ -199,6 +199,10 @@ class RunConfig:
             ("buckets.bucket_size",
              self.prices_csv is not None or b.bucket_size * b.n_buckets <= self.synth.n_assets,
              "<= synthetic.n_assets // buckets.n_buckets"),
+            ("buckets.bucket_size",
+             self.prices_csv is not None or not b.sector_constraint
+             or b.bucket_size <= len(set(self.synth.sector_labels())),
+             "<= the synthetic panel's sector count while buckets.sector_constraint is on"),
             ("sectors_csv",
              self.prices_csv is None or self.sectors_csv is not None or not b.sector_constraint,
              "set for a prices_csv while buckets.sector_constraint is on"),
@@ -275,7 +279,13 @@ def _plain(value):
 
 @dataclass(frozen=True)
 class CellResult:
-    """One (benchmark, bucket, engine) cell: either stats or an error."""
+    """One (benchmark, bucket, engine) cell: either stats or an error.
+
+    ``min_equity`` is the smallest non-NaN equity value (NaN when every
+    value is NaN), derived from a non-empty ``equity`` when the cell is
+    made, so ``min_equity <= 0`` holds exactly when some value is <= 0. A
+    cell read without its series carries the value the store wrote.
+    """
 
     benchmark: str
     bucket: str
@@ -285,6 +295,11 @@ class CellResult:
     turnover: float | None = None
     n_days: int = 0
     equity: np.ndarray | None = None
+    min_equity: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.equity is not None and len(self.equity):
+            object.__setattr__(self, "min_equity", float(np.fmin.reduce(self.equity)))
 
     @property
     def ok(self) -> bool:
@@ -352,7 +367,7 @@ class ResultStore:
             for key in sorted(self.cells):
                 c = self.cells[key]
                 stats = [getattr(c.stats, name) if c.ok else None for name in _PERF_TYPES]
-                row = [c.benchmark, c.bucket, c.engine, c.error, c.n_days, *stats, c.turnover]
+                row = [c.benchmark, c.bucket, c.engine, c.error, c.n_days, *stats, c.turnover, c.min_equity]
                 writer.writerow(map(_format_cell, row))
         # A field's own % signs are escaped, so they are written as text.
         dates = [_csv_prefix(date).replace("%", "%%") + "%r" for date in self.eval_dates]
@@ -367,7 +382,10 @@ class ResultStore:
                 f.write(rows % tuple(c.equity.tolist()))
 
     @classmethod
-    def load(cls, directory: str) -> "ResultStore":
+    def load_cells(cls, directory: str) -> "ResultStore":
+        """``store.json`` and ``cells.csv`` under ``directory`` as a store
+        whose cells hold no equity series; each keeps the ``min_equity`` the
+        store wrote. ValueError for a ``cells.csv`` with no such column."""
         with open(os.path.join(directory, "store.json")) as f:
             meta = json.load(f)
         config = RunConfig.from_dict(meta["config"])
@@ -377,22 +395,12 @@ class ResultStore:
         for key, value in meta["first_weight_sums"].items():
             bm, bucket = key.split("/", 1)
             fw[(bm, bucket)] = value
-        with open(os.path.join(directory, "cells.csv"), newline="") as f:
-            rows = list(csv.DictReader(f))
-        lengths = {
-            (r["benchmark"], r["bucket"], r["engine"]): int(r["n_days"]) for r in rows if not r["error"]
-        }
-        equity: dict[tuple[str, str, str], np.ndarray | None] = {}
-        eval_dates = tuple(meta["eval_dates"])
-        dates = [_csv_prefix(date)[:-1] for date in eval_dates]
-        with open(os.path.join(directory, "equity.csv"), newline="") as f:
-            if next(f, "").rstrip("\r\n") != ",".join(EQUITY_COLUMNS):
-                raise ValueError("equity.csv: header is not " + ",".join(EQUITY_COLUMNS))
-            for key in sorted(lengths):
-                equity[key] = _read_equity(f, key, dates[: lengths[key]])
-            extra = next(f, None)
-            if extra is not None:
-                raise ValueError(f"equity.csv: row {next(csv.reader([extra]))[:4]} follows the last cell")
+        path = os.path.join(directory, "cells.csv")
+        with open(path, newline="") as f:
+            reader = csv.DictReader(f)
+            if "min_equity" not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: no min_equity column; rerun `crossbt run` to write the store again")
+            rows = list(reader)
         cells: dict[tuple[str, str, str], CellResult] = {}
         for row in rows:
             key = (row["benchmark"], row["bucket"], row["engine"])
@@ -407,19 +415,51 @@ class ResultStore:
                 *key,
                 stats=stats,
                 turnover=float(row["turnover"]),
-                n_days=lengths[key],
-                equity=equity[key],
+                n_days=int(row["n_days"]),
+                min_equity=float(row["min_equity"]) if row["min_equity"] else None,
             )
         return cls(
             config=config,
             run_id=meta["run_id"],
-            eval_dates=eval_dates,
+            eval_dates=tuple(meta["eval_dates"]),
             partition=partition,
             balance=balance,
             universe=meta["universe"],
             first_weight_sums=fw,
             cells=cells,
         )
+
+    @classmethod
+    def load(cls, directory: str) -> "ResultStore":
+        """``load_cells`` with each ok cell's series read from ``equity.csv``.
+
+        ValueError, naming the cell where there is one, for an
+        ``equity.csv`` row out of place, or for a cell whose stored
+        ``min_equity`` differs in any bit from the one its series gives.
+        """
+        store = cls.load_cells(directory)
+        lengths = {key: c.n_days for key, c in store.cells.items() if c.ok}
+        dates = [_csv_prefix(date)[:-1] for date in store.eval_dates]
+        with open(os.path.join(directory, "equity.csv"), newline="") as f:
+            if next(f, "").rstrip("\r\n") != ",".join(EQUITY_COLUMNS):
+                raise ValueError("equity.csv: header is not " + ",".join(EQUITY_COLUMNS))
+            equity = {key: _read_equity(f, key, dates[: lengths[key]]) for key in sorted(lengths)}
+            extra = next(f, None)
+            if extra is not None:
+                raise ValueError(f"equity.csv: row {next(csv.reader([extra]))[:4]} follows the last cell")
+        for key, series in equity.items():
+            stored = store.cells[key]
+            read = store.cells[key] = replace(stored, equity=series)
+            if _float_bits(read.min_equity) != _float_bits(stored.min_equity):
+                raise ValueError(
+                    f"cells.csv: cell {'/'.join(key)} has min_equity {stored.min_equity!r}, "
+                    f"but its equity.csv series gives {read.min_equity!r}"
+                )
+        return store
+
+
+def _float_bits(value: float | None) -> bytes | None:
+    return None if value is None else np.float64(value).tobytes()
 
 
 def _csv_prefix(*fields: str) -> str:
@@ -648,7 +688,7 @@ def validate_results(store: ResultStore) -> list[Finding]:
                     findings.append(
                         Finding("LengthMismatch", bm, bucket, engine, expected=expected, got=cell.n_days)
                     )
-                if cell.equity is not None and np.any(cell.equity <= 0):
+                if cell.min_equity is not None and cell.min_equity <= 0:
                     findings.append(Finding("NonPositiveEquity", bm, bucket, engine))
     return findings
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -216,6 +217,26 @@ class TestRunConfig:
         # panel when a prices CSV is given; a CSV's labels come with it or are
         # not needed.
         _config(**overrides)
+
+    @pytest.mark.parametrize("synth, constraint, refused", [
+        (SynthSpec(n_assets=12, n_days=140, seed=3, n_sectors=2), True, True),
+        (SynthSpec(n_assets=12, n_days=140, seed=3, n_sectors=3), True, False),
+        (SynthSpec(n_assets=12, n_days=140, seed=3, n_sectors=2), False, False),
+        (SynthSpec(n_assets=12, n_days=140, seed=3, sectors=("A", "B", "C") * 4), True, False),
+        (SynthSpec(n_assets=12, n_days=140, seed=3, n_sectors=9, sectors=("A", "B") * 6), True, True),
+    ])
+    def test_bucket_above_the_sector_count_rejected(self, synth, constraint, refused):
+        # With the sector constraint on, no bucket can hold more assets than
+        # the synthetic panel has sectors (its labels, when given, else
+        # n_sectors of them); buckets of 3 from 12 assets fit the slot count.
+        buckets = BucketConfig(n_buckets=2, bucket_size=3, n_candidates=20, sector_constraint=constraint)
+        if not refused:
+            _config(synth=synth, buckets=buckets)
+            return
+        message = ("buckets.bucket_size must be <= the synthetic panel's sector count "
+                   "while buckets.sector_constraint is on, got 3")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _config(synth=synth, buckets=buckets)
 
     def test_json_roundtrip_and_run_id(self):
         cfg = _config()
@@ -840,6 +861,113 @@ class TestStoreOracle:
         assert peaks[1] - peaks[0] <= 1.5 * extra_arrays
 
 
+#: Float64 equity values: NaN of either sign, infinities, signed zeros,
+#: subnormals and ordinary values, besides whatever st.floats draws.
+_EQUITY_FLOATS = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e6, -1e6]),
+)
+
+
+@pytest.fixture(scope="module")
+def negative_store():
+    """At 3000 bps a doubled commission takes the x2 cells' equity below zero."""
+    return run_suite(RunConfig.from_dict({
+        "seed": 1,
+        "synthetic": {"n_assets": 12, "n_days": 120, "seed": None, "n_sectors": 6},
+        "buckets": {"n_buckets": 2, "bucket_size": 6, "n_candidates": 20},
+        "benchmarks": ["bm03"],
+        "engines": ["reference", "post|abs|x2|atomic|aligned|full"],
+        "cost_regimes_bps": [0, 18, 36, 60, 3000],
+        "cost_overrides_bps": {"bm03": 3000},
+        "permutation_draws": 50,
+        "bootstrap_draws": 20,
+    }))
+
+
+def _set_min_equity(directory: Path, key: tuple[str, str, str], text: str) -> None:
+    """Rewrite ``cells.csv`` with the ``min_equity`` field of ``key`` set to ``text``."""
+    path = directory / "cells.csv"
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    for row in rows:
+        if tuple(row[:3]) == key:
+            row[-1] = text
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+
+
+class TestMinEquity:
+    """The ``min_equity`` column of ``cells.csv`` answers the one question
+    ``analyze`` asked of ``equity.csv``: does any value fall to zero or below."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_EQUITY_FLOATS, min_size=1, max_size=60))
+    def test_min_equity_marks_non_positive_equity(self, tmp_path_factory, demo_store, values):
+        equity = np.array(values, dtype=float)
+        key, cell = next((k, c) for k, c in sorted(demo_store.cells.items()) if c.ok)
+        cell = replace(cell, n_days=len(equity), equity=equity)
+        assert (cell.min_equity <= 0) == bool(np.any(equity <= 0))
+        store = copy.copy(demo_store)
+        store.cells = {key: cell}
+        directory = tmp_path_factory.mktemp("store")
+        store.save(str(directory))
+        read = ResultStore.load_cells(str(directory)).cells[key]
+        assert read.equity is None
+        # The text has one spelling for every NaN, nan, as equity.csv does;
+        # every other value keeps its bits.
+        if math.isnan(cell.min_equity):
+            assert math.isnan(read.min_equity)
+        else:
+            assert _bits([read.min_equity]) == _bits([cell.min_equity])
+        # load derives the same bits from the series it reads back.
+        assert _bits([ResultStore.load(str(directory)).cells[key].min_equity]) == _bits([read.min_equity])
+
+    @pytest.mark.parametrize("which", ["demo_store", "wide_store", "negative_store"])
+    def test_analyze_reads_the_same_from_either_loader(self, request, tmp_path, which):
+        store = request.getfixturevalue(which)
+        store.save(str(tmp_path))
+        expected = analyze(store).to_json()
+        assert ("NonPositiveEquity" in expected) == (which == "negative_store")
+        assert analyze(ResultStore.load_cells(str(tmp_path))).to_json() == expected
+        assert analyze(ResultStore.load(str(tmp_path))).to_json() == expected
+
+    def test_store_without_the_column_refused(self, tmp_path, demo_store):
+        demo_store.save(str(tmp_path))
+        path = tmp_path / "cells.csv"
+        with open(path, newline="") as f:
+            rows = [row[:-1] for row in csv.reader(f)]
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+        message = f"{path}: no min_equity column; rerun `crossbt run` to write the store again"
+        for load in (ResultStore.load_cells, ResultStore.load):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load(str(tmp_path))
+
+    @pytest.mark.parametrize("equity, text", [
+        (None, "-1.0"),
+        (None, ""),
+        (None, "next"),
+        ([1.0, 0.0, 2.0], "-0.0"),
+        ([math.nan, math.nan], "-nan"),
+    ])
+    def test_load_refuses_a_value_its_series_does_not_give(self, tmp_path, demo_store, equity, text):
+        key, cell = next((k, c) for k, c in sorted(demo_store.cells.items()) if c.ok)
+        if equity is not None:
+            cell = replace(cell, n_days=len(equity), equity=np.array(equity))
+        if text == "next":
+            text = repr(float(np.nextafter(cell.min_equity, math.inf)))
+        store = copy.copy(demo_store)
+        store.cells = dict(demo_store.cells) | {key: cell}
+        store.save(str(tmp_path))
+        _set_min_equity(tmp_path, key, text)
+        with pytest.raises(ValueError, match=f"^cells.csv: cell {re.escape('/'.join(key))} has min_equity "):
+            ResultStore.load(str(tmp_path))
+        # load_cells takes the column as written, and the validation reads it.
+        findings = validate_results(ResultStore.load_cells(str(tmp_path)))
+        assert (harness.Finding("NonPositiveEquity", *key) in findings) == (text in ("-1.0", "-0.0"))
+
+
 def _tables(rng: np.random.Generator, m: int, bms: list[str], distinct: int, missing: float):
     """Random per-(benchmark, bucket) turnover and spread tables with ties and gaps."""
     buckets = [f"b{i:02d}" for i in range(m)]
@@ -1282,6 +1410,18 @@ class TestCli:
         assert not out.exists()
         assert "buckets." in capsys.readouterr().err
 
+    def test_gen_data_refuses_buckets_above_the_sector_count(self, tmp_path, capsys):
+        # The buckets stage would raise InfeasibleConstraint on this panel.
+        p = Path(self._write_config(tmp_path))
+        cfg = json.loads(p.read_text())
+        cfg["synthetic"].update(n_assets=12, n_sectors=2)
+        cfg["buckets"] = {"n_buckets": 2, "bucket_size": 3, "n_candidates": 20}
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", str(p), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "buckets.bucket_size must be <= the synthetic panel's sector count" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         ("aum", math.inf),
         ("initial_capital", math.inf),
@@ -1417,6 +1557,24 @@ class TestCli:
         direct = tmp_path / "direct"
         emit_reports(analyze(ResultStore.load(str(out / "store"))), str(direct))
         assert _tree(out / "report") == _tree(direct)
+
+    def test_analyze_and_report_read_no_equity_file(self, tmp_path):
+        # analyze reads store.json and cells.csv only; the full loader still
+        # needs equity.csv.
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        for stage in ("run", "analyze", "report"):
+            assert main([stage, "--config", cfg, "--out", str(out)]) == 0
+        bundle, report = _tree(out / "analysis"), _tree(out / "report")
+        for name in ("analysis", "report"):
+            shutil.rmtree(out / name)
+        (out / "store" / "equity.csv").unlink()
+        for stage in ("analyze", "report"):
+            assert main([stage, "--config", cfg, "--out", str(out)]) == 0
+        assert _tree(out / "analysis") == bundle
+        assert _tree(out / "report") == report
+        with pytest.raises(FileNotFoundError, match="equity.csv"):
+            ResultStore.load(str(out / "store"))
 
     def test_pipeline_runs_without_scipy(self, tmp_path):
         cfg = self._write_config(tmp_path)
