@@ -116,14 +116,7 @@ class Partition:
 
     @classmethod
     def from_json(cls, text: str) -> "Partition":
-        obj = json.loads(text)
-        return cls(
-            tuple(tuple(b) for b in obj["buckets"]),
-            float(obj["score"]),
-            int(obj["seed"]),
-            int(obj["n_candidates"]),
-            bool(obj.get("pinv_fallback", False)),
-        )
+        return cls(**json.loads(text))
 
 
 def bucket_quadratic_forms(

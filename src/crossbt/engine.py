@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .marketdata import TRADING_DAYS_PER_YEAR, PriceMatrix, max_drawdown_pct
+from .marketdata import TRADING_DAYS_PER_YEAR, PriceMatrix, check_int_fields, max_drawdown_pct
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -67,56 +67,37 @@ class EngineConvention:
     truncate_after: int | None = None
 
     def __post_init__(self) -> None:
-        if self.equity_reporting not in (EQUITY_POST, EQUITY_GROSS):
-            raise BadConvention(f"equity_reporting {self.equity_reporting!r}")
-        if self.rate_interpretation not in (RATE_ABS, RATE_DIV100):
-            raise BadConvention(f"rate_interpretation {self.rate_interpretation!r}")
-        if not (isinstance(self.commission_multiplier, int) and self.commission_multiplier >= 1):
-            raise BadConvention(f"commission_multiplier {self.commission_multiplier!r}")
-        if self.fill_sequencing not in (FILL_ATOMIC, FILL_FIFO, FILL_SELLS_FIRST):
-            raise BadConvention(f"fill_sequencing {self.fill_sequencing!r}")
-        if self.return_timing not in (TIMING_ALIGNED, TIMING_SHIFT1):
-            raise BadConvention(f"return_timing {self.return_timing!r}")
-        if self.truncate_after is not None and self.truncate_after < 1:
-            raise BadConvention(f"truncate_after {self.truncate_after!r}")
+        check_int_fields(self, BadConvention)
+        for name, ok in (
+            ("equity_reporting", self.equity_reporting in (EQUITY_POST, EQUITY_GROSS)),
+            ("rate_interpretation", self.rate_interpretation in (RATE_ABS, RATE_DIV100)),
+            ("commission_multiplier", self.commission_multiplier >= 1),
+            ("fill_sequencing", self.fill_sequencing in (FILL_ATOMIC, FILL_FIFO, FILL_SELLS_FIRST)),
+            ("return_timing", self.return_timing in (TIMING_ALIGNED, TIMING_SHIFT1)),
+            ("truncate_after", self.truncate_after is None or self.truncate_after >= 1),
+        ):
+            if not ok:
+                raise BadConvention(f"{name} {getattr(self, name)!r}")
 
     @property
     def id(self) -> str:
-        """Canonical flag string, e.g. ``post|abs|x1|atomic|aligned|full``."""
+        """Canonical flag string, e.g. ``post|abs|x1|atomic|aligned|full``: the
+        one spelling ``parse`` reads back."""
         trunc = "full" if self.truncate_after is None else f"trunc{self.truncate_after}"
-        return "|".join(
-            [
-                self.equity_reporting,
-                self.rate_interpretation,
-                f"x{self.commission_multiplier}",
-                self.fill_sequencing,
-                self.return_timing,
-                trunc,
-            ]
-        )
+        return "|".join([self.equity_reporting, self.rate_interpretation, f"x{self.commission_multiplier}",
+                         self.fill_sequencing, self.return_timing, trunc])
 
     @classmethod
     def parse(cls, text: str) -> "EngineConvention":
-        parts = text.split("|")
-        if len(parts) != 6:
-            raise BadConvention(f"expected 6 '|'-separated flags, got {text!r}")
-        eq, rate, mult, fill, timing, trunc = parts
+        """The convention whose ``id`` is ``text``; BadConvention for any other string."""
         try:
-            if not mult.startswith("x"):
-                raise ValueError
-            multiplier = int(mult[1:])
-        except ValueError:
-            raise BadConvention(f"multiplier flag {mult!r}")
-        if trunc == "full":
-            truncate = None
-        elif trunc.startswith("trunc"):
-            try:
-                truncate = int(trunc[5:])
-            except ValueError:
-                raise BadConvention(f"truncation flag {trunc!r}")
-        else:
-            raise BadConvention(f"truncation flag {trunc!r}")
-        return cls(eq, rate, multiplier, fill, timing, truncate)
+            eq, rate, mult, fill, timing, trunc = text.split("|")
+            conv = cls(eq, rate, int(mult[1:]), fill, timing, None if trunc == "full" else int(trunc[5:]))
+        except ValueError as exc:
+            raise BadConvention(f"{text!r} is not a convention id: {exc}") from None
+        if conv.id != text:
+            raise BadConvention(f"{text!r} is not a convention id; its flags read as {conv.id!r}")
+        return conv
 
 
 REFERENCE = EngineConvention()

@@ -44,6 +44,7 @@ from .marketdata import (
     TRADING_DAYS_PER_YEAR,
     PriceMatrix,
     SynthSpec,
+    check_int_fields,
     descriptive_stats,
     generate_synthetic,
     load_prices_csv,
@@ -125,6 +126,9 @@ class BucketConfig:
     sector_constraint: bool = True
     seed: int | None = None
 
+    def __post_init__(self) -> None:
+        check_int_fields(self, prefix="buckets.")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -152,6 +156,7 @@ class RunConfig:
     _KEYS = {"synth": "synthetic"}
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
         object.__setattr__(self, "engines", tuple(self.engines))
         object.__setattr__(self, "cost_regimes_bps", tuple(float(x) for x in self.cost_regimes_bps))
@@ -184,6 +189,7 @@ class RunConfig:
         # Checked here, not where each is read: most are read only after the grid has run.
         b = self.buckets
         for key, ok, rule in (
+            ("benchmarks", len(self.benchmarks) >= 1, "non-empty"),
             ("permutation_draws", self.permutation_draws >= 0, ">= 0"),
             ("bootstrap_draws", self.bootstrap_draws >= 1, ">= 1"),
             ("aum", 0 <= self.aum < math.inf, "finite and >= 0"),
@@ -209,11 +215,21 @@ class RunConfig:
         ):
             if not ok:
                 raise ValueError(f"{key} must be {rule}, got {attrgetter(key)(self)!r}")
+        if self.prices_csv is None:
+            self.warmup_days(self.synth.n_days)
 
     def benchmark_cost_bps(self, benchmark: str) -> float:
         if benchmark in self.cost_overrides_bps:
             return float(self.cost_overrides_bps[benchmark])
         return float(BENCHMARKS[benchmark].cost_bps)
+
+    def warmup_days(self, n_days: int) -> int:
+        """The warm-up of a run over ``n_days``: ``warmup``, or the benchmarks'
+        largest when unset. ValueError when it leaves under 2 evaluation days."""
+        warmup = self.warmup if self.warmup is not None else max(BENCHMARKS[b].warmup for b in self.benchmarks)
+        if warmup >= n_days - 1:
+            raise ValueError(f"warm-up {warmup} leaves under 2 evaluation days of {n_days}")
+        return warmup
 
     def roster(self) -> list[tuple[str, EngineConvention]]:
         """(engine id, convention) pairs, deduplicated and sorted by id."""
@@ -238,7 +254,7 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
         kwargs = {names[key]: value for key, value in obj.items()}
-        seed = kwargs["seed"] = int(kwargs.get("seed", 0))
+        seed = kwargs.get("seed", 0)
         kwargs["buckets"] = BucketConfig(**kwargs.get("buckets", {}))
         if kwargs.get("synth"):
             s = dict(kwargs["synth"])
@@ -611,11 +627,7 @@ def run_suite(cfg: RunConfig, jobs: int = 1) -> ResultStore:
     balance = bucketmod.sector_balance(partition, pm.sectors) if pm.sectors else None
     universe = descriptive_stats(pm)
 
-    warmup = cfg.warmup
-    if warmup is None:
-        warmup = max(BENCHMARKS[b].warmup for b in cfg.benchmarks)
-    if warmup >= pm.n_days - 1:
-        raise ValueError(f"warm-up {warmup} leaves under 2 evaluation days of {pm.n_days}")
+    warmup = cfg.warmup_days(pm.n_days)
 
     roster = cfg.roster()
     # One matrix per bucket, shared by every benchmark.
@@ -724,8 +736,7 @@ class ReportBundle:
 
     @classmethod
     def from_json(cls, text: str) -> "ReportBundle":
-        obj = json.loads(text)
-        return cls(obj["run_id"], obj["metadata"], obj["tables"], obj["bucket_qc"], obj["conjecture"])
+        return cls(**json.loads(text))
 
 
 #: The columns of every report table, in order. Builders emit each row's

@@ -13,7 +13,7 @@ import logging
 import math
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from types import MappingProxyType
 
@@ -43,6 +43,18 @@ class HoleInPanel(ValueError):
 
 class BadSpec(ValueError):
     """Synthetic-panel specification violates its invariants."""
+
+
+def check_int_fields(record, error: type[ValueError] = ValueError, prefix: str = "") -> None:
+    """Raise ``error`` naming the first field of dataclass ``record`` annotated
+    ``int`` that holds anything but an int (a bool is not one here), or
+    annotated ``int | None`` that holds neither. Annotations are read as the
+    text written, as postponed evaluation leaves them."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        kinds = {"int": (int,), "int | None": (int, type(None))}.get(f.type)
+        if kinds and type(value) not in kinds:
+            raise error(f"{prefix}{f.name} must be an int, got {value!r}")
 
 
 def _calendar_keys(dates: Sequence[str]) -> list:
@@ -226,6 +238,7 @@ class SynthSpec:
     start_price: float = 100.0
 
     def __post_init__(self) -> None:
+        check_int_fields(self, BadSpec)
         if self.n_assets < 2:
             raise BadSpec("n_assets must be >= 2")
         if self.n_days < 2:

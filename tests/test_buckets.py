@@ -289,6 +289,14 @@ class TestRerandomize:
         del obj["pinv_fallback"]
         assert Partition.from_json(json.dumps(obj)) == part
 
+    def test_partition_json_with_an_unwritten_key_refused(self, bucket_universe):
+        # The reader is the constructor: a key to_json never writes is an
+        # error, not ignored.
+        part = rerandomize(self._cov(bucket_universe), bucket_universe.sectors, 6, 5, 10, seed=2)
+        obj = {**json.loads(part.to_json()), "n_bucket": 6}
+        with pytest.raises(TypeError, match="n_bucket"):
+            Partition.from_json(json.dumps(obj))
+
     @settings(max_examples=60, deadline=None)
     @given(
         universe=_universes(),

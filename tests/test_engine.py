@@ -20,6 +20,7 @@ from crossbt.engine import (
     REFERENCE,
     TIMING_ALIGNED,
     TIMING_SHIFT1,
+    BadConvention,
     CostSpec,
     EngineConvention,
     EquitySeries,
@@ -115,6 +116,30 @@ class TestReferenceLoop:
                 assert tr2 <= tr1 + 1e-12
 
 
+_EQUITY = (EQUITY_POST, EQUITY_GROSS)
+_RATES = (RATE_ABS, RATE_DIV100)
+_FILLS = (FILL_ATOMIC, FILL_FIFO, FILL_SELLS_FIRST)
+_TIMINGS = (TIMING_ALIGNED, TIMING_SHIFT1)
+#: The characters int() may read in a count: digits, signs, separators and a
+#: non-ASCII digit.
+_COUNT_CHARS = "0123456789_+-. \u0662"
+#: Every letter of the id grammar, the count characters and the separator.
+_GRAMMAR_CHARS = "".join(sorted(set("".join((*_EQUITY, *_RATES, *_FILLS, *_TIMINGS, "x", "trunc", "full")))))
+_GRAMMAR_CHARS += _COUNT_CHARS + "|"
+
+
+def _counted(prefix):
+    return st.text(_COUNT_CHARS, max_size=4).map(prefix.__add__)
+
+
+#: Six-flag strings whose counts are any short run of count characters, so
+#: most read as an int and only some are spelled as the id spells them.
+_NEAR_IDS = st.tuples(
+    st.sampled_from(_EQUITY), st.sampled_from(_RATES), _counted("x"),
+    st.sampled_from(_FILLS), st.sampled_from(_TIMINGS), st.just("full") | _counted("trunc"),
+).map("|".join)
+
+
 class TestConventions:
     def test_reference_id_string(self):
         assert REFERENCE.id == "post|abs|x1|atomic|aligned|full"
@@ -125,6 +150,50 @@ class TestConventions:
         trunc = truncated(62)
         assert trunc.id.endswith("|trunc62")
         assert EngineConvention.parse(trunc.id) == trunc
+
+    @given(st.builds(
+        EngineConvention,
+        st.sampled_from(_EQUITY), st.sampled_from(_RATES), st.integers(1, 10**6),
+        st.sampled_from(_FILLS), st.sampled_from(_TIMINGS), st.none() | st.integers(1, 10**6),
+    ))
+    def test_parse_inverts_id(self, conv):
+        assert EngineConvention.parse(conv.id) == conv
+
+    @settings(max_examples=300)
+    @given(st.text(_GRAMMAR_CHARS) | _NEAR_IDS)
+    def test_parse_reads_only_ids(self, text):
+        # Every string parse accepts is the id of what it returns, so no two
+        # spellings name one convention.
+        try:
+            conv = EngineConvention.parse(text)
+        except BadConvention:
+            return
+        assert conv.id == text
+
+    @pytest.mark.parametrize("flag", ["x2_0", "x02", "x 2", "x+3", "x\u0662", "x0", "X2", "y2", "x"])
+    def test_non_canonical_multiplier_refused(self, flag):
+        text = f"post|abs|{flag}|atomic|aligned|full"
+        with pytest.raises(BadConvention, match=re.escape(repr(text))):
+            EngineConvention.parse(text)
+
+    @pytest.mark.parametrize("flag", ["trunc 5", "trunc05", "trunc1_000", "trunc0", "trunc", "Full", "5"])
+    def test_non_canonical_truncation_refused(self, flag):
+        with pytest.raises(BadConvention):
+            EngineConvention.parse(f"post|abs|x1|atomic|aligned|{flag}")
+
+    @pytest.mark.parametrize("field, value", [
+        ("commission_multiplier", True),
+        ("commission_multiplier", 2.0),
+        ("commission_multiplier", np.int64(2)),
+        ("truncate_after", True),
+        ("truncate_after", 5.5),
+        ("truncate_after", "5"),
+    ])
+    def test_non_int_count_refused(self, field, value):
+        # A bool would write x True yet hash equal to x1, and a float would
+        # write an id that parse refuses; each is refused when built.
+        with pytest.raises(BadConvention, match=f"^{field} must be an int, got "):
+            EngineConvention(**{field: value})
 
     def test_resolve_names_and_strings(self):
         assert resolve_convention("reference") == REFERENCE

@@ -41,7 +41,7 @@ from crossbt.harness import (
     run_suite,
     validate_results,
 )
-from crossbt.marketdata import SynthSpec, descriptive_stats
+from crossbt.marketdata import SynthSpec, descriptive_stats, generate_synthetic, write_prices_csv
 from crossbt.strategies import BENCHMARKS
 from crossbt.stats import cluster_bootstrap, lin_ccc
 from oracles import (
@@ -237,6 +237,58 @@ class TestRunConfig:
                    "while buckets.sector_constraint is on, got 3")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _config(synth=synth, buckets=buckets)
+
+    @pytest.mark.parametrize("key", ["seed", "permutation_draws", "bootstrap_draws", "warmup"])
+    @pytest.mark.parametrize("value", [7.0, 7.9, True, "7"])
+    def test_count_that_is_not_an_int_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be an int, got {re.escape(repr(value))}$"):
+            _config(**{key: value})
+
+    @pytest.mark.parametrize("key", ["n_buckets", "bucket_size", "n_candidates", "seed"])
+    @pytest.mark.parametrize("value", [3.0, 20.5, False, "3"])
+    def test_bucket_count_that_is_not_an_int_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^buckets.{key} must be an int, got {re.escape(repr(value))}$"):
+            BucketConfig(**{key: value})
+
+    @pytest.mark.parametrize("seed", [7.9, 7.0, True])
+    def test_config_file_seed_is_not_rounded(self, seed):
+        # 7.9 once built run 7 under its run id; true built seed 1.
+        obj = {**DEMO_CONFIG, "seed": seed}
+        with pytest.raises(ValueError, match=f"^seed must be an int, got {seed!r}$"):
+            RunConfig.from_dict(obj)
+        RunConfig.from_dict({**obj, "seed": 7})
+
+    def test_empty_benchmark_list_rejected(self):
+        with pytest.raises(ValueError, match=r"^benchmarks must be non-empty, got \(\)$"):
+            _config(benchmarks=())
+
+    @pytest.mark.parametrize("overrides, warmup", [
+        ({"warmup": 139}, 139),
+        ({"warmup": 138}, None),
+        ({"benchmarks": ("bm07",), "synth": SynthSpec(n_assets=18, n_days=253, seed=3)}, 252),
+        ({"benchmarks": ("bm07",), "synth": SynthSpec(n_assets=18, n_days=254, seed=3)}, None),
+    ])
+    def test_warmup_leaving_under_two_days_rejected(self, overrides, warmup):
+        # The 140-day panel evaluates 2 days after a 138-day warm-up; bm07's
+        # own warm-up of 252 applies when none is set.
+        if warmup is None:
+            _config(**overrides)
+            return
+        with pytest.raises(ValueError, match=f"^warm-up {warmup} leaves under 2 evaluation days of "):
+            _config(**overrides)
+
+    def test_warmup_of_a_prices_csv_checked_when_run(self, tmp_path):
+        # A synthetic panel's day count is known when the config is built; a
+        # CSV's only once the run reads it.
+        synth = SynthSpec(n_assets=18, n_days=20, seed=3)
+        args = dict(warmup=19, buckets=BucketConfig(n_buckets=3, bucket_size=6, sector_constraint=False))
+        message = "^warm-up 19 leaves under 2 evaluation days of 20$"
+        with pytest.raises(ValueError, match=message):
+            _config(synth=synth, **args)
+        write_prices_csv(generate_synthetic(synth), tmp_path / "p.csv")
+        cfg = _config(synth=None, prices_csv=str(tmp_path / "p.csv"), **args)
+        with pytest.raises(ValueError, match=message):
+            run_suite(cfg)
 
     def test_json_roundtrip_and_run_id(self):
         cfg = _config()
@@ -1205,6 +1257,11 @@ class TestAnalyze:
         assert again.tables == demo_bundle.tables
         assert again.run_id == demo_bundle.run_id
 
+    def test_bundle_json_with_an_unwritten_key_refused(self, demo_bundle):
+        obj = {**json.loads(demo_bundle.to_json()), "table": {}}
+        with pytest.raises(TypeError, match="table"):
+            ReportBundle.from_json(json.dumps(obj))
+
 
 def _damaged(
     store: ResultStore,
@@ -1421,6 +1478,38 @@ class TestCli:
         assert main(["gen-data", "--config", str(p), "--out", str(out)]) == 1
         assert not out.exists()
         assert "buckets.bucket_size must be <= the synthetic panel's sector count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"permutation_draws": 10.5}, "permutation_draws must be an int, got 10.5"),
+        ({"warmup": 10.5}, "warmup must be an int, got 10.5"),
+        ({"seed": True}, "seed must be an int, got True"),
+        ({"buckets": {"n_buckets": 3, "bucket_size": 6, "n_candidates": 20.5}},
+         "buckets.n_candidates must be an int, got 20.5"),
+        ({"synthetic": {"n_assets": 18, "n_days": 140, "seed": None, "n_sectors": 6.0}},
+         "n_sectors must be an int, got 6.0"),
+        ({"benchmarks": []}, "benchmarks must be non-empty"),
+        ({"warmup": 139}, "warm-up 139 leaves under 2 evaluation days of 140"),
+    ])
+    def test_gen_data_refuses_what_a_later_stage_would(self, tmp_path, capsys, edit, message):
+        # Each once passed gen-data and buckets, then failed in run or analyze.
+        p = Path(self._write_config(tmp_path))
+        p.write_text(json.dumps({**json.loads(p.read_text()), **edit}))
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", str(p), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--engines", "reference,post|abs|x2_0|atomic|aligned|full"),
+        ("--benchmarks", ","),
+    ])
+    def test_stages_refuse_a_flag_no_config_reads(self, tmp_path, flag, value):
+        # x2_0 once ran as a 20x commission engine stored as x20; an empty
+        # benchmark list once passed gen-data and buckets and failed in run.
+        out = tmp_path / "out"
+        for stage in ("gen-data", "run"):
+            assert main([stage, "--config", self._write_config(tmp_path), flag, value, "--out", str(out)]) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("aum", math.inf),

@@ -165,6 +165,14 @@ class TestSynthetic:
         with pytest.raises(BadSpec):
             SynthSpec(n_assets=2, n_days=10, seed=0, annual_vol=-0.1)
 
+    @pytest.mark.parametrize("key", ["n_assets", "n_days", "seed", "n_sectors"])
+    @pytest.mark.parametrize("value", [4.0, 4.5, True, "4", None])
+    def test_count_that_is_not_an_int_refused(self, key, value):
+        # A float count would label sectors SEC0.0, ...; a bool would read as 1.
+        args = {"n_assets": 4, "n_days": 10, "seed": 0, key: value}
+        with pytest.raises(BadSpec, match=f"^{key} must be an int, got {re.escape(repr(value))}$"):
+            SynthSpec(**args)
+
     def test_sector_drift_mapping(self):
         spec = SynthSpec(
             n_assets=4,
