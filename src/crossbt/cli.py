@@ -17,6 +17,7 @@ from dataclasses import asdict
 
 from .buckets import compute_covariates, rerandomize, sector_balance
 from .harness import (
+    VALIDATION,
     ReportBundle,
     ResultStore,
     RunConfig,
@@ -127,7 +128,7 @@ def cmd_analyze(cfg: RunConfig, out: str, jobs: int) -> int:
     os.makedirs(os.path.dirname(_bundle_path(out)), exist_ok=True)
     with open(_bundle_path(out), "w") as f:
         f.write(bundle.to_json())
-    n_findings = len(bundle.tables["validation"])
+    n_findings = len(bundle.tables[VALIDATION])
     print(f"analysis bundle ({n_findings} validation findings) -> {_bundle_path(out)}")
     return EXIT_FINDINGS if n_findings else EXIT_OK
 
@@ -138,7 +139,7 @@ def cmd_report(cfg: RunConfig, out: str, jobs: int) -> int:
     _check_run_id(bundle.run_id, cfg, _bundle_path(out))
     paths = emit_reports(bundle, os.path.join(out, "report"))
     print(f"wrote {len(paths)} report files -> {out}/report")
-    n_findings = len(bundle.tables["validation"])
+    n_findings = len(bundle.tables[VALIDATION])
     return EXIT_FINDINGS if n_findings else EXIT_OK
 
 

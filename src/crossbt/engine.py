@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .marketdata import TRADING_DAYS_PER_YEAR, PriceMatrix, check_int_fields, max_drawdown_pct
+from .marketdata import TRADING_DAYS_PER_YEAR, PriceMatrix, check_field_types, max_drawdown_pct
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -67,7 +67,7 @@ class EngineConvention:
     truncate_after: int | None = None
 
     def __post_init__(self) -> None:
-        check_int_fields(self, BadConvention)
+        check_field_types(self, BadConvention)
         for name, ok in (
             ("equity_reporting", self.equity_reporting in (EQUITY_POST, EQUITY_GROSS)),
             ("rate_interpretation", self.rate_interpretation in (RATE_ABS, RATE_DIV100)),

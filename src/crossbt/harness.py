@@ -17,8 +17,9 @@ import io
 import json
 import math
 import os
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 from itertools import combinations, islice
 from operator import attrgetter
 from typing import get_type_hints
@@ -44,7 +45,7 @@ from .marketdata import (
     TRADING_DAYS_PER_YEAR,
     PriceMatrix,
     SynthSpec,
-    check_int_fields,
+    check_field_types,
     descriptive_stats,
     generate_synthetic,
     load_prices_csv,
@@ -127,7 +128,7 @@ class BucketConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        check_int_fields(self, prefix="buckets.")
+        check_field_types(self, prefix="buckets.")
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ class RunConfig:
     _KEYS = {"synth": "synthetic"}
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_field_types(self)
         object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
         object.__setattr__(self, "engines", tuple(self.engines))
         object.__setattr__(self, "cost_regimes_bps", tuple(float(x) for x in self.cost_regimes_bps))
@@ -739,37 +740,6 @@ class ReportBundle:
         return cls(**json.loads(text))
 
 
-#: The columns of every report table, in order. Builders emit each row's
-#: values in this order; records and findings are rows as they are.
-TABLE_COLUMNS: dict[str, list[str]] = {
-    "divergence_records": [f.name for f in fields(DivergenceRecord)],
-    "divergence_summary": [
-        "benchmark", "category", "cost_bps", "mean_pct", "max_pct", "n_pairs",
-        "n_buckets", "es_range_pp", "es_cv_pct", "iui_lo", "iui_hi",
-        "iui_width_pp", "daf", "csi",
-    ],
-    "stats_tests": [
-        "benchmark", "pair", "test", "n", "statistic", "p_value",
-        "degenerate", "reject_fdr", "equivalent", "margin_pp",
-    ],
-    "concordance": ["benchmark", "metric", "engine_a", "engine_b", "ccc", "n_buckets"],
-    "concordance_min": ["benchmark", "metric", "ccc_min"],
-    "floor_decomposition": [
-        "benchmark", "engine_a", "engine_b", "mean_divergence_pct",
-        "floor_pct", "residual_pct", "mixed_reporting", "fully_invested",
-    ],
-    "cost_intensity": [
-        "benchmark", "cost_bps", "turnover_per_yr", "cost_intensity", "es_range_pp",
-    ],
-    "dollar_ambiguity": [
-        "benchmark", "max_divergence_pct", "aum_usd", "annual_ambiguity_usd",
-    ],
-    "pair_divergence": [
-        "benchmark", "engine_a", "engine_b", "mean_divergence_pct", "n_buckets",
-    ],
-    "validation": [f.name for f in fields(Finding)],
-}
-
 #: Conventions the report's numbers rest on, recorded in its metadata.
 REPORT_CONSTANTS = {
     "annualisation_days": TRADING_DAYS_PER_YEAR,
@@ -783,11 +753,6 @@ REPORT_CONSTANTS = {
     "wilcoxon_zero_handling": "dropped",
     "permutation_estimator": "add-one",
 }
-
-
-def _row(table: str, *values) -> dict:
-    """One row of ``table``, its values given in the order of its columns."""
-    return dict(zip(TABLE_COLUMNS[table], values, strict=True))
 
 
 @dataclass(frozen=True)
@@ -821,6 +786,37 @@ class CellTable:
 
     def pair_means(self, bm: str) -> list[float]:
         return [mean for (b, _), mean in self.mean_divergence.items() if b == bm]
+
+    @cached_property
+    def concordance(self) -> list[tuple[str, str, str, str, float, int]]:
+        """Lin's CCC of each engine pair across buckets, per benchmark and
+        metric, as (benchmark, metric, engine a, engine b, ccc, buckets). A
+        pair's values over its common buckets are one row, engine a's then
+        engine b's, and the CCCs run once per row length."""
+        keys, rows_ab = [], []
+        for bm, row in self.cells.items():
+            for metric in DIVERGENCE_METRICS:
+                for a, b in self.pairs:
+                    both = {c.bucket: c.values[metric] for c in row if {a, b} <= c.values[metric].keys()}
+                    if len(both) >= 2:
+                        common = sorted(both)
+                        keys.append((bm, metric, a, b))
+                        rows_ab.append([both[k][a] for k in common] + [both[k][b] for k in common])
+        cccs = _stacked(lambda ab: lin_ccc(*np.split(ab, 2, axis=1)).tolist(), rows_ab)
+        return [(*key, ccc, len(ab) // 2) for key, ccc, ab in zip(keys, cccs, rows_ab)]
+
+    @cached_property
+    def intensity(self) -> dict[str, tuple[float, float, float]]:
+        """Cost rate, mean turnover and cost intensity of each benchmark
+        with a turnover and an engine spread."""
+        out = {}
+        for bm, row in self.cells.items():
+            turnovers = [c.turnover for c in row if c.turnover is not None]
+            if turnovers and bm in self.es_mean:
+                cost = CostSpec.from_bps(self.store.config.benchmark_cost_bps(bm))
+                turnover = float(np.mean(turnovers))
+                out[bm] = (cost.rate, turnover, cost_intensity(cost, turnover))
+        return out
 
 
 def _bucket_cells(store: ResultStore, engines: Sequence[str], bm: str, bucket: str) -> BucketCells:
@@ -862,35 +858,30 @@ def _cell_table(store: ResultStore) -> CellTable:
     )
 
 
-def _summary_rows(t: CellTable) -> list[dict]:
+def _summary_rows(t: CellTable) -> Iterator[tuple]:
     cfg = t.store.config
     ref = t.es_mean.get(cfg.daf_reference, 0.0)
-    rows = []
     for bm, row in t.cells.items():
         means = t.pair_means(bm)
         spread = [c for c in row if c.es is not None]
         es_cvs = [c.es_cv for c in spread if c.es_cv is not None]
         iuis = [c.iui for c in spread]
-        rows.append(
-            _row(
-                "divergence_summary",
-                bm,
-                BENCHMARKS[bm].category,
-                cfg.benchmark_cost_bps(bm),
-                float(np.mean(means)) if means else None,
-                float(np.max(means)) if means else None,
-                len(means),
-                len(spread),
-                t.es_mean.get(bm),
-                float(np.mean(es_cvs)) if es_cvs else None,
-                float(np.mean([lo for lo, _ in iuis])) if iuis else None,
-                float(np.mean([hi for _, hi in iuis])) if iuis else None,
-                float(np.mean([hi - lo for lo, hi in iuis])) if iuis else None,
-                t.es_mean[bm] / ref if ref > 0 and bm in t.es_mean else None,
-                int(max(c.csi for c in spread)) if spread else None,
-            )
+        yield (
+            bm,
+            BENCHMARKS[bm].category,
+            cfg.benchmark_cost_bps(bm),
+            float(np.mean(means)) if means else None,
+            float(np.max(means)) if means else None,
+            len(means),
+            len(spread),
+            t.es_mean.get(bm),
+            float(np.mean(es_cvs)) if es_cvs else None,
+            float(np.mean([lo for lo, _ in iuis])) if iuis else None,
+            float(np.mean([hi for _, hi in iuis])) if iuis else None,
+            float(np.mean([hi - lo for lo, hi in iuis])) if iuis else None,
+            t.es_mean[bm] / ref if ref > 0 and bm in t.es_mean else None,
+            int(max(c.csi for c in spread)) if spread else None,
         )
-    return rows
 
 
 def _statistic(result) -> float | None:
@@ -900,11 +891,8 @@ def _statistic(result) -> float | None:
 def _test_row(
     bm: str, pair: str, n: int, test: str, result, statistic=None,
     reject_fdr=None, equivalent=None, margin_pp=None,
-) -> dict:
-    return _row(
-        "stats_tests", bm, pair, test, n, statistic, result.p_value, result.degenerate,
-        reject_fdr, equivalent, margin_pp,
-    )
+) -> tuple:
+    return bm, pair, test, n, statistic, result.p_value, result.degenerate, reject_fdr, equivalent, margin_pp
 
 
 def _stacked(test: Callable[[np.ndarray], list], series: list[Sequence[float]]) -> list:
@@ -920,7 +908,7 @@ def _stacked(test: Callable[[np.ndarray], list], series: list[Sequence[float]]) 
     return out
 
 
-def _stats_rows(t: CellTable) -> list[dict]:
+def _stats_rows(t: CellTable) -> Iterator[tuple]:
     """The test battery on each pair's divergence series, with the t-tests'
     Benjamini-Hochberg rejections over all benchmarks and pairs. Each test
     runs once per series length, on the stack of the series of that length."""
@@ -936,46 +924,28 @@ def _stats_rows(t: CellTable) -> list[dict]:
     rejected = {}
     if family:
         rejected = dict(zip(family, map(bool, bh_fdr([t_tests[i].p_value for i in family], cfg.fdr_q))))
-    rows = []
     for i, ((bm, pair), d) in enumerate(tested.items()):
         label, n = f"{pair[0]} vs {pair[1]}", len(d)
         t_res = t_tests[i]
-        rows.append(_test_row(bm, label, n, "t", t_res, _statistic(t_res), rejected.get(i)))
+        yield _test_row(bm, label, n, "t", t_res, _statistic(t_res), rejected.get(i))
         w_res = wilcoxon[i]
-        rows.append(_test_row(bm, label, n, w_res.method, w_res, _statistic(w_res)))
+        yield _test_row(bm, label, n, w_res.method, w_res, _statistic(w_res))
         perm_seed = derived_seed(cfg.seed, "perm", bm, label)
         p_res = sign_flip_permutation(d, draws=cfg.permutation_draws, seed=perm_seed)
-        rows.append(_test_row(bm, label, n, "permutation", p_res, p_res.statistic))
+        yield _test_row(bm, label, n, "permutation", p_res, p_res.statistic)
         for margin, results in zip(cfg.tost_margins_pp, tosts):
             t_eq = results[i]
-            rows.append(_test_row(bm, label, n, "tost", t_eq, equivalent=t_eq.equivalent, margin_pp=margin))
+            yield _test_row(bm, label, n, "tost", t_eq, equivalent=t_eq.equivalent, margin_pp=margin)
         if i in lag1:
             l_res = lag1[i]
-            rows.append(_test_row(bm, label, n, "lag1_autocorr", l_res, _statistic(l_res)))
-    return rows
+            yield _test_row(bm, label, n, "lag1_autocorr", l_res, _statistic(l_res))
 
 
-def _concordance_rows(t: CellTable) -> tuple[list[dict], list[dict]]:
-    """Lin's CCC of each engine pair across buckets, and its minimum over
-    pairs, per benchmark and metric. A pair's values over its common buckets
-    are one row, engine a's then engine b's, and the CCCs run once per row
-    length."""
-    keys, rows_ab = [], []
-    for bm, row in t.cells.items():
-        for metric in DIVERGENCE_METRICS:
-            for a, b in t.pairs:
-                both = {c.bucket: c.values[metric] for c in row if {a, b} <= c.values[metric].keys()}
-                if len(both) >= 2:
-                    common = sorted(both)
-                    keys.append((bm, metric, a, b))
-                    rows_ab.append([both[k][a] for k in common] + [both[k][b] for k in common])
-    cccs = _stacked(lambda ab: lin_ccc(*np.split(ab, 2, axis=1)).tolist(), rows_ab)
-    rows, by_metric = [], {}
-    for (bm, metric, a, b), ccc, ab in zip(keys, cccs, rows_ab):
-        rows.append(_row("concordance", bm, metric, a, b, ccc, len(ab) // 2))
+def _concordance_min_rows(t: CellTable) -> list[tuple]:
+    by_metric: dict[tuple[str, str], list[float]] = {}
+    for bm, metric, _, _, ccc, _ in t.concordance:
         by_metric.setdefault((bm, metric), []).append(ccc)
-    minima = [_row("concordance_min", bm, metric, float(np.min(v))) for (bm, metric), v in by_metric.items()]
-    return rows, minima
+    return [(bm, metric, float(np.min(v))) for (bm, metric), v in by_metric.items()]
 
 
 def _fully_invested(store: ResultStore, bm: str) -> bool:
@@ -983,40 +953,24 @@ def _fully_invested(store: ResultStore, bm: str) -> bool:
     return all(s is not None and s >= 1.0 - FULLY_INVESTED_TOL for s in sums)
 
 
-def _floor_rows(t: CellTable) -> list[dict]:
+def _floor_rows(t: CellTable) -> Iterator[tuple]:
     """Each pair's mean divergence split into the reporting floor, which
     needs every bucket's first schedule entry fully invested, and the rest."""
     store = t.store
     conventions = dict(store.config.roster())
     fully = {bm: _fully_invested(store, bm) for bm in t.cells}
-    rows = []
     for (bm, (a, b)), mean in t.mean_divergence.items():
         cost = CostSpec.from_bps(store.config.benchmark_cost_bps(bm))
         split = floor_decomposition(mean, conventions[a], conventions[b], cost, fully[bm])
-        rows.append(
-            _row(
-                "floor_decomposition", bm, a, b, mean,
-                split.floor_pct, split.residual_pct, split.mixed_reporting, fully[bm],
-            )
-        )
-    return rows
+        yield bm, a, b, mean, split.floor_pct, split.residual_pct, split.mixed_reporting, fully[bm]
 
 
-def _cost_rows(t: CellTable) -> tuple[list[dict], dict]:
-    """The cost-intensity table and the conjecture block: across benchmarks,
-    does the engine spread rank with cost rate times turnover?"""
+def _cost_rows(t: CellTable) -> list[tuple]:
     cfg = t.store.config
-    rows, rates, scores = [], {}, []
-    for bm, row in t.cells.items():
-        turnovers = [c.turnover for c in row if c.turnover is not None]
-        if not turnovers or bm not in t.es_mean:
-            continue
-        cost = CostSpec.from_bps(cfg.benchmark_cost_bps(bm))
-        turnover = float(np.mean(turnovers))
-        rates[bm] = cost.rate
-        scores.append(cost_intensity(cost, turnover))
-        rows.append(_row("cost_intensity", bm, cfg.benchmark_cost_bps(bm), turnover, scores[-1], t.es_mean[bm]))
-    return rows, _conjecture(t, rates, scores)
+    return [
+        (bm, cfg.benchmark_cost_bps(bm), turnover, score, t.es_mean[bm])
+        for bm, (_, turnover, score) in t.intensity.items()
+    ]
 
 
 def _resampled_means(
@@ -1071,12 +1025,15 @@ def _resampled_rho(
     return rho
 
 
-def _conjecture(t: CellTable, rates: dict[str, float], scores: list[float]) -> dict:
-    conjecture: dict = {"n_benchmarks": len(scores)}
-    if len(scores) < 3:
+def _conjecture(t: CellTable) -> dict:
+    """Across benchmarks, does the engine spread rank with cost rate times
+    turnover?"""
+    conjecture: dict = {"n_benchmarks": len(t.intensity)}
+    if len(t.intensity) < 3:
         return conjecture
     cfg = t.store.config
-    spreads = [t.es_mean[bm] for bm in rates]
+    scores = [score for _, _, score in t.intensity.values()]
+    spreads = [t.es_mean[bm] for bm in t.intensity]
     sp = spearman(scores, spreads)
     pe = pearson(scores, spreads)
     conjecture |= {
@@ -1088,6 +1045,7 @@ def _conjecture(t: CellTable, rates: dict[str, float], scores: list[float]) -> d
     cells = [c for row in t.cells.values() for c in row]
     turnover = {(c.benchmark, c.bucket): c.turnover for c in cells if c.turnover is not None}
     es = {(c.benchmark, c.bucket): c.es for c in cells if c.es is not None}
+    rates = {bm: rate for bm, (rate, _, _) in t.intensity.items()}
     buckets, bms = list(t.store.bucket_ids), list(rates)
     try:
         boot = cluster_bootstrap(
@@ -1106,43 +1064,63 @@ def _conjecture(t: CellTable, rates: dict[str, float], scores: list[float]) -> d
     }
 
 
-def _dollar_rows(t: CellTable) -> list[dict]:
+def _dollar_rows(t: CellTable) -> list[tuple]:
     """Annual dollar ambiguity of the ruler divergences and of each
     benchmark's largest pair divergence."""
     aum = t.store.config.aum
     maxima = [(f"ruler_{pct:.2f}pct", pct) for pct in AMBIGUITY_RULER_PCTS]
     maxima += [(bm, float(np.max(means))) for bm in t.cells if (means := t.pair_means(bm))]
-    return [_row("dollar_ambiguity", name, pct, aum, dollar_ambiguity(pct, aum)) for name, pct in maxima]
+    return [(name, pct, aum, dollar_ambiguity(pct, aum)) for name, pct in maxima]
 
 
-def _pair_rows(t: CellTable) -> list[dict]:
-    return [
-        _row("pair_divergence", bm, a, b, mean, len(t.divergence[(bm, (a, b))]))
-        for (bm, (a, b)), mean in t.mean_divergence.items()
-    ]
+#: The name of the table of ``validate_results`` findings, which sets the
+#: exit code of ``crossbt analyze`` and ``report``.
+VALIDATION = "validation"
+
+#: Every report table, in the order it is written: its columns, and the one
+#: builder that yields its rows from the cell table as value tuples in the
+#: columns' order. A record's or finding's fields are flat, so ``vars()``
+#: gives what ``astuple()`` would without its per-field deep copy.
+TABLES: dict[str, tuple[list[str], Callable[[CellTable], Iterable[tuple]]]] = {
+    "divergence_records": (
+        [f.name for f in fields(DivergenceRecord)],
+        lambda t: (tuple(vars(r).values()) for row in t.cells.values() for c in row for r in c.records),
+    ),
+    "divergence_summary": (
+        "benchmark category cost_bps mean_pct max_pct n_pairs n_buckets es_range_pp es_cv_pct"
+        " iui_lo iui_hi iui_width_pp daf csi".split(),
+        _summary_rows,
+    ),
+    "stats_tests": (
+        "benchmark pair test n statistic p_value degenerate reject_fdr equivalent margin_pp".split(),
+        _stats_rows,
+    ),
+    "concordance": ("benchmark metric engine_a engine_b ccc n_buckets".split(), lambda t: t.concordance),
+    "concordance_min": ("benchmark metric ccc_min".split(), _concordance_min_rows),
+    "floor_decomposition": (
+        "benchmark engine_a engine_b mean_divergence_pct floor_pct residual_pct mixed_reporting"
+        " fully_invested".split(),
+        _floor_rows,
+    ),
+    "cost_intensity": ("benchmark cost_bps turnover_per_yr cost_intensity es_range_pp".split(), _cost_rows),
+    "dollar_ambiguity": ("benchmark max_divergence_pct aum_usd annual_ambiguity_usd".split(), _dollar_rows),
+    "pair_divergence": (
+        "benchmark engine_a engine_b mean_divergence_pct n_buckets".split(),
+        lambda t: [(bm, *pair, mean, len(t.divergence[(bm, pair)])) for (bm, pair), mean in t.mean_divergence.items()],
+    ),
+    VALIDATION: (
+        [f.name for f in fields(Finding)],
+        lambda t: (tuple(vars(f).values()) for f in validate_results(t.store)),
+    ),
+}
 
 
 def analyze(store: ResultStore) -> ReportBundle:
-    """Divergences, spread metrics, the statistics battery, floor
-    decomposition, the cost-intensity scaling check, and dollar translation,
-    all from a frozen store. Degenerate cells propagate as flags."""
-    findings = validate_results(store)
+    """Every ``TABLES`` table and the cost-intensity conjecture check, from a
+    frozen store. Degenerate cells propagate as flags."""
     t = _cell_table(store)
-    concordance, concordance_min = _concordance_rows(t)
-    cost, conjecture = _cost_rows(t)
     tables = {
-        # A record's fields are flat, so vars() copies what asdict() would
-        # without its per-field deep copy (most of analyze's time on wide grids).
-        "divergence_records": [dict(vars(r)) for row in t.cells.values() for c in row for r in c.records],
-        "divergence_summary": _summary_rows(t),
-        "stats_tests": _stats_rows(t),
-        "concordance": concordance,
-        "concordance_min": concordance_min,
-        "floor_decomposition": _floor_rows(t),
-        "cost_intensity": cost,
-        "dollar_ambiguity": _dollar_rows(t),
-        "pair_divergence": _pair_rows(t),
-        "validation": [asdict(f) for f in findings],
+        name: [dict(zip(columns, row, strict=True)) for row in build(t)] for name, (columns, build) in TABLES.items()
     }
     bucket_qc = {
         "partition": json.loads(store.partition.to_json()),
@@ -1156,7 +1134,7 @@ def analyze(store: ResultStore) -> ReportBundle:
         "config": store.config.canonical_dict(),
         "constants": dict(REPORT_CONSTANTS),
     }
-    return ReportBundle(store.run_id, metadata, tables, bucket_qc, conjecture)
+    return ReportBundle(store.run_id, metadata, tables, bucket_qc, _conjecture(t))
 
 
 # ---------------------------------------------------------------------------
@@ -1187,7 +1165,7 @@ def emit_reports(bundle: ReportBundle, directory: str) -> list[str]:
     """Write every table as CSV plus the JSON sidecars; returns paths."""
     os.makedirs(directory, exist_ok=True)
     paths = []
-    for name, columns in TABLE_COLUMNS.items():
+    for name, (columns, _) in TABLES.items():
         path = os.path.join(directory, f"{name}.csv")
         write_table_csv(bundle.tables.get(name, []), columns, path, bundle.run_id)
         paths.append(path)

@@ -45,16 +45,39 @@ class BadSpec(ValueError):
     """Synthetic-panel specification violates its invariants."""
 
 
-def check_int_fields(record, error: type[ValueError] = ValueError, prefix: str = "") -> None:
-    """Raise ``error`` naming the first field of dataclass ``record`` annotated
-    ``int`` that holds anything but an int (a bool is not one here), or
-    annotated ``int | None`` that holds neither. Annotations are read as the
-    text written, as postponed evaluation leaves them."""
+#: The check on each field annotation, as written: what it admits, the exact
+#: types of the value and, for a list or a map, of each entry (each value of a
+#: map). Exact, so a bool is neither an int nor a number, and a string is not
+#: a list of strings.
+_FIELD_KINDS = {
+    "int": ("an int", (int,), None),
+    "float": ("a number", (int, float), None),
+    "bool": ("a bool", (bool,), None),
+    "str": ("a string", (str,), None),
+    "tuple[str, ...]": ("a list of strings", (list, tuple), (str,)),
+    "tuple[float, ...]": ("a list of numbers", (list, tuple), (int, float)),
+    "Mapping[str, float]": ("a map to numbers", (dict,), (int, float)),
+}
+
+
+def check_field_types(record, error: type[ValueError] = ValueError, prefix: str = "") -> None:
+    """Raise ``error`` naming the first field of dataclass ``record``, and its
+    first bad entry, that holds what its annotation does not admit; ``X |
+    None`` admits None as well. Annotations are read as the text written, as
+    postponed evaluation leaves them; one ``_FIELD_KINDS`` lacks is not checked."""
     for f in fields(record):
         value = getattr(record, f.name)
-        kinds = {"int": (int,), "int | None": (int, type(None))}.get(f.type)
-        if kinds and type(value) not in kinds:
-            raise error(f"{prefix}{f.name} must be an int, got {value!r}")
+        kind = _FIELD_KINDS.get(f.type.removesuffix(" | None"))
+        if kind is None or (value is None and f.type.endswith(" | None")):
+            continue
+        what, types, entry_types = kind
+        if type(value) not in types:
+            raise error(f"{prefix}{f.name} must be {what}, got {value!r}")
+        if entry_types is None:
+            continue
+        for entry in value.values() if isinstance(value, dict) else value:
+            if type(entry) not in entry_types:
+                raise error(f"{prefix}{f.name} must be {what}, got entry {entry!r}")
 
 
 def _calendar_keys(dates: Sequence[str]) -> list:
@@ -238,7 +261,7 @@ class SynthSpec:
     start_price: float = 100.0
 
     def __post_init__(self) -> None:
-        check_int_fields(self, BadSpec)
+        check_field_types(self, BadSpec)
         if self.n_assets < 2:
             raise BadSpec("n_assets must be >= 2")
         if self.n_days < 2:

@@ -250,6 +250,36 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"^buckets.{key} must be an int, got {re.escape(repr(value))}$"):
             BucketConfig(**{key: value})
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"buckets": {"sector_constraint": "false"}}, "buckets.sector_constraint must be a bool, got 'false'"),
+        ({"buckets": {"sector_constraint": 0}}, "buckets.sector_constraint must be a bool, got 0"),
+        ({"cost_regimes_bps": ["0", "1_8", "36", "60"]}, "cost_regimes_bps must be a list of numbers, got entry '0'"),
+        ({"tost_margins_pp": [0.1, True]}, "tost_margins_pp must be a list of numbers, got entry True"),
+        ({"tost_margins_pp": 0.1}, "tost_margins_pp must be a list of numbers, got 0.1"),
+        ({"aum": True}, "aum must be a number, got True"),
+        ({"fdr_q": True}, "fdr_q must be a number, got True"),
+        ({"initial_capital": "1e6"}, "initial_capital must be a number, got '1e6'"),
+        ({"cost_overrides_bps": {"bm04": "36"}}, "cost_overrides_bps must be a map to numbers, got entry '36'"),
+        ({"cost_overrides_bps": [["bm04", 36]]}, "cost_overrides_bps must be a map to numbers, got [['bm04', 36]]"),
+        ({"synthetic": {**DEMO_CONFIG["synthetic"], "correlation": "0.3"}}, "correlation must be a number, got '0.3'"),
+        ({"engines": ["reference", 5]}, "engines must be a list of strings, got entry 5"),
+        ({"engines": "reference,pre_trade"}, "engines must be a list of strings, got 'reference,pre_trade'"),
+        ({"benchmarks": "bm01"}, "benchmarks must be a list of strings, got 'bm01'"),
+        ({"daf_reference": ["bm01"]}, "daf_reference must be a string, got ['bm01']"),
+        ({"prices_csv": 5}, "prices_csv must be a string, got 5"),
+    ])
+    def test_config_value_of_another_json_type_refused(self, edit, message):
+        # Each once built a config that misread the value (a truthy "false",
+        # float("1_8") == 18.0, a string read character by character) or
+        # failed with a TypeError or AttributeError naming no key.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig.from_dict({**DEMO_CONFIG, **edit})
+
+    def test_integer_spellings_of_listed_numbers_keep_the_run_id(self):
+        # The lists are stored as floats, so 18 and 18.0 build one run id.
+        numbers = {"cost_regimes_bps": [0, 18, 36, 60], "tost_margins_pp": [0.1, 0.5]}
+        assert RunConfig.from_dict({**DEMO_CONFIG, **numbers}).run_id() == RunConfig.from_dict(DEMO_CONFIG).run_id()
+
     @pytest.mark.parametrize("seed", [7.9, 7.0, True])
     def test_config_file_seed_is_not_rounded(self, seed):
         # 7.9 once built run 7 under its run id; true built seed 1.
@@ -1299,9 +1329,38 @@ def _damaged(
     return damaged
 
 
+#: Bundle parts that ``oracles.analyze_loop`` does not write, each mapped to
+#: the test that pins it. A table or constant added after the oracle lands
+#: here with its own test, so the oracle that pins the rest stays unedited.
+PINNED_ELSEWHERE: dict[str, str] = {}
+
+
+def _parts(bundle: ReportBundle) -> dict[str, str]:
+    """``bundle`` as named parts, each as sorted-key JSON: every top-level
+    key but ``tables``, with ``metadata`` less its ``constants``; each
+    constant as ``constants.<key>``; each table as ``tables.<name>``."""
+    parts = dict(vars(bundle))
+    tables = parts.pop("tables")
+    parts["metadata"] = metadata = dict(parts["metadata"])
+    constants = metadata.pop("constants")
+    parts |= {f"constants.{key}": value for key, value in constants.items()}
+    parts |= {f"tables.{name}": rows for name, rows in tables.items()}
+    return {name: harness.dumps_json(value, sort_keys=True) for name, value in parts.items()}
+
+
+def assert_matches_oracle(bundle: ReportBundle, oracle: ReportBundle) -> None:
+    """Each part of ``oracle`` is the same part of ``bundle``, and ``bundle``
+    has no part the oracle lacks unless ``PINNED_ELSEWHERE`` names it."""
+    got, want = _parts(bundle), _parts(oracle)
+    unpinned = sorted(set(got) - set(want) - set(PINNED_ELSEWHERE))
+    assert not unpinned, f"bundle parts no oracle pins: {unpinned}"
+    for name, text in want.items():
+        assert got.get(name) == text, f"bundle part {name} differs from the oracle's"
+
+
 class TestAnalyzeOracle:
     """``analyze`` against the pre-builder loop in ``oracles.analyze_loop``,
-    compared as bundle JSON, on whole and damaged stores."""
+    compared part by part, on whole and damaged stores."""
 
     @pytest.mark.parametrize(
         "damage",
@@ -1319,7 +1378,36 @@ class TestAnalyzeOracle:
     @pytest.mark.parametrize("which", ["demo_store", "wide_store"])
     def test_named_damage(self, request, which, damage):
         store = _damaged(request.getfixturevalue(which), **damage)
-        assert analyze(store).to_json() == analyze_loop(store).to_json()
+        assert_matches_oracle(analyze(store), analyze_loop(store))
+
+    def test_every_part_is_pinned(self, demo_store):
+        oracle = set(_parts(analyze_loop(demo_store)))
+        assert not oracle & set(PINNED_ELSEWHERE), "a part the oracle pins needs no second pin"
+        names = {
+            *_parts(analyze(demo_store)),
+            *(f"tables.{name}" for name in harness.TABLES),
+            *(f"constants.{key}" for key in harness.REPORT_CONSTANTS),
+        }
+        assert names - oracle - set(PINNED_ELSEWHERE) == set()
+
+    @pytest.mark.parametrize("edit", [
+        lambda b: b.tables["divergence_records"][0].update(bucket="B99"),
+        lambda b: b.tables["concordance_min"][0].update(ccc=b.tables["concordance_min"][0].pop("ccc_min")),
+        lambda b: b.tables.update(extra=[]),
+        lambda b: b.metadata["constants"].update(ccc_moments="sample (divisor n - 1)"),
+        lambda b: b.metadata["constants"].update(extra=1),
+        lambda b: b.metadata["config"].update(aum=2.0),
+        lambda b: b.bucket_qc.update(mahalanobis_score=0.0),
+        lambda b: b.conjecture.update(n_clusters=0),
+    ], ids=["table_value", "column_name", "extra_table", "constant", "extra_constant", "config",
+            "bucket_qc", "conjecture"])
+    def test_helper_refuses_an_edited_bundle(self, demo_store, edit):
+        bundle = analyze(demo_store)
+        oracle = copy.deepcopy(bundle)
+        assert_matches_oracle(bundle, oracle)
+        edit(bundle)
+        with pytest.raises(AssertionError):
+            assert_matches_oracle(bundle, oracle)
 
     def test_one_bucket_skips_the_bootstrap(self, demo_store):
         conjecture = analyze(_damaged(demo_store, n_buckets=1)).conjecture
@@ -1347,7 +1435,7 @@ class TestAnalyzeOracle:
             ),
             order=data.draw(st.permutations(keys)),
         )
-        assert analyze(damaged).to_json() == analyze_loop(damaged).to_json()
+        assert_matches_oracle(analyze(damaged), analyze_loop(damaged))
 
 
 class TestStrictJson:
@@ -1377,6 +1465,19 @@ class TestEmit:
         assert "post|abs|x1|atomic|aligned|full" in meta["config"]["engines"]
         partition = json.loads((tmp_path / "partition.json").read_text())
         assert {"seed", "n_candidates", "score", "buckets"} <= set(partition)
+
+    def test_one_csv_per_table_and_the_json_sidecars(self, tmp_path, demo_bundle):
+        paths = emit_reports(demo_bundle, str(tmp_path))
+        names = [f"{name}.csv" for name in harness.TABLES]
+        names += ["run_metadata.json", "bucket_qc.json", "conjecture_check.json", "partition.json"]
+        assert paths == [str(tmp_path / name) for name in names]
+        assert sorted(os.listdir(tmp_path)) == sorted(names)
+        for name, (columns, _) in harness.TABLES.items():
+            with open(tmp_path / f"{name}.csv", newline="") as f:
+                header, *rows = csv.reader(f)
+            assert header == columns + ["run_id"]
+            assert len(rows) == len(demo_bundle.tables[name])
+            assert all(len(row) == len(header) and row[-1] == demo_bundle.run_id for row in rows)
 
     def test_unwritable_dir_raises(self, demo_bundle):
         with pytest.raises(OSError):

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crossbt.marketdata import (
     BadCalendar,
@@ -119,6 +121,51 @@ def test_roundtrip_full_precision(tmp_path, bucket_universe):
     assert reloaded.dates == bucket_universe.dates
     assert reloaded.assets == bucket_universe.assets
     assert np.array_equal(reloaded.prices, bucket_universe.prices)
+
+
+#: Each malformed row the loader fuzz writes, with the error that names it
+#: and its message, given the row's date.
+ROW_FAULTS = {
+    "short": (HoleInPanel, "^missing price for asset 'A003' on date '{date}'$"),
+    "long": (ValueError, ": row '{date}' has more cells than the header$"),
+    "iso_date": (BadCalendar, "^dates not strictly increasing at "),
+}
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    bom=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    blanks=st.lists(st.integers(1, 26), max_size=3),
+    fault=st.sampled_from([None, *ROW_FAULTS]),
+    row=st.integers(1, 25),
+)
+def test_csv_loader_reads_the_panel_or_names_the_fault(tmp_path, bom, newline, blanks, fault, row):
+    # A BOM, blank lines and either line ending load the written panel; a
+    # short or long row, or an ISO date among integer dates, is named. With
+    # 25 days the integer labels alone are out of order as text ("9" > "10").
+    panel = generate_synthetic(SynthSpec(n_assets=4, n_days=25, seed=11))
+    path = tmp_path / "prices.csv"
+    write_prices_csv(panel, str(path))
+    lines = path.read_text().splitlines()
+    date, *cells = lines[row].split(",")
+    lines[row] = ",".join({
+        None: [date, *cells],
+        "short": [date, *cells[:-1]],
+        "long": [date, *cells, "1.0"],
+        "iso_date": ["2020-01-01", *cells],
+    }[fault])
+    for at in sorted(blanks, reverse=True):
+        lines.insert(at, "")
+    path.write_text("\ufeff" * bom + newline.join(lines) + newline, encoding="utf-8", newline="")
+    if fault is not None:
+        error, message = ROW_FAULTS[fault]
+        with pytest.raises(error, match=message.format(date=date)):
+            load_prices_csv(str(path))
+        return
+    loaded = load_prices_csv(str(path))
+    assert (loaded.dates, loaded.assets) == (panel.dates, panel.assets)
+    assert np.array_equal(loaded.prices, panel.prices)
 
 
 def test_sector_map_roundtrip(tmp_path, bucket_universe):

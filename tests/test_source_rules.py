@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import crossbt
+from crossbt import harness
 
 PACKAGE = Path(crossbt.__file__).parent
 
@@ -85,3 +86,36 @@ def test_public_samplers_take_integer_seeds():
 ])
 def test_generator_param_check_names_file_and_line(source, flagged):
     assert _generator_params(source, "m.py") == flagged
+
+
+def _string_literals(source: str, filename: str, names) -> dict[str, list[str]]:
+    """``file:line`` of each string literal in ``source`` that is one of
+    ``names``, by name, in line order."""
+    found: dict[str, list[int]] = {name: [] for name in names}
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in found:
+            found[node.value].append(node.lineno)
+    return {name: [f"{filename}:{line}" for line in sorted(lines)] for name, lines in found.items()}
+
+
+def test_each_table_is_named_once():
+    # A table is declared by its one harness.TABLES entry. Its name written
+    # again, in a builder or a reader, is a second place to keep in step.
+    found: dict[str, list[str]] = {name: [] for name in harness.TABLES}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        named = _string_literals(path.read_text(), str(path.relative_to(PACKAGE.parent)), harness.TABLES)
+        for name, where in named.items():
+            found[name] += where
+    again = {name: where for name, where in found.items() if len(where) != 1}
+    assert not again, f"table names not written exactly once: {again}"
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ('TABLES = {"alpha": ("benchmark alpha".split(), _alpha)}', {"alpha": ["m.py:1"]}),
+    ('TABLES = {"alpha": (["benchmark", "alpha"], _alpha)}', {"alpha": ["m.py:1", "m.py:1"]}),
+    ('TABLES = {"alpha": (COLUMNS, _alpha)}\n\n\ndef _alpha(t):\n    return _row("alpha", t)',
+     {"alpha": ["m.py:1", "m.py:5"]}),
+    ('print(f"alpha rows: {n}", tables[ALPHA])', {"alpha": []}),
+])
+def test_table_name_check_names_file_and_line(source, flagged):
+    assert _string_literals(source, "m.py", ["alpha"]) == flagged
