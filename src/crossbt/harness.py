@@ -18,7 +18,7 @@ import json
 import math
 import os
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from itertools import combinations, islice
 from operator import attrgetter
@@ -45,10 +45,10 @@ from .marketdata import (
     TRADING_DAYS_PER_YEAR,
     PriceMatrix,
     SynthSpec,
-    check_field_types,
     descriptive_stats,
     generate_synthetic,
     load_prices_csv,
+    read_fields,
 )
 from .riskmetrics import (
     DivergenceRecord,
@@ -128,7 +128,7 @@ class BucketConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        check_field_types(self, prefix="buckets.")
+        read_fields(self, prefix="buckets.")
 
 
 @dataclass(frozen=True)
@@ -157,16 +157,12 @@ class RunConfig:
     _KEYS = {"synth": "synthetic"}
 
     def __post_init__(self) -> None:
-        check_field_types(self)
-        object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
-        object.__setattr__(self, "engines", tuple(self.engines))
-        object.__setattr__(self, "cost_regimes_bps", tuple(float(x) for x in self.cost_regimes_bps))
-        object.__setattr__(self, "tost_margins_pp", tuple(float(x) for x in self.tost_margins_pp))
-        object.__setattr__(self, "cost_overrides_bps", dict(self.cost_overrides_bps))
+        read_fields(self)
         # Resolved once: every engine id the store and the analysis read comes
         # from here, not from parsing the convention strings again.
         resolved = {conv.id: conv for conv in map(resolve_convention, self.engines)}
         object.__setattr__(self, "_roster", tuple(sorted(resolved.items())))
+        object.__setattr__(self, "engines", tuple(eid for eid, _ in self._roster))
         if len(self._roster) < 2:
             raise ValueError("need at least 2 distinct engine conventions")
         # An override for an unregistered id would never apply, yet enter the run id.
@@ -220,9 +216,7 @@ class RunConfig:
             self.warmup_days(self.synth.n_days)
 
     def benchmark_cost_bps(self, benchmark: str) -> float:
-        if benchmark in self.cost_overrides_bps:
-            return float(self.cost_overrides_bps[benchmark])
-        return float(BENCHMARKS[benchmark].cost_bps)
+        return self.cost_overrides_bps.get(benchmark, BENCHMARKS[benchmark].cost_bps)
 
     def warmup_days(self, n_days: int) -> int:
         """The warm-up of a run over ``n_days``: ``warmup``, or the benchmarks'
@@ -237,9 +231,7 @@ class RunConfig:
         return list(self._roster)
 
     def canonical_dict(self) -> dict:
-        d = {self._KEYS.get(f.name, f.name): _plain(getattr(self, f.name)) for f in fields(self)}
-        d["engines"] = [eid for eid, _ in self._roster]
-        return d
+        return {self._KEYS.get(key, key): value for key, value in asdict(self).items()}
 
     def run_id(self) -> str:
         payload = json.dumps(self.canonical_dict(), sort_keys=True)
@@ -250,24 +242,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "RunConfig":
-        names = {cls._KEYS.get(f.name, f.name): f.name for f in fields(cls)}
-        unknown = sorted(set(obj) - set(names))
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        kwargs = {names[key]: value for key, value in obj.items()}
-        seed = kwargs.get("seed", 0)
-        kwargs["buckets"] = BucketConfig(**kwargs.get("buckets", {}))
-        if kwargs.get("synth"):
-            s = dict(kwargs["synth"])
-            if s.get("seed") is None:
-                s["seed"] = seed
-            if s.get("annual_vol") is not None and not np.isscalar(s["annual_vol"]):
-                s["annual_vol"] = tuple(s["annual_vol"])
-            if s.get("sectors") is not None:
-                s["sectors"] = tuple(s["sectors"])
-            kwargs["synth"] = SynthSpec(**s)
-        else:
-            kwargs["synth"] = None
+        kwargs = _record_args(cls, obj)
+        kwargs["buckets"] = BucketConfig(**_record_args(BucketConfig, kwargs.get("buckets", {}), "buckets"))
+        if kwargs.get("synth") is not None:
+            synth = _record_args(SynthSpec, kwargs["synth"], "synthetic")
+            if synth.get("seed") is None:
+                synth["seed"] = kwargs.get("seed", 0)
+            kwargs["synth"] = SynthSpec(**synth)
         return cls(**kwargs)
 
     @classmethod
@@ -276,18 +257,17 @@ class RunConfig:
             return cls.from_dict(json.load(f))
 
 
-def _plain(value):
-    """A config value as JSON-ready data: dataclasses as dicts, tuples and
-    arrays as lists, mappings sorted by key."""
-    if is_dataclass(value):
-        return {k: _plain(v) for k, v in asdict(value).items()}
-    if isinstance(value, np.ndarray):
-        return [float(x) for x in value]
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, Mapping):
-        return dict(sorted(value.items()))
-    return value
+def _record_args(cls, obj, key: str | None = None) -> dict:
+    """The arguments of record ``cls`` in config map ``obj``, found at ``key``
+    (None at the top level), each under its field name. ValueError for a
+    value that is not a map, or a key that names no field."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"{key or 'config'} must be a map, got {obj!r}")
+    names = {getattr(cls, "_KEYS", {}).get(f.name, f.name): f.name for f in fields(cls)}
+    unknown = sorted(set(obj) - set(names))
+    if unknown:
+        raise ValueError(f"unknown config keys: {[f'{key}.{k}' if key else k for k in unknown]}")
+    return {names[k]: value for k, value in obj.items()}
 
 
 # ---------------------------------------------------------------------------

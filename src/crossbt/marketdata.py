@@ -45,39 +45,50 @@ class BadSpec(ValueError):
     """Synthetic-panel specification violates its invariants."""
 
 
-#: The check on each field annotation, as written: what it admits, the exact
+#: Each part of a field annotation, as written: what it admits, the exact
 #: types of the value and, for a list or a map, of each entry (each value of a
-#: map). Exact, so a bool is neither an int nor a number, and a string is not
-#: a list of strings.
+#: map), then the one form the value is stored in. Exact, so a bool is neither
+#: an int nor a number, and a string is not a list of strings. A number is
+#: stored as a float, so 18 and 18.0 are one value. ``None`` has no text: a
+#: message names only what else the field takes.
 _FIELD_KINDS = {
-    "int": ("an int", (int,), None),
-    "float": ("a number", (int, float), None),
-    "bool": ("a bool", (bool,), None),
-    "str": ("a string", (str,), None),
-    "tuple[str, ...]": ("a list of strings", (list, tuple), (str,)),
-    "tuple[float, ...]": ("a list of numbers", (list, tuple), (int, float)),
-    "Mapping[str, float]": ("a map to numbers", (dict,), (int, float)),
+    "None": ("", (type(None),), None, None),
+    "int": ("an int", (int,), None, None),
+    "float": ("a number", (int, float), None, float),
+    "bool": ("a bool", (bool,), None, None),
+    "str": ("a string", (str,), None, None),
+    "tuple[str, ...]": ("a list of strings", (list, tuple), (str,), tuple),
+    "tuple[float, ...]": ("a list of numbers", (list, tuple), (int, float), lambda v: tuple(map(float, v))),
+    "Mapping[str, float]": ("a map to numbers", (dict,), (int, float), lambda m: {k: float(x) for k, x in m.items()}),
 }
 
 
-def check_field_types(record, error: type[ValueError] = ValueError, prefix: str = "") -> None:
-    """Raise ``error`` naming the first field of dataclass ``record``, and its
-    first bad entry, that holds what its annotation does not admit; ``X |
-    None`` admits None as well. Annotations are read as the text written, as
-    postponed evaluation leaves them; one ``_FIELD_KINDS`` lacks is not checked."""
+def read_fields(record, error: type[ValueError] = ValueError, prefix: str = "") -> None:
+    """Store each field of frozen dataclass ``record`` in the one form of the
+    ``_FIELD_KINDS`` part of its annotation that admits it; raise ``error``
+    naming the first field, and its first bad entry, that no part admits.
+    Annotations are read as the text written, as postponed evaluation leaves
+    them, split on ``" | "``; a field with a part ``_FIELD_KINDS`` lacks is a
+    nested record, read when it is built."""
     for f in fields(record):
+        kinds = [_FIELD_KINDS.get(part) for part in f.type.split(" | ")]
+        if None in kinds:
+            continue
         value = getattr(record, f.name)
-        kind = _FIELD_KINDS.get(f.type.removesuffix(" | None"))
-        if kind is None or (value is None and f.type.endswith(" | None")):
-            continue
-        what, types, entry_types = kind
-        if type(value) not in types:
+        what = " or ".join(k[0] for k in kinds if k[0])
+        kind = next((k for k in kinds if type(value) in k[1]), None)
+        if kind is None:
             raise error(f"{prefix}{f.name} must be {what}, got {value!r}")
-        if entry_types is None:
-            continue
-        for entry in value.values() if isinstance(value, dict) else value:
-            if type(entry) not in entry_types:
-                raise error(f"{prefix}{f.name} must be {what}, got entry {entry!r}")
+        _, _, entry_types, store = kind
+        if entry_types is not None:
+            for entry in value.values() if type(value) is dict else value:
+                if type(entry) not in entry_types:
+                    raise error(f"{prefix}{f.name} must be {what}, got entry {entry!r}")
+        if store is not None:
+            try:
+                object.__setattr__(record, f.name, store(value))
+            except OverflowError:
+                raise error(f"{prefix}{f.name} must be finite as a float, got {value!r}") from None
 
 
 def _calendar_keys(dates: Sequence[str]) -> list:
@@ -254,14 +265,14 @@ class SynthSpec:
     n_days: int
     seed: int
     annual_drift: float | Mapping[str, float] = 0.05
-    annual_vol: float | Sequence[float] = 0.20
+    annual_vol: float | tuple[float, ...] = 0.20
     correlation: float = 0.30
     n_sectors: int = 6
     sectors: tuple[str, ...] | None = None
     start_price: float = 100.0
 
     def __post_init__(self) -> None:
-        check_field_types(self, BadSpec)
+        read_fields(self, BadSpec)
         if self.n_assets < 2:
             raise BadSpec("n_assets must be >= 2")
         if self.n_days < 2:
@@ -279,26 +290,26 @@ class SynthSpec:
             raise BadSpec("start_price must be positive")
 
     def vol_vector(self) -> np.ndarray:
-        if np.isscalar(self.annual_vol):
-            return np.full(self.n_assets, float(self.annual_vol))
-        v = np.asarray(self.annual_vol, dtype=float)
+        if isinstance(self.annual_vol, float):
+            return np.full(self.n_assets, self.annual_vol)
+        v = np.array(self.annual_vol)
         if v.shape != (self.n_assets,):
             raise BadSpec("annual_vol must be scalar or one value per asset")
         return v
 
     def sector_labels(self) -> tuple[str, ...]:
         if self.sectors is not None:
-            return tuple(self.sectors)
+            return self.sectors
         return tuple(f"SEC{i % self.n_sectors}" for i in range(self.n_assets))
 
     def drift_vector(self) -> np.ndarray:
         labels = self.sector_labels()
-        if isinstance(self.annual_drift, Mapping):
+        if isinstance(self.annual_drift, dict):
             try:
-                return np.array([float(self.annual_drift[s]) for s in labels])
+                return np.array([self.annual_drift[s] for s in labels])
             except KeyError as exc:
                 raise BadSpec(f"no drift for sector {exc.args[0]!r}")
-        return np.full(self.n_assets, float(self.annual_drift))
+        return np.full(self.n_assets, self.annual_drift)
 
 
 def generate_synthetic(spec: SynthSpec) -> PriceMatrix:

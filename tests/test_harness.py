@@ -13,12 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from crossbt import harness
 from crossbt.cli import DEMO_CONFIG, EXIT_ERROR, main
 from crossbt.engine import (
+    CONVENTIONS,
     REFERENCE,
     CostSpec,
     EngineConvention,
@@ -101,6 +102,64 @@ def _config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
+def _number(lo: float, hi: float):
+    """A number in [lo, hi], spelled as a JSON integer or float."""
+    return st.one_of(st.integers(math.ceil(lo), math.floor(hi)), st.floats(lo, hi))
+
+
+@st.composite
+def _config_files(draw) -> dict:
+    """A valid config file over DEMO_CONFIG's panel: each number spelled as an
+    int or a float, engines by preset name or by id, one of them listed twice."""
+    regimes = [draw(st.sampled_from([bps, float(bps)])) for bps in (0, 18, 36, 60)]
+    engines = draw(st.lists(st.sampled_from([*CONVENTIONS, *(c.id for c in CONVENTIONS.values())]), min_size=2))
+    assume(len({resolve_convention(e) for e in engines}) >= 2)
+    sectors = st.permutations([f"SEC{i % 6}" for i in range(36)])
+    return {
+        "seed": draw(st.integers(0, 2**32)),
+        "synthetic": {
+            **DEMO_CONFIG["synthetic"],
+            "seed": draw(st.none() | st.integers(0, 2**32)),
+            "annual_drift": draw(_number(-1, 1) | st.fixed_dictionaries({f"SEC{i}": _number(-1, 1) for i in range(6)})),
+            "annual_vol": draw(_number(0, 1) | st.lists(_number(0, 1), min_size=36, max_size=36)),
+            "correlation": draw(_number(0, 0.99)),
+            "sectors": draw(st.none() | sectors),
+            "start_price": draw(_number(1, 1e4)),
+        },
+        "buckets": {"n_candidates": draw(st.integers(1, 50)), "seed": draw(st.none() | st.integers(0, 99))},
+        "benchmarks": draw(st.lists(st.sampled_from(sorted(BENCHMARKS)), min_size=1, max_size=4, unique=True)),
+        "engines": [*engines, engines[0]],
+        "cost_regimes_bps": regimes,
+        "cost_overrides_bps": draw(st.dictionaries(st.sampled_from(sorted(BENCHMARKS)), st.sampled_from(regimes))),
+        "initial_capital": draw(_number(1, 1e9)),
+        "warmup": draw(st.none() | st.integers(0, 100)),
+        "aum": draw(_number(0, 1e12)),
+        "daf_reference": draw(st.sampled_from(sorted(BENCHMARKS))),
+        "tost_margins_pp": draw(st.lists(_number(0.01, 5), min_size=1, max_size=3)),
+        "fdr_q": draw(_number(0.001, 1)),
+    }
+
+
+#: The JSON types a config file may spell each annotation part with.
+_JSON_TYPES = {
+    "None": (type(None),), "int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+    "tuple[str, ...]": (list,), "tuple[float, ...]": (list,), "Mapping[str, float]": (dict,),
+    "BucketConfig": (dict,), "SynthSpec": (dict,),
+}
+
+#: Each config key: the path of its record in the file, and its field.
+_CONFIG_FIELDS = [
+    *(((), f) for f in fields(RunConfig)),
+    *((("buckets",), f) for f in fields(BucketConfig)),
+    *((("synthetic",), f) for f in fields(SynthSpec)),
+]
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
 @pytest.fixture(scope="module")
 def demo_store():
     return run_suite(_config())
@@ -179,6 +238,10 @@ class TestRunConfig:
         ("tost_margins_pp", (0.1, math.inf), (0.1, 1e300)),
         ("cost_regimes_bps", (0.0, 18.0, 36.0, 60.0, math.inf), (0.0, 18.0, 36.0, 60.0, 1e300)),
         ("cost_regimes_bps", (0.0, 18.0, 36.0, 60.0, math.nan), (0.0, 18.0, 36.0, 60.0, -1e300)),
+        # An integer past the float range has no float reading.
+        pytest.param("aum", 10**400, 10**300, id="aum-int_past_float_range"),
+        pytest.param("cost_regimes_bps", (0, 18, 36, 60, 10**400), (0, 18, 36, 60, 10**300),
+                     id="cost_regimes_bps-int_past_float_range"),
     ])
     def test_non_finite_value_rejected(self, key, bad, edge):
         # A store.json writes a non-finite number as null, which no config
@@ -267,6 +330,15 @@ class TestRunConfig:
         ({"benchmarks": "bm01"}, "benchmarks must be a list of strings, got 'bm01'"),
         ({"daf_reference": ["bm01"]}, "daf_reference must be a string, got ['bm01']"),
         ({"prices_csv": 5}, "prices_csv must be a string, got 5"),
+        ({"synthetic": {**DEMO_CONFIG["synthetic"], "annual_vol": "0.25"}},
+         "annual_vol must be a number or a list of numbers, got '0.25'"),
+        ({"synthetic": {**DEMO_CONFIG["synthetic"], "annual_drift": True}},
+         "annual_drift must be a number or a map to numbers, got True"),
+        ({"synthetic": {**DEMO_CONFIG["synthetic"], "annual_drift": [0.06]}},
+         "annual_drift must be a number or a map to numbers, got [0.06]"),
+        ({"synthetic": {**DEMO_CONFIG["synthetic"], "sectors": "ABCDEF"}}, "sectors must be a list of strings, got 'ABCDEF'"),
+        ({"buckets": None}, "buckets must be a map, got None"),
+        ({"synthetic": "abc"}, "synthetic must be a map, got 'abc'"),
     ])
     def test_config_value_of_another_json_type_refused(self, edit, message):
         # Each once built a config that misread the value (a truthy "false",
@@ -276,9 +348,51 @@ class TestRunConfig:
             RunConfig.from_dict({**DEMO_CONFIG, **edit})
 
     def test_integer_spellings_of_listed_numbers_keep_the_run_id(self):
-        # The lists are stored as floats, so 18 and 18.0 build one run id.
-        numbers = {"cost_regimes_bps": [0, 18, 36, 60], "tost_margins_pp": [0.1, 0.5]}
-        assert RunConfig.from_dict({**DEMO_CONFIG, **numbers}).run_id() == RunConfig.from_dict(DEMO_CONFIG).run_id()
+        # Numbers are stored as floats, so 18 and 18.0 build one run id.
+        synth = DEMO_CONFIG["synthetic"]
+        for ints, floats in [
+            ({"cost_regimes_bps": [0, 18, 36, 60]}, {"cost_regimes_bps": [0.0, 18.0, 36.0, 60.0]}),
+            ({"tost_margins_pp": [1, 2]}, {"tost_margins_pp": [1.0, 2.0]}),
+            ({"initial_capital": 1000000}, {"initial_capital": 1000000.0}),
+            ({"aum": 1000000000}, {"aum": 1e9}),
+            ({"cost_overrides_bps": {"bm04": 36}}, {"cost_overrides_bps": {"bm04": 36.0}}),
+            ({"synthetic": {**synth, "start_price": 100}}, {"synthetic": {**synth, "start_price": 100.0}}),
+            ({"synthetic": {**synth, "annual_vol": 1}}, {"synthetic": {**synth, "annual_vol": 1.0}}),
+            ({"synthetic": {**synth, "annual_vol": [1] * 36}}, {"synthetic": {**synth, "annual_vol": [1.0] * 36}}),
+            ({"synthetic": {**synth, "annual_drift": {f"SEC{i}": i for i in range(6)}}},
+             {"synthetic": {**synth, "annual_drift": {f"SEC{i}": float(i) for i in range(6)}}}),
+        ]:
+            as_ints, as_floats = (RunConfig.from_dict({**DEMO_CONFIG, **edit}) for edit in (ints, floats))
+            assert as_ints == as_floats, ints
+            assert as_ints.run_id() == as_floats.run_id(), ints
+
+    @settings(max_examples=100, deadline=None)
+    @given(_config_files())
+    def test_config_round_trips_through_its_json(self, obj):
+        # What to_json (and so store.json) writes is read back as the same
+        # config under the same run id, whatever spelling built it.
+        cfg = RunConfig.from_dict(obj)
+        again = RunConfig.from_dict(json.loads(cfg.to_json()))
+        assert again == cfg
+        assert again.run_id() == cfg.run_id()
+        assert again.to_json() == cfg.to_json()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_CONFIG_FIELDS), _JSON_VALUES)
+    def test_any_key_of_another_json_type_refused(self, key, value):
+        path, f = key
+        admitted = {t for part in f.type.split(" | ") for t in _JSON_TYPES[part]}
+        if path == ("synthetic",) and f.name == "seed":
+            admitted.add(type(None))  # a null synthetic seed takes the run's seed
+        assume(type(value) not in admitted)
+        obj = copy.deepcopy(DEMO_CONFIG)
+        name = RunConfig._KEYS.get(f.name, f.name)
+        (obj[path[0]] if path else obj)[name] = value
+        # A synthetic spec is a panel record of its own: it names its fields
+        # without the path.
+        named = name if path == ("synthetic",) else ".".join((*path, name))
+        with pytest.raises(ValueError, match=f"^{re.escape(named)} must be "):
+            RunConfig.from_dict(obj)
 
     @pytest.mark.parametrize("seed", [7.9, 7.0, True])
     def test_config_file_seed_is_not_rounded(self, seed):
@@ -356,8 +470,7 @@ class TestRunConfig:
             assert getattr(cfg, f.name) != default, f.name
         again = RunConfig.from_dict(json.loads(cfg.to_json()))
         for f in fields(RunConfig):
-            if f.name != "engines":
-                assert getattr(again, f.name) == getattr(cfg, f.name), f.name
+            assert getattr(again, f.name) == getattr(cfg, f.name), f.name
         assert again.roster() == cfg.roster()
         assert again.to_json() == cfg.to_json()
         assert cfg.run_id() == again.run_id() == "2c19f1e8d4cf"
@@ -394,6 +507,14 @@ class TestRunConfig:
         obj["permutation_drawss"] = 17
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_dict(obj)
+        # A nested record is read like the top level, its keys named by path.
+        for edit, keys in [
+            ({"buckets": {"n_bucket": 5}}, "['buckets.n_bucket']"),
+            ({"synthetic": {**DEMO_CONFIG["synthetic"], "vol": 0.2, "drift": 0.1}},
+             "['synthetic.drift', 'synthetic.vol']"),
+        ]:
+            with pytest.raises(ValueError, match=f"^unknown config keys: {re.escape(keys)}$"):
+                RunConfig.from_dict({**DEMO_CONFIG, **edit})
 
     def test_roster_without_reference_engine(self):
         # Turnover and divergence still compute when the reference convention

@@ -2,12 +2,15 @@
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import crossbt
 from crossbt import harness
+from crossbt.engine import EngineConvention
+from crossbt.marketdata import _FIELD_KINDS, SynthSpec
 
 PACKAGE = Path(crossbt.__file__).parent
 
@@ -119,3 +122,18 @@ def test_each_table_is_named_once():
 ])
 def test_table_name_check_names_file_and_line(source, flagged):
     assert _string_literals(source, "m.py", ["alpha"]) == flagged
+
+
+#: The records a config or a convention id is read into.
+CONFIG_RECORDS = (harness.RunConfig, harness.BucketConfig, SynthSpec, EngineConvention)
+
+
+def test_every_config_field_is_read_by_kind():
+    # read_fields checks and stores a field only when every part of its
+    # annotation is a _FIELD_KINDS entry, and passes over one that names a
+    # nested record, which is read when it is built. A field of any other
+    # annotation would be read by neither.
+    records = {record.__name__ for record in CONFIG_RECORDS}
+    unread = [f"{record.__name__}.{f.name}: {f.type}" for record in CONFIG_RECORDS for f in fields(record)
+              if not all(part in _FIELD_KINDS or part in records for part in f.type.split(" | "))]
+    assert not unread, f"fields no _FIELD_KINDS entry reads: {unread}"
