@@ -183,17 +183,28 @@ def sample_partition(
 
     The single-draw API: candidate 0 of ``rerandomize``'s sampler for
     ``seed``, so it shuffles ``substream(seed, 0)`` and fills buckets as
-    ``_sample_block`` describes. A layout with more slots than assets, or
-    with more slots per bucket than sectors, raises at once.
+    ``_sample_block`` describes. A layout that ``_sector_codes`` refuses
+    raises at once.
     """
-    codes = None
-    if sector_constraint:
-        labels, codes = np.unique(list(sectors[:n_assets]), return_inverse=True)
-        if n_buckets and bucket_size > len(labels):
-            raise InfeasibleConstraint(f"bucket size {bucket_size} exceeds {len(labels)} sectors")
-    if bucket_size * n_buckets > n_assets:
-        raise InfeasibleConstraint(f"{n_buckets} buckets of {bucket_size} exceed {n_assets} assets")
+    codes = _sector_codes(range(n_assets), dict(enumerate(sectors)), bucket_size, n_buckets, sector_constraint)
     return _sample_block(seed, 0, 1, n_assets, codes, bucket_size, n_buckets)[0].tolist()
+
+
+def _sector_codes(assets, sectors: Mapping, bucket_size: int, n_buckets: int, constrained: bool) -> np.ndarray | None:
+    """Integer sector code of each asset (None unless ``constrained``) for
+    ``n_buckets`` buckets of ``bucket_size``. Constrained, ValueError for
+    assets ``sectors`` does not label; InfeasibleConstraint for more slots
+    than assets or, constrained, more slots per bucket than sectors."""
+    if constrained and not sectors.keys() >= set(assets):
+        raise ValueError(f"sector labels missing for {[a for a in assets if a not in sectors]}")
+    if bucket_size * n_buckets > len(assets):
+        raise InfeasibleConstraint(f"{n_buckets} buckets of {bucket_size} exceed {len(assets)} assets")
+    if not constrained:
+        return None
+    labels, codes = np.unique([sectors[a] for a in assets], return_inverse=True)
+    if n_buckets and bucket_size > len(labels):
+        raise InfeasibleConstraint(f"bucket size {bucket_size} exceeds {len(labels)} sectors")
+    return codes
 
 
 def _bucket_positions(
@@ -309,26 +320,15 @@ def rerandomize(
     every draw and score unchanged. Deterministic for a fixed seed; the returned score is the
     minimum over all sampled candidates (ties keep the earliest candidate).
     """
-    n = len(cov.assets)
-    if bucket_size < 1 or n_buckets < 1:
-        raise ValueError("need at least one bucket of at least one asset")
-    if bucket_size * n_buckets > n:
-        raise ValueError("bucket_size * n_buckets exceeds universe size")
-    if n_candidates < 1:
-        raise ValueError("need at least one candidate")
-    codes = None
-    if sector_constraint:
-        labels, codes = np.unique([sectors[a] for a in cov.assets], return_inverse=True)
-        if bucket_size > len(labels):
-            raise InfeasibleConstraint(
-                f"bucket size {bucket_size} exceeds {len(labels)} distinct sectors"
-            )
+    if min(n_buckets, bucket_size, n_candidates) < 1:
+        raise ValueError("n_buckets, bucket_size and n_candidates must each be >= 1")
+    codes = _sector_codes(cov.assets, sectors, bucket_size, n_buckets, sector_constraint)
     mean, inv, fallback = _scoring_matrix(cov, bucket_size)
     best_score = math.inf
     best_buckets: np.ndarray | None = None
     for first in range(0, n_candidates, CANDIDATE_BLOCK):
         count = min(CANDIDATE_BLOCK, n_candidates - first)
-        members = _sample_block(seed, first, count, n, codes, bucket_size, n_buckets)
+        members = _sample_block(seed, first, count, len(cov.assets), codes, bucket_size, n_buckets)
         scores = _block_scores(members, cov.values, mean, inv)
         # A NaN score never beats the running minimum, as in a serial scan.
         j = int(np.argmin(np.where(np.isnan(scores), np.inf, scores)))

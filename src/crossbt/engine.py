@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .marketdata import TRADING_DAYS_PER_YEAR, PriceMatrix, max_drawdown_pct, read_fields
+from .marketdata import TRADING_DAYS_PER_YEAR, PriceMatrix, max_drawdown_pct, read_fields, refuse_unless
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -68,16 +68,14 @@ class EngineConvention:
 
     def __post_init__(self) -> None:
         read_fields(self, BadConvention)
-        for name, ok in (
-            ("equity_reporting", self.equity_reporting in (EQUITY_POST, EQUITY_GROSS)),
-            ("rate_interpretation", self.rate_interpretation in (RATE_ABS, RATE_DIV100)),
-            ("commission_multiplier", self.commission_multiplier >= 1),
-            ("fill_sequencing", self.fill_sequencing in (FILL_ATOMIC, FILL_FIFO, FILL_SELLS_FIRST)),
-            ("return_timing", self.return_timing in (TIMING_ALIGNED, TIMING_SHIFT1)),
-            ("truncate_after", self.truncate_after is None or self.truncate_after >= 1),
-        ):
-            if not ok:
-                raise BadConvention(f"{name} {getattr(self, name)!r}")
+        flags = {"equity_reporting": (EQUITY_POST, EQUITY_GROSS), "rate_interpretation": (RATE_ABS, RATE_DIV100),
+                 "fill_sequencing": (FILL_ATOMIC, FILL_FIFO, FILL_SELLS_FIRST),
+                 "return_timing": (TIMING_ALIGNED, TIMING_SHIFT1)}
+        refuse_unless(self, (
+            *((name, getattr(self, name) in ok, " or ".join(map(repr, ok))) for name, ok in flags.items()),
+            ("commission_multiplier", self.commission_multiplier >= 1, ">= 1"),
+            ("truncate_after", self.truncate_after is None or self.truncate_after >= 1, ">= 1"),
+        ), BadConvention)
 
     @property
     def id(self) -> str:

@@ -18,10 +18,9 @@ import json
 import math
 import os
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property
 from itertools import combinations, islice
-from operator import attrgetter
 from typing import get_type_hints
 
 import numpy as np
@@ -49,6 +48,7 @@ from .marketdata import (
     generate_synthetic,
     load_prices_csv,
     read_fields,
+    refuse_unless,
 )
 from .riskmetrics import (
     DivergenceRecord,
@@ -129,6 +129,12 @@ class BucketConfig:
 
     def __post_init__(self) -> None:
         read_fields(self, prefix="buckets.")
+        refuse_unless(self, (
+            ("n_buckets", self.n_buckets >= 1, ">= 1"),
+            ("bucket_size", self.bucket_size >= 1, ">= 1"),
+            ("n_candidates", self.n_candidates >= 1, ">= 1"),
+            ("seed", self.seed is None or self.seed >= 0, ">= 0"),
+        ), prefix="buckets.")
 
 
 @dataclass(frozen=True)
@@ -163,8 +169,6 @@ class RunConfig:
         resolved = {conv.id: conv for conv in map(resolve_convention, self.engines)}
         object.__setattr__(self, "_roster", tuple(sorted(resolved.items())))
         object.__setattr__(self, "engines", tuple(eid for eid, _ in self._roster))
-        if len(self._roster) < 2:
-            raise ValueError("need at least 2 distinct engine conventions")
         # An override for an unregistered id would never apply, yet enter the run id.
         unknown = [b for b in (*self.benchmarks, *self.cost_overrides_bps) if b not in BENCHMARKS]
         if unknown:
@@ -178,42 +182,32 @@ class RunConfig:
             except ValueError as exc:
                 raise ValueError(f"benchmark {b} cost {bps} bps: {exc}") from None
             if bps not in self.cost_regimes_bps:
-                raise ValueError(
-                    f"benchmark {b} cost {bps} bps not in configured regimes {self.cost_regimes_bps}"
-                )
-        if self.synth is None and self.prices_csv is None:
-            raise ValueError("config needs either a synthetic spec or a prices CSV")
+                raise ValueError(f"benchmark {b} cost {bps} bps not in configured regimes {self.cost_regimes_bps}")
         # Checked here, not where each is read: most are read only after the grid has run.
-        b = self.buckets
-        for key, ok, rule in (
+        b, panel = self.buckets, self.synth if self.prices_csv is None else None
+        refuse_unless(self, (
+            ("seed", self.seed >= 0, ">= 0"),
+            ("engines", len(self._roster) >= 2, "at least 2 distinct conventions"),
             ("benchmarks", len(self.benchmarks) >= 1, "non-empty"),
             ("permutation_draws", self.permutation_draws >= 0, ">= 0"),
             ("bootstrap_draws", self.bootstrap_draws >= 1, ">= 1"),
-            ("aum", 0 <= self.aum < math.inf, "finite and >= 0"),
+            ("aum", self.aum >= 0, ">= 0"),
             ("warmup", self.warmup is None or self.warmup >= 0, ">= 0"),
-            ("initial_capital", 0 < self.initial_capital < math.inf, "finite and > 0"),
+            ("initial_capital", self.initial_capital > 0, "> 0"),
             ("fdr_q", 0 < self.fdr_q <= 1, "in (0, 1]"),
-            ("tost_margins_pp", all(0 < m < math.inf for m in self.tost_margins_pp), "each finite and > 0"),
-            ("cost_regimes_bps", all(map(math.isfinite, self.cost_regimes_bps)), "each finite"),
+            ("tost_margins_pp", all(m > 0 for m in self.tost_margins_pp), "each > 0"),
             ("daf_reference", self.daf_reference in BENCHMARKS, "a registered benchmark"),
-            ("buckets.n_buckets", b.n_buckets >= 1, ">= 1"),
-            ("buckets.bucket_size", b.bucket_size >= 1, ">= 1"),
-            ("buckets.n_candidates", b.n_candidates >= 1, ">= 1"),
-            ("buckets.bucket_size",
-             self.prices_csv is not None or b.bucket_size * b.n_buckets <= self.synth.n_assets,
+            ("prices_csv", self.prices_csv is not None or self.synth is not None, "set when synthetic is not"),
+            ("buckets.bucket_size", panel is None or b.bucket_size * b.n_buckets <= panel.n_assets,
              "<= synthetic.n_assets // buckets.n_buckets"),
             ("buckets.bucket_size",
-             self.prices_csv is not None or not b.sector_constraint
-             or b.bucket_size <= len(set(self.synth.sector_labels())),
+             panel is None or not b.sector_constraint or b.bucket_size <= len(set(panel.sector_labels())),
              "<= the synthetic panel's sector count while buckets.sector_constraint is on"),
-            ("sectors_csv",
-             self.prices_csv is None or self.sectors_csv is not None or not b.sector_constraint,
+            ("sectors_csv", self.prices_csv is None or self.sectors_csv is not None or not b.sector_constraint,
              "set for a prices_csv while buckets.sector_constraint is on"),
-        ):
-            if not ok:
-                raise ValueError(f"{key} must be {rule}, got {attrgetter(key)(self)!r}")
-        if self.prices_csv is None:
-            self.warmup_days(self.synth.n_days)
+        ))
+        if panel is not None:
+            self.warmup_days(panel.n_days)
 
     def benchmark_cost_bps(self, benchmark: str) -> float:
         return self.cost_overrides_bps.get(benchmark, BENCHMARKS[benchmark].cost_bps)
@@ -244,12 +238,14 @@ class RunConfig:
     def from_dict(cls, obj: Mapping) -> "RunConfig":
         kwargs = _record_args(cls, obj)
         kwargs["buckets"] = BucketConfig(**_record_args(BucketConfig, kwargs.get("buckets", {}), "buckets"))
-        if kwargs.get("synth") is not None:
-            synth = _record_args(SynthSpec, kwargs["synth"], "synthetic")
-            if synth.get("seed") is None:
-                synth["seed"] = kwargs.get("seed", 0)
-            kwargs["synth"] = SynthSpec(**synth)
-        return cls(**kwargs)
+        if kwargs.get("synth") is None:
+            return cls(**kwargs)
+        synth = _record_args(SynthSpec, kwargs["synth"], "synthetic", seed=None)
+        lent = synth["seed"] is None  # an absent or null synthetic seed takes the run's seed
+        cfg = cls(**{**kwargs, "synth": SynthSpec(**{**synth, "seed": 0} if lent else synth)})
+        if lent:  # after the run has read its seed; no rule of the run reads the synthetic one
+            object.__setattr__(cfg, "synth", replace(cfg.synth, seed=cfg.seed))
+        return cfg
 
     @classmethod
     def from_json_file(cls, path: str) -> "RunConfig":
@@ -257,17 +253,22 @@ class RunConfig:
             return cls.from_dict(json.load(f))
 
 
-def _record_args(cls, obj, key: str | None = None) -> dict:
+def _record_args(cls, obj, key: str | None = None, **defaults) -> dict:
     """The arguments of record ``cls`` in config map ``obj``, found at ``key``
-    (None at the top level), each under its field name. ValueError for a
-    value that is not a map, or a key that names no field."""
+    (None at the top level), each under its field name, over ``defaults``.
+    ValueError for a value that is not a map, a key that names no field, or
+    a field with no default that neither gives."""
     if not isinstance(obj, Mapping):
         raise ValueError(f"{key or 'config'} must be a map, got {obj!r}")
-    names = {getattr(cls, "_KEYS", {}).get(f.name, f.name): f.name for f in fields(cls)}
+    names = {getattr(cls, "_KEYS", {}).get(f.name, f.name): f for f in fields(cls)}
     unknown = sorted(set(obj) - set(names))
     if unknown:
         raise ValueError(f"unknown config keys: {[f'{key}.{k}' if key else k for k in unknown]}")
-    return {names[k]: value for k, value in obj.items()}
+    args = {**defaults, **{names[k].name: value for k, value in obj.items()}}
+    missing = [k for k, f in names.items() if f.name not in args and f.default is f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing config keys: {[f'{key}.{k}' if key else k for k in missing]}")
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -517,14 +518,8 @@ def load_panel(cfg: RunConfig) -> PriceMatrix:
 def partition_args(cfg: RunConfig, pm: PriceMatrix) -> dict:
     """The keyword arguments of ``buckets.rerandomize`` that draw ``cfg``'s
     partition of ``pm``, given its covariates. The bucket seed falls back to
-    the master seed. Raises ValueError when the sector constraint is on and
-    ``pm`` has no sector labels."""
+    the master seed."""
     b = cfg.buckets
-    if b.sector_constraint and pm.sectors is None:
-        raise ValueError(
-            "sector constraint requires sector labels; provide a sectors_csv "
-            "or set buckets.sector_constraint to false"
-        )
     return {
         "sectors": pm.sectors or {},
         "bucket_size": b.bucket_size,

@@ -11,10 +11,12 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import sys
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -45,6 +47,13 @@ class BadSpec(ValueError):
     """Synthetic-panel specification violates its invariants."""
 
 
+def _finite(x: int | float) -> float:
+    """``x`` as a float; OverflowError carrying ``x`` when it is NaN or lies past the float range."""
+    if abs(x) <= sys.float_info.max:
+        return float(x)
+    raise OverflowError(x)
+
+
 #: Each part of a field annotation, as written: what it admits, the exact
 #: types of the value and, for a list or a map, of each entry (each value of a
 #: map), then the one form the value is stored in. Exact, so a bool is neither
@@ -54,22 +63,21 @@ class BadSpec(ValueError):
 _FIELD_KINDS = {
     "None": ("", (type(None),), None, None),
     "int": ("an int", (int,), None, None),
-    "float": ("a number", (int, float), None, float),
+    "float": ("a number", (int, float), None, _finite),
     "bool": ("a bool", (bool,), None, None),
     "str": ("a string", (str,), None, None),
     "tuple[str, ...]": ("a list of strings", (list, tuple), (str,), tuple),
-    "tuple[float, ...]": ("a list of numbers", (list, tuple), (int, float), lambda v: tuple(map(float, v))),
-    "Mapping[str, float]": ("a map to numbers", (dict,), (int, float), lambda m: {k: float(x) for k, x in m.items()}),
+    "tuple[float, ...]": ("a list of numbers", (list, tuple), (int, float), lambda v: tuple(map(_finite, v))),
+    "Mapping[str, float]": ("a map to numbers", (dict,), (int, float), lambda m: {k: _finite(x) for k, x in m.items()}),
 }
 
 
 def read_fields(record, error: type[ValueError] = ValueError, prefix: str = "") -> None:
     """Store each field of frozen dataclass ``record`` in the one form of the
-    ``_FIELD_KINDS`` part of its annotation that admits it; raise ``error``
-    naming the first field, and its first bad entry, that no part admits.
-    Annotations are read as the text written, as postponed evaluation leaves
-    them, split on ``" | "``; a field with a part ``_FIELD_KINDS`` lacks is a
-    nested record, read when it is built."""
+    ``_FIELD_KINDS`` part of its annotation that admits it, every number a
+    finite float; raise ``error`` naming the first field, and its first bad
+    entry, that no part admits or that is not finite. Annotations are text,
+    split on ``" | "``; a part ``_FIELD_KINDS`` lacks marks a nested record."""
     for f in fields(record):
         kinds = [_FIELD_KINDS.get(part) for part in f.type.split(" | ")]
         if None in kinds:
@@ -87,8 +95,17 @@ def read_fields(record, error: type[ValueError] = ValueError, prefix: str = "") 
         if store is not None:
             try:
                 object.__setattr__(record, f.name, store(value))
-            except OverflowError:
-                raise error(f"{prefix}{f.name} must be finite as a float, got {value!r}") from None
+            except OverflowError as exc:
+                raise error(f"{prefix}{f.name} must be finite, got {exc.args[0]!r}") from None
+
+
+def refuse_unless(record, rules: Iterable[tuple], error: type[ValueError] = ValueError, prefix: str = "") -> None:
+    """The one way a config record refuses a value: raise ``error`` for the
+    first ``(key, ok, rule)`` whose ``ok`` is false, naming ``prefix + key``
+    and the value at ``key``, a dotted attribute path of ``record``."""
+    for key, ok, rule in rules:
+        if not ok:
+            raise error(f"{prefix}{key} must be {rule}, got {attrgetter(key)(record)!r}")
 
 
 def _calendar_keys(dates: Sequence[str]) -> list:
@@ -272,30 +289,25 @@ class SynthSpec:
     start_price: float = 100.0
 
     def __post_init__(self) -> None:
-        read_fields(self, BadSpec)
-        if self.n_assets < 2:
-            raise BadSpec("n_assets must be >= 2")
-        if self.n_days < 2:
-            raise BadSpec("n_days must be >= 2")
-        if not 0.0 <= self.correlation < 1.0:
-            raise BadSpec("correlation must lie in [0, 1)")
-        vols = self.vol_vector()
-        if np.any(vols < 0) or not np.all(np.isfinite(vols)):
-            raise BadSpec("volatilities must be finite and non-negative")
-        if self.sectors is not None and len(self.sectors) != self.n_assets:
-            raise BadSpec("per-asset sector list must have n_assets entries")
-        if self.n_sectors < 1:
-            raise BadSpec("n_sectors must be >= 1")
-        if self.start_price <= 0:
-            raise BadSpec("start_price must be positive")
+        read_fields(self, BadSpec, "synthetic.")
+        refuse_unless(self, (
+            ("n_assets", self.n_assets >= 2, ">= 2"),
+            ("n_days", self.n_days >= 2, ">= 2"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("correlation", 0 <= self.correlation < 1, "in [0, 1)"),
+            ("annual_vol", np.all(np.asarray(self.annual_vol) >= 0), ">= 0"),
+            ("annual_vol", type(self.annual_vol) is float or len(self.annual_vol) == self.n_assets,
+             "a number or one number per asset"),
+            ("n_sectors", self.n_sectors >= 1, ">= 1"),
+            ("sectors", self.sectors is None or len(self.sectors) == self.n_assets, "one label per asset"),
+            ("start_price", self.start_price > 0, "> 0"),
+            # No labels while n_sectors < 1, which its own row refuses.
+            ("annual_drift", type(self.annual_drift) is float or self.n_sectors < 1
+             or set(self.sector_labels()) <= set(self.annual_drift), "a number or a map with every sector label"),
+        ), BadSpec, "synthetic.")
 
     def vol_vector(self) -> np.ndarray:
-        if isinstance(self.annual_vol, float):
-            return np.full(self.n_assets, self.annual_vol)
-        v = np.array(self.annual_vol)
-        if v.shape != (self.n_assets,):
-            raise BadSpec("annual_vol must be scalar or one value per asset")
-        return v
+        return np.full(self.n_assets, self.annual_vol)
 
     def sector_labels(self) -> tuple[str, ...]:
         if self.sectors is not None:
@@ -303,13 +315,8 @@ class SynthSpec:
         return tuple(f"SEC{i % self.n_sectors}" for i in range(self.n_assets))
 
     def drift_vector(self) -> np.ndarray:
-        labels = self.sector_labels()
-        if isinstance(self.annual_drift, dict):
-            try:
-                return np.array([self.annual_drift[s] for s in labels])
-            except KeyError as exc:
-                raise BadSpec(f"no drift for sector {exc.args[0]!r}")
-        return np.full(self.n_assets, self.annual_drift)
+        drift = self.annual_drift
+        return np.full(self.n_assets, [drift[s] for s in self.sector_labels()] if type(drift) is dict else drift)
 
 
 def generate_synthetic(spec: SynthSpec) -> PriceMatrix:

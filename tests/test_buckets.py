@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -263,6 +264,29 @@ class TestRerandomize:
         with pytest.raises(ValueError, match="bucket"):
             rerandomize(cov, bucket_universe.sectors, bucket_size, n_buckets, 3, seed=0,
                         sector_constraint=False)
+
+    def test_more_slots_than_assets_infeasible_in_both_samplers(self, bucket_universe):
+        # rerandomize once raised a plain ValueError where sample_partition
+        # raised InfeasibleConstraint.
+        cov = self._cov(bucket_universe)
+        labels = [bucket_universe.sectors[a] for a in cov.assets]
+        for constraint in (True, False):
+            with pytest.raises(InfeasibleConstraint, match="^8 buckets of 5 exceed 36 assets$"):
+                rerandomize(cov, bucket_universe.sectors, 5, 8, 3, seed=0, sector_constraint=constraint)
+            with pytest.raises(InfeasibleConstraint, match="^8 buckets of 5 exceed 36 assets$"):
+                sample_partition(36, labels, 5, 8, 0, constraint)
+
+    def test_assets_without_a_label_named(self):
+        # Once an IndexError and a KeyError: 'A000'. Without the constraint no
+        # label is read.
+        with pytest.raises(ValueError, match=re.escape("sector labels missing for [2, 3, 4, 5]")):
+            sample_partition(6, ["a", "b"], 2, 2, 1)
+        assert len(sample_partition(6, ["a", "b"], 2, 2, 1, sector_constraint=False)) == 2
+        cov = CovariateTable(("A000", "A001", "A002", "A003"), np.random.default_rng(3).normal(size=(4, 3)))
+        with pytest.raises(ValueError, match=re.escape("sector labels missing for ['A001', 'A003']")):
+            rerandomize(cov, {"A000": "x", "A002": "y"}, 2, 2, 5, 1)
+        with pytest.raises(ValueError, match=re.escape("sector labels missing for ['A000', 'A001', 'A002', 'A003']")):
+            rerandomize(cov, {}, 2, 2, 5, 1)
 
     def test_infeasible_sector_constraint(self):
         pm = _panel(np.full((30, 4), 3.0) + np.arange(4) + np.random.default_rng(0).normal(0, 0.01, (30, 4)),

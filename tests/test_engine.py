@@ -195,6 +195,18 @@ class TestConventions:
         with pytest.raises(BadConvention, match=f"^{field} must be an int, got "):
             EngineConvention(**{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("equity_reporting", "net", "equity_reporting must be 'post' or 'gross', got 'net'"),
+        ("rate_interpretation", "pct", "rate_interpretation must be 'abs' or 'div100', got 'pct'"),
+        ("commission_multiplier", 0, "commission_multiplier must be >= 1, got 0"),
+        ("fill_sequencing", "lifo", "fill_sequencing must be 'atomic' or 'fifo' or 'sellsfirst', got 'lifo'"),
+        ("return_timing", "shift2", "return_timing must be 'aligned' or 'shift1', got 'shift2'"),
+        ("truncate_after", 0, "truncate_after must be >= 1, got 0"),
+    ])
+    def test_flag_outside_its_axis_refused(self, field, value, message):
+        with pytest.raises(BadConvention, match=f"^{re.escape(message)}$"):
+            EngineConvention(**{field: value})
+
     def test_resolve_names_and_strings(self):
         assert resolve_convention("reference") == REFERENCE
         assert resolve_convention("post|abs|x1|atomic|aligned|full") == REFERENCE

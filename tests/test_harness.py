@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from crossbt import harness
+from crossbt.buckets import compute_covariates, rerandomize
 from crossbt.cli import DEMO_CONFIG, EXIT_ERROR, main
 from crossbt.engine import (
     CONVENTIONS,
@@ -154,6 +155,9 @@ _CONFIG_FIELDS = [
     *((("synthetic",), f) for f in fields(SynthSpec)),
 ]
 
+#: Each config key whose value is or holds numbers.
+_NUMBER_FIELDS = [(path, f) for path, f in _CONFIG_FIELDS if "float" in f.type]
+
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4),
     st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
@@ -251,11 +255,11 @@ class TestRunConfig:
         _config(**{key: edge})
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"buckets": BucketConfig(bucket_size=0)}, "buckets.bucket_size must be >= 1, got 0"),
-        ({"buckets": BucketConfig(bucket_size=-1)}, "buckets.bucket_size must be >= 1, got -1"),
-        ({"buckets": BucketConfig(n_buckets=0)}, "buckets.n_buckets must be >= 1, got 0"),
-        ({"buckets": BucketConfig(n_candidates=0)}, "buckets.n_candidates must be >= 1, got 0"),
-        ({"buckets": BucketConfig(n_buckets=3, bucket_size=6),
+        ({"buckets": dict(bucket_size=0)}, "buckets.bucket_size must be >= 1, got 0"),
+        ({"buckets": dict(bucket_size=-1)}, "buckets.bucket_size must be >= 1, got -1"),
+        ({"buckets": dict(n_buckets=0)}, "buckets.n_buckets must be >= 1, got 0"),
+        ({"buckets": dict(n_candidates=0)}, "buckets.n_candidates must be >= 1, got 0"),
+        ({"buckets": dict(n_buckets=3, bucket_size=6),
           "synth": SynthSpec(n_assets=12, n_days=140, seed=3)},
          "buckets.bucket_size must be <= synthetic.n_assets // buckets.n_buckets, got 6"),
         ({"synth": None, "prices_csv": "prices.csv"},
@@ -263,9 +267,10 @@ class TestRunConfig:
     ])
     def test_partition_that_cannot_run_rejected(self, overrides, message):
         # Refused when the config is built, before gen-data writes a panel
-        # that the buckets and run stages would then refuse.
+        # that the buckets and run stages would then refuse. A bucket record
+        # refuses its own counts, so it is built here, not at collection.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            _config(**overrides)
+            _config(**{k: BucketConfig(**v) if k == "buckets" else v for k, v in overrides.items()})
 
     @pytest.mark.parametrize("overrides", [
         {"buckets": BucketConfig(n_buckets=3, bucket_size=6, n_candidates=1)},
@@ -324,19 +329,27 @@ class TestRunConfig:
         ({"initial_capital": "1e6"}, "initial_capital must be a number, got '1e6'"),
         ({"cost_overrides_bps": {"bm04": "36"}}, "cost_overrides_bps must be a map to numbers, got entry '36'"),
         ({"cost_overrides_bps": [["bm04", 36]]}, "cost_overrides_bps must be a map to numbers, got [['bm04', 36]]"),
-        ({"synthetic": {**DEMO_CONFIG["synthetic"], "correlation": "0.3"}}, "correlation must be a number, got '0.3'"),
+        # Each synthetic case keeps the id it had before synthetic keys were named by path.
+        pytest.param({"synthetic": {**DEMO_CONFIG["synthetic"], "correlation": "0.3"}},
+                     "synthetic.correlation must be a number, got '0.3'",
+                     id="edit10-correlation must be a number, got '0.3'"),
         ({"engines": ["reference", 5]}, "engines must be a list of strings, got entry 5"),
         ({"engines": "reference,pre_trade"}, "engines must be a list of strings, got 'reference,pre_trade'"),
         ({"benchmarks": "bm01"}, "benchmarks must be a list of strings, got 'bm01'"),
         ({"daf_reference": ["bm01"]}, "daf_reference must be a string, got ['bm01']"),
         ({"prices_csv": 5}, "prices_csv must be a string, got 5"),
-        ({"synthetic": {**DEMO_CONFIG["synthetic"], "annual_vol": "0.25"}},
-         "annual_vol must be a number or a list of numbers, got '0.25'"),
-        ({"synthetic": {**DEMO_CONFIG["synthetic"], "annual_drift": True}},
-         "annual_drift must be a number or a map to numbers, got True"),
-        ({"synthetic": {**DEMO_CONFIG["synthetic"], "annual_drift": [0.06]}},
-         "annual_drift must be a number or a map to numbers, got [0.06]"),
-        ({"synthetic": {**DEMO_CONFIG["synthetic"], "sectors": "ABCDEF"}}, "sectors must be a list of strings, got 'ABCDEF'"),
+        pytest.param({"synthetic": {**DEMO_CONFIG["synthetic"], "annual_vol": "0.25"}},
+                     "synthetic.annual_vol must be a number or a list of numbers, got '0.25'",
+                     id="edit16-annual_vol must be a number or a list of numbers, got '0.25'"),
+        pytest.param({"synthetic": {**DEMO_CONFIG["synthetic"], "annual_drift": True}},
+                     "synthetic.annual_drift must be a number or a map to numbers, got True",
+                     id="edit17-annual_drift must be a number or a map to numbers, got True"),
+        pytest.param({"synthetic": {**DEMO_CONFIG["synthetic"], "annual_drift": [0.06]}},
+                     "synthetic.annual_drift must be a number or a map to numbers, got [0.06]",
+                     id="edit18-annual_drift must be a number or a map to numbers, got [0.06]"),
+        pytest.param({"synthetic": {**DEMO_CONFIG["synthetic"], "sectors": "ABCDEF"}},
+                     "synthetic.sectors must be a list of strings, got 'ABCDEF'",
+                     id="edit19-sectors must be a list of strings, got 'ABCDEF'"),
         ({"buckets": None}, "buckets must be a map, got None"),
         ({"synthetic": "abc"}, "synthetic must be a map, got 'abc'"),
     ])
@@ -388,11 +401,58 @@ class TestRunConfig:
         obj = copy.deepcopy(DEMO_CONFIG)
         name = RunConfig._KEYS.get(f.name, f.name)
         (obj[path[0]] if path else obj)[name] = value
-        # A synthetic spec is a panel record of its own: it names its fields
-        # without the path.
-        named = name if path == ("synthetic",) else ".".join((*path, name))
+        named = ".".join((*path, name))
         with pytest.raises(ValueError, match=f"^{re.escape(named)} must be "):
             RunConfig.from_dict(obj)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(_NUMBER_FIELDS), st.sampled_from([math.inf, -math.inf, math.nan, 10**400, -10**400]),
+           st.data())
+    def test_non_finite_number_at_any_key_refused(self, key, bad, data):
+        # Every number a config holds is stored as a finite float: NaN, an
+        # infinity or an integer past the float range is refused, as a value,
+        # a list entry or a map value, naming the key by its path. A config
+        # file spells the first three NaN, Infinity and -Infinity.
+        path, f = key
+        part = data.draw(st.sampled_from([p for p in f.type.split(" | ") if "float" in p]))
+        if part == "float":
+            value = bad
+        else:
+            values = [1.0] * data.draw(st.integers(0, 3))
+            values.insert(data.draw(st.integers(0, len(values))), bad)
+            value = values if part.startswith("tuple") else {f"k{i}": x for i, x in enumerate(values)}
+        obj = copy.deepcopy(DEMO_CONFIG)
+        (obj[path[0]] if path else obj)[f.name] = value
+        named = ".".join((*path, f.name))
+        with pytest.raises(ValueError, match=f"^{re.escape(named)} must be finite, got {re.escape(repr(bad))}$"):
+            RunConfig.from_dict(json.loads(json.dumps(obj)))
+
+    @pytest.mark.parametrize("key", ["n_assets", "n_days"])
+    def test_synthetic_map_without_a_count_refused(self, key):
+        # Once a TypeError from the SynthSpec constructor, naming no config key.
+        obj = copy.deepcopy(DEMO_CONFIG)
+        del obj["synthetic"][key]
+        with pytest.raises(ValueError, match=re.escape(f"missing config keys: ['synthetic.{key}']")):
+            RunConfig.from_dict(obj)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"synthetic": {**DEMO_CONFIG["synthetic"], "seed": -1}}, "synthetic.seed must be >= 0, got -1"),
+        ({"buckets": {"seed": -1}}, "buckets.seed must be >= 0, got -1"),
+    ])
+    def test_negative_seed_refused(self, edit, message):
+        # A negative seed once built a run id, then failed in numpy's
+        # default_rng; a negative bucket seed drew the partition of seed + 2**64.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig.from_dict({**DEMO_CONFIG, **edit})
+        zero = {k: ({**v, "seed": 0} if isinstance(v, dict) else 0) for k, v in edit.items()}
+        RunConfig.from_dict({**DEMO_CONFIG, **zero})
+
+    def test_absent_or_null_synthetic_seed_takes_the_run_seed(self):
+        for synth in ({**DEMO_CONFIG["synthetic"]}, {**DEMO_CONFIG["synthetic"], "seed": None}):
+            cfg = RunConfig.from_dict({**DEMO_CONFIG, "seed": 11, "synthetic": synth})
+            assert cfg.synth.seed == 11
+            assert cfg == RunConfig.from_dict({**DEMO_CONFIG, "seed": 11, "synthetic": {**synth, "seed": 11}})
 
     @pytest.mark.parametrize("seed", [7.9, 7.0, True])
     def test_config_file_seed_is_not_rounded(self, seed):
@@ -601,8 +661,9 @@ class TestRunSuite:
                 benchmarks=("bm01",),
                 engines=("reference", "pre_trade"),
             )
+        unlabelled = load_prices_csv(str(path))
         with pytest.raises(ValueError, match="sector"):
-            partition_args(_config(), load_prices_csv(str(path)))
+            rerandomize(compute_covariates(unlabelled), **partition_args(_config(), unlabelled))
 
     def test_store_roundtrip(self, tmp_path, demo_store):
         demo_store.save(str(tmp_path / "store"))
@@ -1716,6 +1777,24 @@ class TestCli:
         # Each once passed gen-data and buckets, then failed in run or analyze.
         p = Path(self._write_config(tmp_path))
         p.write_text(json.dumps({**json.loads(p.read_text()), **edit}))
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", str(p), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("synthetic, top, message", [
+        ({"annual_drift": {"SEC0": 0.1}}, {},
+         "synthetic.annual_drift must be a number or a map with every sector label, got {'SEC0': 0.1}"),
+        ({"start_price": math.nan}, {}, "synthetic.start_price must be finite, got nan"),
+        ({}, {"seed": -1}, "seed must be >= 0, got -1"),
+    ])
+    def test_gen_data_refuses_what_it_once_failed_on(self, tmp_path, capsys, synthetic, top, message):
+        # Each once built a run id, then failed inside gen-data: a drift map
+        # without SEC1, a NaN price path and numpy's refusal of a negative seed.
+        p = Path(self._write_config(tmp_path))
+        cfg = json.loads(p.read_text())
+        cfg["synthetic"].update(synthetic)
+        p.write_text(json.dumps({**cfg, **top}))  # NaN as Python's json writes it
         out = tmp_path / "out"
         assert main(["gen-data", "--config", str(p), "--out", str(out)]) == 1
         assert not out.exists()

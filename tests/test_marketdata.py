@@ -217,8 +217,27 @@ class TestSynthetic:
     def test_count_that_is_not_an_int_refused(self, key, value):
         # A float count would label sectors SEC0.0, ...; a bool would read as 1.
         args = {"n_assets": 4, "n_days": 10, "seed": 0, key: value}
-        with pytest.raises(BadSpec, match=f"^{key} must be an int, got {re.escape(repr(value))}$"):
+        with pytest.raises(BadSpec, match=f"^synthetic.{key} must be an int, got {re.escape(repr(value))}$"):
             SynthSpec(**args)
+
+    @pytest.mark.parametrize("args, message", [
+        ({"annual_drift": {"SEC0": 0.1}},
+         "synthetic.annual_drift must be a number or a map with every sector label, got {'SEC0': 0.1}"),
+        ({"sectors": ("a", "a", "b", "c"), "annual_drift": {"a": 0.1, "b": 0.2, "SEC2": 0.0}},
+         "synthetic.annual_drift must be a number or a map with every sector label, got "
+         "{'a': 0.1, 'b': 0.2, 'SEC2': 0.0}"),
+        ({"annual_vol": (0.2, 0.2, 0.2)}, "synthetic.annual_vol must be a number or one number per asset, "
+         "got (0.2, 0.2, 0.2)"),
+        ({"annual_vol": (0.2, -0.1, 0.2, 0.2)}, "synthetic.annual_vol must be >= 0, got (0.2, -0.1, 0.2, 0.2)"),
+        ({"start_price": math.inf}, "synthetic.start_price must be finite, got inf"),
+        ({"annual_drift": {"SEC0": math.nan}}, "synthetic.annual_drift must be finite, got nan"),
+        ({"n_sectors": 0}, "synthetic.n_sectors must be >= 1, got 0"),
+    ])
+    def test_spec_refused_when_built(self, args, message):
+        # The drift map and the vol list are read against the panel when the
+        # spec is built, not when generate_synthetic asks for the vectors.
+        with pytest.raises(BadSpec, match=f"^{re.escape(message)}$"):
+            SynthSpec(**{"n_assets": 4, "n_days": 10, "seed": 0, **args})
 
     def test_sector_drift_mapping(self):
         spec = SynthSpec(

@@ -1,7 +1,9 @@
 """Standing rules on the package source, checked on its syntax tree."""
 
 import ast
+import inspect
 import re
+import textwrap
 from dataclasses import fields
 from pathlib import Path
 
@@ -137,3 +139,14 @@ def test_every_config_field_is_read_by_kind():
     unread = [f"{record.__name__}.{f.name}: {f.type}" for record in CONFIG_RECORDS for f in fields(record)
               if not all(part in _FIELD_KINDS or part in records for part in f.type.split(" | "))]
     assert not unread, f"fields no _FIELD_KINDS entry reads: {unread}"
+
+
+def test_records_refuse_only_through_the_helper():
+    # Each rule of these records is a refuse_unless row (or a read_fields
+    # kind), so every refusal reads "<path> must be <rule>, got <value>".
+    # RunConfig keeps two checks of its own, which name the bad entry: the
+    # unknown or repeated benchmark ids, and each benchmark's cost.
+    raising = [record.__name__ for record in (harness.BucketConfig, SynthSpec, EngineConvention)
+               if any(isinstance(node, ast.Raise)
+                      for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(record.__post_init__)))))]
+    assert not raising, f"__post_init__ with a raise of its own: {raising}"
