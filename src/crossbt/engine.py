@@ -170,6 +170,8 @@ class WeightSchedule:
     Weights are fractions of portfolio value aligned to the price matrix's
     asset order; any remainder below 1 stays in cash. An explicit all-zero
     entry liquidates to cash, whereas a missing date means no trading.
+    ``validate`` is the one place the dates meet a calendar: the engine
+    steps the day indices and weight stack it returns.
     """
 
     entries: Mapping[str, np.ndarray]
@@ -181,22 +183,19 @@ class WeightSchedule:
             arr.setflags(write=False)
             frozen[str(date)] = arr
         object.__setattr__(self, "entries", frozen)
-        # The price matrix the last successful ``validate`` passed on. Holding
-        # it (not its id) keeps a freed matrix's id from matching another.
-        object.__setattr__(self, "_validated_on", None)
 
-    def validate(self, prices: PriceMatrix) -> None:
-        """Raise ValueError for the first invalid entry, in entry order.
+    def validate(self, prices: PriceMatrix, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """The rebalance day indices into ``prices``, ascending, and their
+        ``(r, n)`` weight stack.
 
-        Dates and shapes are checked entry by entry up to the first failure;
-        the weight values of the entries before it are checked as one array.
-        A pass is remembered for that price matrix, so repeating the call on
-        it (once per engine convention) costs nothing; a failure is not.
+        ValueError for the first invalid entry, in entry order, and then for
+        the first date before day ``start``. Dates and shapes are checked
+        entry by entry up to the first failure; the weight values of the
+        entries before it are checked as one array.
         """
-        if self._validated_on is prices:
-            return
         index = prices.date_index()
         dates: list[str] = []
+        days: list[int] = []
         layout_error = None
         for date, w in self.entries.items():
             if date not in index:
@@ -206,20 +205,25 @@ class WeightSchedule:
                 layout_error = f"weight vector on {date!r} has wrong length"
                 break
             dates.append(date)
-        if dates:
-            weights = np.stack([self.entries[d] for d in dates])
-            invalid = ~np.isfinite(weights).all(axis=1) | (weights < 0).any(axis=1)
-            with np.errstate(invalid="ignore"):  # inf - inf in a row already invalid
-                over = weights.sum(axis=1) > 1.0 + WEIGHT_SUM_TOL
-            bad = np.flatnonzero(invalid | over)
-            if len(bad):
-                i = bad[0]
-                if invalid[i]:
-                    raise ValueError(f"weights on {dates[i]!r} must be finite and >= 0")
-                raise ValueError(f"weights on {dates[i]!r} sum past 1")
+            days.append(index[date])
+        weights = np.array([self.entries[d] for d in dates], dtype=float).reshape(len(dates), prices.n_assets)
+        invalid = ~np.isfinite(weights).all(axis=1) | (weights < 0).any(axis=1)
+        with np.errstate(invalid="ignore"):  # inf - inf in a row already invalid
+            over = weights.sum(axis=1) > 1.0 + WEIGHT_SUM_TOL
+        bad = np.flatnonzero(invalid | over)
+        if len(bad):
+            i = bad[0]
+            if invalid[i]:
+                raise ValueError(f"weights on {dates[i]!r} must be finite and >= 0")
+            raise ValueError(f"weights on {dates[i]!r} sum past 1")
         if layout_error is not None:
             raise ValueError(layout_error)
-        object.__setattr__(self, "_validated_on", prices)
+        at = np.array(days, dtype=np.intp)
+        early = np.flatnonzero(at < start)
+        if len(early):
+            raise ValueError(f"rebalance date {dates[early[0]]!r} precedes evaluation start")
+        order = np.argsort(at)
+        return at[order], weights[order]
 
     def first_entry_weight_sum(self, prices: PriceMatrix) -> float | None:
         """Weight sum at the earliest rebalance; None for an empty schedule."""
@@ -377,22 +381,6 @@ def _sequential_fill(
     return fees, h_new, cash_new, executed, tuple(skipped)
 
 
-def _event_weights(
-    schedule: WeightSchedule, prices: PriceMatrix, initial_capital: float, start: int
-) -> dict[int, np.ndarray]:
-    """Run the input checks; the schedule's weights keyed by day index."""
-    if initial_capital <= 0:
-        raise ValueError("initial capital must be positive")
-    if not 0 <= start < prices.n_days:
-        raise ValueError(f"start index {start} outside calendar")
-    schedule.validate(prices)
-    days = list(map(prices.date_index().__getitem__, schedule.entries))
-    if days and min(days) < start:
-        date = next(date for date, t in zip(schedule.entries, days) if t < start)
-        raise ValueError(f"rebalance date {date!r} precedes evaluation start")
-    return dict(zip(days, schedule.entries.values()))
-
-
 def run_variant(
     schedule: WeightSchedule,
     prices: PriceMatrix,
@@ -409,12 +397,13 @@ def run_variant(
     beyond input validation. The run is the one row of a ``run_buckets``.
 
     ``base`` is an earlier run of the same schedule, prices, capital, cost
-    and start, such as a row of a ``run_buckets``. The run is then derived
-    from it without simulating, bit-identical to the simulated one, or
-    ``_derive`` raises a ValueError that says why it cannot be.
+    and start, such as a row of a ``run_buckets``, whose schedule has passed
+    its checks. The run is then derived from it without simulating and
+    without reading the schedule or the capital again, bit-identical to the
+    simulated one, or ``_derive`` raises a ValueError that says why it
+    cannot be.
     """
     if base is not None:
-        _event_weights(schedule, prices, initial_capital, start)
         return _derive(base, prices, start, cost.rate, conv)
     (series,) = run_buckets([schedule], [prices], initial_capital, [(conv, cost.rate)], start)
     if isinstance(series, ValueError):
@@ -439,10 +428,11 @@ def run_buckets(
     at once. The buckets must share one calendar and one width (ValueError
     otherwise).
 
-    Rows with equal ``path_convention`` at one rate share a holdings path.
-    Each distinct path is simulated once, for every bucket that passes its
-    checks in one ``_simulate`` pass, and each row is ``_derive``d from its
-    path's run.
+    Each bucket's schedule is resolved against its calendar once, by
+    ``WeightSchedule.validate``. Rows with equal ``path_convention`` at one
+    rate share a holdings path. Each distinct path is simulated once, for
+    every bucket that passes its checks in one ``_simulate`` pass, and each
+    row is ``_derive``d from its path's run.
     """
     keys = [(path_convention(conv, rate), CostSpec(rate).rate) for conv, rate in rows]
     if len(schedules) != len(prices):
@@ -451,18 +441,22 @@ def run_buckets(
         raise ValueError("buckets must share one calendar and one width")
     paths = list(dict.fromkeys(keys))
     out: list = [None] * len(schedules)
-    entries: dict[int, dict[int, np.ndarray]] = {}
+    events: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for b, (schedule, pm) in enumerate(zip(schedules, prices)):
         try:
-            entries[b] = _event_weights(schedule, pm, initial_capital, start)
+            if initial_capital <= 0:
+                raise ValueError("initial capital must be positive")
+            if not 0 <= start < pm.n_days:
+                raise ValueError(f"start index {start} outside calendar")
+            events[b] = schedule.validate(pm, start)
         except ValueError as exc:
             out[b] = exc
-    if entries:
+    if events:
         ran = _simulate(
-            list(entries.values()), [prices[b] for b in entries], initial_capital,
+            list(events.values()), [prices[b] for b in events], initial_capital,
             [conv for conv, _ in paths], [rate for _, rate in paths], start,
         )
-        for b, series in zip(entries, ran):
+        for b, series in zip(events, ran):
             path = dict(zip(paths, series))
             out[b] = tuple(
                 _derive(path[key], prices[b], start, rate, conv)
@@ -472,7 +466,7 @@ def run_buckets(
 
 
 def _simulate(
-    entries: Sequence[dict[int, np.ndarray]],
+    events: Sequence[tuple[np.ndarray, np.ndarray]],
     prices: Sequence[PriceMatrix],
     initial_capital: float,
     convs: Sequence[EngineConvention],
@@ -483,7 +477,8 @@ def _simulate(
 
     Each row is a path: a full-length run reported net of cost, whatever
     its convention's reporting and truncation (``_derive`` applies those).
-    Bucket b trades its own weights ``entries[b]`` at its own prices
+    Bucket b trades its own ``events[b]``, the ascending days and ``(r, n)``
+    weights its schedule's ``validate`` returned, at its own prices
     ``prices[b]`` under each of the K rows. A row trades on its own event
     days: its bucket's days, or each one day later under shift1, where a
     trade pending past the final day is dropped. On a union day where it
@@ -508,8 +503,7 @@ def _simulate(
     end = len(dates)
 
     lag = np.array([conv.return_timing == TIMING_SHIFT1 for conv in convs], dtype=np.intp)
-    days = [np.array(sorted(e), dtype=np.intp) for e in entries]
-    executes = [d + lag[:, None] for d in days]
+    executes = [days + lag[:, None] for days, _ in events]
     # A day mask, not np.unique: its first call imports numpy.ma (about 8 ms).
     on = np.zeros(end - start, dtype=bool)
     for ex in executes:
@@ -518,8 +512,7 @@ def _simulate(
     m = len(union)
     W = np.zeros((m, B, K, n))
     active = np.zeros((m, B, K), dtype=bool)
-    for b, (e, d, ex) in enumerate(zip(entries, days, executes)):
-        weights = np.array([e[t] for t in d.tolist()], dtype=float).reshape(len(d), n)
+    for b, ((_, weights), ex) in enumerate(zip(events, executes)):
         kept = ex < end
         k, i = np.nonzero(kept)
         pos = np.searchsorted(union, ex[kept])
@@ -606,11 +599,14 @@ def _derive(
     charge, exactly as the loop reports it, in one fancy-index assignment;
     the log is ``base``'s first rows up to the last day, its read-only
     columns shared. ``base`` itself when it already is that run. ValueError
-    where ``base`` cannot give the run: it is on another path, starts on
-    another day, is shorter, or is a sequential fill other than ``conv``'s
-    (a zero rate puts every fill on one path, but an atomic delta of -0.0
-    is logged as +0.0 by a sequential fill and cannot be recovered from it).
+    for a ``start`` outside the calendar, and where ``base`` cannot give the
+    run: it is on another path, starts on another day, is shorter, or is a
+    sequential fill other than ``conv``'s (a zero rate puts every fill on
+    one path, but an atomic delta of -0.0 is logged as +0.0 by a sequential
+    fill and cannot be recovered from it).
     """
+    if not 0 <= start < prices.n_days:
+        raise ValueError(f"start index {start} outside calendar")
     if path_convention(base.conv, rate) != path_convention(conv, rate):
         raise ValueError(
             f"base {base.conv.id!r} does not simulate the path of {conv.id!r} at rate {rate}"

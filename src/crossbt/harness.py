@@ -134,6 +134,7 @@ class BucketConfig:
             ("bucket_size", self.bucket_size >= 1, ">= 1"),
             ("n_candidates", self.n_candidates >= 1, ">= 1"),
             ("seed", self.seed is None or self.seed >= 0, ">= 0"),
+            ("seed", self.seed is None or self.seed < 2**64, "< 2**64"),
         ), prefix="buckets.")
 
 
@@ -187,6 +188,7 @@ class RunConfig:
         b, panel = self.buckets, self.synth if self.prices_csv is None else None
         refuse_unless(self, (
             ("seed", self.seed >= 0, ">= 0"),
+            ("seed", self.seed < 2**64, "< 2**64"),
             ("engines", len(self._roster) >= 2, "at least 2 distinct conventions"),
             ("benchmarks", len(self.benchmarks) >= 1, "non-empty"),
             ("permutation_draws", self.permutation_draws >= 0, ">= 0"),
@@ -537,11 +539,12 @@ def _failed(bm_id: str, bucket_id: str, roster, message: str) -> list[CellResult
 def _run_grid_task(args) -> list[tuple[str, str, float | None, list[CellResult]]]:
     """Run every engine for one benchmark over all its buckets; picklable for pools.
 
-    Each bucket's schedule is built and checked on its own, and one
-    ``run_buckets`` call runs the roster's rows over the buckets that pass,
-    simulating each holdings path once; each cell is then one
-    ``run_variant`` call with its own row as the base. One ``(benchmark,
-    bucket, first weight sum, cells)`` per bucket.
+    Each bucket's schedule is built on its own, and one ``run_buckets`` call
+    checks each against its bucket's calendar once and runs the roster's
+    rows over the buckets that pass, simulating each holdings path once;
+    each cell is then one ``run_variant`` call with its own row as the
+    base, which reads neither the schedule nor the capital again. One
+    ``(benchmark, bucket, first weight sum, cells)`` per bucket.
     """
     bm_id, buckets, eval_start, rate, roster, capital = args
     out = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .marketdata import PriceMatrix
+from .marketdata import PriceMatrix, read_fields, refuse_unless
 
 FEATURE_NAMES = ("r21", "r63", "r126", "vol20", "vol60")
 
@@ -100,14 +100,13 @@ class ElasticNetConfig:
     tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        read_fields(self)
+        refuse_unless(self, (
+            ("lam", self.lam >= 0, ">= 0"),
+            ("alpha", 0 <= self.alpha <= 1, "in [0, 1]"),
+            ("max_iter", self.max_iter >= 1, ">= 1"),
+            ("tol", self.tol > 0, "> 0"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -204,10 +203,11 @@ class WalkForwardConfig:
     top: int = 2
 
     def __post_init__(self) -> None:
-        if min(self.train_window, self.gap, self.horizon, self.top) < 1:
-            raise ValueError("all walk-forward parameters must be positive")
-        if self.horizon > self.gap:
-            raise ValueError("horizon must not exceed the gap (look-ahead)")
+        read_fields(self)
+        refuse_unless(self, (
+            *((key, getattr(self, key) >= 1, ">= 1") for key in ("train_window", "gap", "horizon", "top")),
+            ("horizon", self.horizon <= self.gap, "<= gap (no look-ahead)"),
+        ))
 
     @property
     def min_history(self) -> int:

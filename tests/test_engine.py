@@ -422,6 +422,15 @@ class TestPathKey:
         with pytest.raises(ValueError, match="does not simulate the path"):
             run_variant(*args, CONVENTIONS["fifo_sequential"], 30, base=base)
 
+    def test_base_with_a_start_outside_the_calendar_raises(self, small_universe, daily):
+        args = (daily, small_universe, 1e6, CostSpec(0.0018))
+        base = run_variant(*args, REFERENCE, 0)
+        # -n_days slices out day 0, the day the base starts on.
+        for start in (-small_universe.n_days, -1, small_universe.n_days):
+            for conv in (REFERENCE, CONVENTIONS["pre_trade"]):
+                with pytest.raises(ValueError, match=f"start index {start} outside calendar"):
+                    run_variant(*args, conv, start, base=base)
+
     def test_rows_on_one_path_reach_the_simulation_as_one_row(self, small_universe, daily, monkeypatch):
         simulate = enginemod._simulate
         passes = []
@@ -601,12 +610,27 @@ class TestScheduleValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             sched.validate(tiny_panel)
 
-    def test_pass_is_remembered_per_matrix(self, tiny_panel, monkeypatch):
-        sched = WeightSchedule({"1": np.array([0.5, 0.5])})
-        sched.validate(tiny_panel)
-        monkeypatch.setattr(PriceMatrix, "date_index", lambda self: pytest.fail("validated twice"))
-        for _ in range(3):
-            sched.validate(tiny_panel)
+    def test_pass_returns_the_days_ascending_with_their_weights(self, small_universe):
+        dates = small_universe.dates
+        rows = {dates[40]: np.full(small_universe.n_assets, 0.1), dates[12]: np.zeros(small_universe.n_assets),
+                dates[25]: np.linspace(0.0, 0.05, small_universe.n_assets)}
+        days, weights = WeightSchedule(rows).validate(small_universe)
+        assert days.dtype == np.intp and days.tolist() == [12, 25, 40]
+        assert weights.shape == (3, small_universe.n_assets)
+        for t, w in zip(days.tolist(), weights):
+            assert w.tobytes() == rows[dates[t]].tobytes()
+        days, weights = WeightSchedule({}).validate(small_universe, 10)
+        assert days.shape == (0,) and weights.shape == (0, small_universe.n_assets)
+
+    def test_date_before_the_start_named_after_every_bad_entry(self, tiny_panel):
+        # The first early entry in entry order is named, not the earliest date.
+        sched = WeightSchedule({"2": np.array([0.5, 0.5]), "3": np.array([0.5, 0.5]), "1": np.array([0.2, 0.2])})
+        assert sched.validate(tiny_panel)[0].tolist() == [0, 1, 2]
+        with pytest.raises(ValueError, match=re.escape("rebalance date '2' precedes evaluation start")):
+            sched.validate(tiny_panel, 2)
+        late = WeightSchedule({"1": np.array([0.5, 0.5]), "3": np.array([0.7, 0.7])})
+        with pytest.raises(ValueError, match="sum past 1"):
+            late.validate(tiny_panel, 2)
 
     @pytest.mark.parametrize(
         "other",

@@ -448,6 +448,18 @@ class TestRunConfig:
         zero = {k: ({**v, "seed": 0} if isinstance(v, dict) else 0) for k, v in edit.items()}
         RunConfig.from_dict({**DEMO_CONFIG, **zero})
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"seed": 7 + 2**64}, f"seed must be < 2**64, got {7 + 2**64}"),
+        ({"buckets": {"seed": 7 + 2**64}}, f"buckets.seed must be < 2**64, got {7 + 2**64}"),
+    ])
+    def test_seed_past_64_bits_refused(self, edit, message):
+        # The partition sampler keys its generator with the seed's low 64 bits,
+        # so seed 7 + 2**64 drew seed 7's partition under a run id of its own.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig.from_dict({**DEMO_CONFIG, **edit})
+        largest = {k: ({**v, "seed": 2**64 - 1} if isinstance(v, dict) else 2**64 - 1) for k, v in edit.items()}
+        RunConfig.from_dict({**DEMO_CONFIG, **largest})
+
     def test_absent_or_null_synthetic_seed_takes_the_run_seed(self):
         for synth in ({**DEMO_CONFIG["synthetic"]}, {**DEMO_CONFIG["synthetic"], "seed": None}):
             cfg = RunConfig.from_dict({**DEMO_CONFIG, "seed": 11, "synthetic": synth})
@@ -758,6 +770,43 @@ class TestGridTask:
                 for cell, (engine, conv) in zip(cells, roster):
                     alone = self._alone(bm, bucket, bucket_pm, engine, conv, rate, 0)
                     assert self._cell_bits(cell) == self._cell_bits(alone)
+
+    def test_each_schedule_meets_its_calendar_once(self, counted, monkeypatch):
+        # validate resolves a schedule's dates against its bucket's calendar;
+        # the per-cell run_variant derives from its row and reads neither.
+        validate = WeightSchedule.validate
+        resolved = []
+
+        def spy(schedule, *args, **kwargs):
+            resolved.append(schedule)
+            return validate(schedule, *args, **kwargs)
+
+        monkeypatch.setattr(WeightSchedule, "validate", spy)
+        cfg = _config(benchmarks=("bm01", "bm09", "bm12"), engines=self.ROSTER)
+        roster = cfg.roster()
+        buckets = self._buckets(cfg)
+        bad = buckets[1][1]
+        spec = BENCHMARKS["bm09"]
+
+        def faulty(pm, start):
+            if pm is bad:
+                raise RuntimeError("no signal")
+            return spec.build(pm, start)
+
+        monkeypatch.setitem(harness.BENCHMARKS, "bm09", replace(spec, build=faulty))
+        for bm in cfg.benchmarks:
+            resolved.clear()
+            counted["variant"].clear()
+            results = harness._run_grid_task((bm, buckets, 0, cfg.benchmark_cost_bps(bm) / 1e4, roster, 1e6))
+            # bm09's schedule for the bad bucket raises, so it never reaches validate.
+            built = 2 if bm == "bm09" else 3
+            assert sum(cells[0].ok for _, _, _, cells in results) == built
+            assert len(resolved) == len({id(s) for s in resolved}) == built
+            assert len(counted["variant"]) == len(roster) * built
+        monkeypatch.setitem(harness.BENCHMARKS, "bm09", spec)
+        resolved.clear()
+        store = run_suite(cfg)
+        assert len(resolved) == len(cfg.benchmarks) * len(store.bucket_ids)
 
     def test_a_schedule_that_fails_the_checks_fails_every_cell_alike(self, counted, monkeypatch):
         cfg = _config(benchmarks=("bm01",), engines=self.ROSTER)
@@ -1682,6 +1731,31 @@ if "numpy.ma" in sys.modules:
 sys.exit(code)
 '''
 
+# Runs the five CLI stages in one fresh interpreter and fails at the first
+# that exits 1 or has imported numpy.ma.
+STAGES_WITHOUT_NUMPY_MA = '''
+import sys
+
+import crossbt.cli
+
+for stage in ("gen-data", "buckets", "run", "analyze", "report"):
+    if crossbt.cli.main([stage] + sys.argv[1:]) == crossbt.cli.EXIT_ERROR:
+        sys.exit(f"{stage} failed")
+    if "numpy.ma" in sys.modules:
+        sys.exit(f"{stage} imported numpy.ma")
+'''
+
+#: 22 buckets of 2 take the Wilcoxon normal approximation and the cluster bootstrap.
+NUMPY_MA_CONFIG = {
+    "seed": 5,
+    "synthetic": {"n_assets": 44, "n_days": 140, "seed": None, "n_sectors": 2},
+    "buckets": {"n_buckets": 22, "bucket_size": 2, "n_candidates": 20},
+    "benchmarks": ["bm01", "bm02", "bm09"],
+    "engines": ["reference", "pre_trade"],
+    "permutation_draws": 100,
+    "bootstrap_draws": 50,
+}
+
 
 class TestCli:
     def _write_config(self, path: Path) -> str:
@@ -1877,19 +1951,9 @@ class TestCli:
 
     def test_analyze_leaves_numpy_ma_unimported(self, tmp_path):
         # numpy.ma costs about 12 ms to import; np.percentile and np.unique
-        # import it on their first call. 22 buckets of 2 take the Wilcoxon
-        # normal approximation and the cluster bootstrap.
-        cfg = {
-            "seed": 5,
-            "synthetic": {"n_assets": 44, "n_days": 140, "seed": None, "n_sectors": 2},
-            "buckets": {"n_buckets": 22, "bucket_size": 2, "n_candidates": 20},
-            "benchmarks": ["bm01", "bm02", "bm09"],
-            "engines": ["reference", "pre_trade"],
-            "permutation_draws": 100,
-            "bootstrap_draws": 50,
-        }
+        # import it on their first call.
         p = tmp_path / "config.json"
-        p.write_text(json.dumps(cfg))
+        p.write_text(json.dumps(NUMPY_MA_CONFIG))
         out = tmp_path / "out"
         assert main(["run", "--config", str(p), "--out", str(out)]) == 0
         env = dict(os.environ)
@@ -1901,6 +1965,21 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         tests = {r["test"] for r in json.loads((out / "analysis" / "bundle.json").read_text())["tables"]["stats_tests"]}
         assert "wilcoxon-normal" in tests
+
+    def test_no_stage_imports_numpy_ma(self, tmp_path):
+        # The engine's day mask, the harness's resampled-means set and
+        # stats._percentiles each stand in for a numpy call that imports it;
+        # a fifo and a shifted engine take the sequential fill and the shift.
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({**NUMPY_MA_CONFIG, "engines": ["reference", "fifo_sequential", "shifted_one_day"]}))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", STAGES_WITHOUT_NUMPY_MA, "--config", str(p), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "report").is_dir()
 
     def test_builtin_config_run_id(self):
         assert RunConfig.from_dict(DEMO_CONFIG).run_id() == "fdc678179de9"

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from unittest import mock
 
@@ -209,6 +210,24 @@ class TestWalkForwardAgainstOracle:
 
 
 class TestElasticNet:
+    @pytest.mark.parametrize("key", ["lam", "alpha", "tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_setting_refused_and_named(self, key, value):
+        # NaN passes every comparison-based rule: nan < 0 and nan <= 0 are false.
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got"):
+            ElasticNetConfig(**{key: value})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"lam": -1e-3}, "lam must be >= 0, got -0.001"),
+        ({"alpha": 1.5}, "alpha must be in [0, 1], got 1.5"),
+        ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+        ({"max_iter": 10.0}, "max_iter must be an int, got 10.0"),
+        ({"tol": 0.0}, "tol must be > 0, got 0.0"),
+    ])
+    def test_setting_out_of_range_refused_and_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ElasticNetConfig(**kwargs)
+
     def test_unpenalised_exact_line(self):
         X = np.array([[1.0], [2.0], [3.0]])
         y = np.array([2.0, 4.0, 6.0])
@@ -427,6 +446,16 @@ class TestWalkForward:
     def test_gap_shorter_than_horizon_rejected(self):
         with pytest.raises(ValueError):
             WalkForwardConfig(gap=10, horizon=21)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"gap": 10, "horizon": 21}, "horizon must be <= gap (no look-ahead), got 21"),
+        ({"top": 0}, "top must be >= 1, got 0"),
+        ({"train_window": -5}, "train_window must be >= 1, got -5"),
+        ({"gap": 21.0}, "gap must be an int, got 21.0"),
+    ])
+    def test_setting_refused_and_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WalkForwardConfig(**kwargs)
 
     def test_top_n_gives_equal_weight_regardless_of_fit(self):
         from crossbt.strategies import ml_signal

@@ -13,6 +13,7 @@ import crossbt
 from crossbt import harness
 from crossbt.engine import EngineConvention
 from crossbt.marketdata import _FIELD_KINDS, SynthSpec
+from crossbt.mlsignals import ElasticNetConfig, WalkForwardConfig
 
 PACKAGE = Path(crossbt.__file__).parent
 
@@ -126,8 +127,10 @@ def test_table_name_check_names_file_and_line(source, flagged):
     assert _string_literals(source, "m.py", ["alpha"]) == flagged
 
 
-#: The records a config or a convention id is read into.
-CONFIG_RECORDS = (harness.RunConfig, harness.BucketConfig, SynthSpec, EngineConvention)
+#: The records a config or a convention id is read into, and the learner's
+#: settings, which read and refuse their fields the same way.
+CONFIG_RECORDS = (harness.RunConfig, harness.BucketConfig, SynthSpec, EngineConvention,
+                  ElasticNetConfig, WalkForwardConfig)
 
 
 def test_every_config_field_is_read_by_kind():
@@ -146,7 +149,7 @@ def test_records_refuse_only_through_the_helper():
     # kind), so every refusal reads "<path> must be <rule>, got <value>".
     # RunConfig keeps two checks of its own, which name the bad entry: the
     # unknown or repeated benchmark ids, and each benchmark's cost.
-    raising = [record.__name__ for record in (harness.BucketConfig, SynthSpec, EngineConvention)
-               if any(isinstance(node, ast.Raise)
+    raising = [record.__name__ for record in CONFIG_RECORDS
+               if record is not harness.RunConfig and any(isinstance(node, ast.Raise)
                       for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(record.__post_init__)))))]
     assert not raising, f"__post_init__ with a raise of its own: {raising}"
