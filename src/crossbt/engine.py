@@ -199,7 +199,7 @@ class WeightSchedule:
         layout_error = None
         for date, w in self.entries.items():
             if date not in index:
-                layout_error = f"rebalance date {date!r} not in price calendar"
+                layout_error = _off_calendar(date)
                 break
             if w.shape != (prices.n_assets,):
                 layout_error = f"weight vector on {date!r} has wrong length"
@@ -226,12 +226,23 @@ class WeightSchedule:
         return at[order], weights[order]
 
     def first_entry_weight_sum(self, prices: PriceMatrix) -> float | None:
-        """Weight sum at the earliest rebalance; None for an empty schedule."""
+        """Weight sum at the earliest rebalance; None for an empty schedule.
+
+        ValueError, worded as ``validate``'s, for the first date outside the
+        calendar; the sum is reported for a schedule failing any other check.
+        """
         index = prices.date_index()
         if not self.entries:
             return None
-        first = min(self.entries, key=lambda d: index[d])
+        for date in self.entries:
+            if date not in index:
+                raise ValueError(_off_calendar(date))
+        first = min(self.entries, key=index.__getitem__)
         return float(np.sum(self.entries[first]))
+
+
+def _off_calendar(date: str) -> str:
+    return f"rebalance date {date!r} not in price calendar"
 
 
 @dataclass(frozen=True)

@@ -1057,12 +1057,12 @@ VALIDATION = "validation"
 
 #: Every report table, in the order it is written: its columns, and the one
 #: builder that yields its rows from the cell table as value tuples in the
-#: columns' order. A record's or finding's fields are flat, so ``vars()``
-#: gives what ``astuple()`` would without its per-field deep copy.
+#: columns' order. A divergence record is one as it stands; a finding's flat
+#: fields give in ``vars()`` what ``astuple()`` would without its deep copy.
 TABLES: dict[str, tuple[list[str], Callable[[CellTable], Iterable[tuple]]]] = {
     "divergence_records": (
-        [f.name for f in fields(DivergenceRecord)],
-        lambda t: (tuple(vars(r).values()) for row in t.cells.values() for c in row for r in c.records),
+        list(DivergenceRecord._fields),
+        lambda t: (r for row in t.cells.values() for c in row for r in c.records),
     ),
     "divergence_summary": (
         "benchmark category cost_bps mean_pct max_pct n_pairs n_buckets es_range_pp es_cv_pct"

@@ -12,6 +12,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,14 +90,15 @@ def csi(sharpe_sample) -> int:
     return int(nonneg.any() and (~nonneg).any())
 
 
-@dataclass(frozen=True)
-class DivergenceRecord:
+class DivergenceRecord(NamedTuple):
     """Relative difference of one metric for one engine pair on one cell.
 
     The pair is ordered lexicographically. ``rel_diff_pct`` is NaN only
     where a value is: the cagr of an equity path whose growth is negative.
     ``absolute_fallback`` marks records where the base value was too small
     to divide by, so the field holds an absolute (not relative) difference.
+    A grid makes one record per engine pair, metric and cell, so it is a
+    named tuple: it builds at tuple speed and is a report row as it stands.
     """
 
     benchmark: str

@@ -22,12 +22,12 @@ _EXHAUSTIVE_CAP = 16
 
 #: Sign-flip draws per chunk, for a series of 32 or more; a shorter series
 #: takes SIGN_CHUNK times the largest power of two that keeps a chunk within
-#: SIGN_CHUNK * 32 sign values (8192 rows at n = 3). The generator carries an
-#: unused 32-bit half over from one call to the next, so the chunks read the
-#: same signs as one dense draw at any chunk size. BLAS forms a matrix-vector
-#: product a few rows at a time, and a row in a partial block can round
-#: differently; a power of two keeps every row in the same place of those
-#: blocks as in one dense product.
+#: SIGN_CHUNK * 32 sign values (8192 rows at n = 3). A chunk of a power of
+#: two rows holds an even number of signs, so it reads whole 64-bit words and
+#: the chunks read the same signs as one dense draw at any chunk size. BLAS
+#: forms a matrix-vector product a few rows at a time, and a row in a partial
+#: block can round differently; a power of two keeps every row in the same
+#: place of those blocks as in one dense product.
 SIGN_CHUNK = 1024
 
 
@@ -406,6 +406,11 @@ def sign_flip_permutation(
     the exact count. Signs are drawn in chunks of at least ``SIGN_CHUNK``
     rows from one generator (see ``SIGN_CHUNK``), so memory stays flat in
     ``draws``.
+
+    Each sign is the top bit of a 32-bit half of a raw Philox word, low half
+    first: the ``Generator.integers(0, 2)`` value, as its bounded draw of
+    [0, 1] is ``u32 >> 31`` and never rejects. ``copysign`` negates every
+    draw, which keeps ``|signs @ d|`` bit for bit: rounding is symmetric.
     """
     d = np.asarray(diffs, dtype=float)
     n = len(d)
@@ -428,11 +433,14 @@ def sign_flip_permutation(
     # all-minus draws may round an ulp below obs; within the rounding bound of
     # two summation orders, n·eps·mean|d|, a draw counts as a tie.
     floor = obs - n * np.finfo(float).eps * float(np.mean(np.abs(d)))
-    gen = substream(seed, 0)
+    bits = substream(seed, 0).bit_generator
     hits = 0
     chunk = SIGN_CHUNK << max((32 // n).bit_length() - 1, 0)
     for start in range(0, draws, chunk):
-        signs = gen.integers(0, 2, size=(min(chunk, draws - start), n)) * 2.0 - 1.0
+        size = min(chunk, draws - start) * n
+        # Little-endian words read low half first on any host.
+        halves = bits.random_raw(-(-size // 2)).astype("<u8", copy=False).view("<i4")[:size]
+        signs = np.copysign(1.0, halves).reshape(-1, n)
         hits += int(np.count_nonzero(np.abs(signs @ d) / n >= floor))
     p = (hits + 1) / (draws + 1)
     return TestResult(obs, _clamp_p(p), "perm-mc", n)

@@ -828,6 +828,20 @@ class TestGridTask:
             assert cell.error == f"ValueError: {raised.value}"
             assert "precedes evaluation start" in cell.error and cell.stats is None
 
+    def test_a_date_off_the_calendar_fails_every_cell_as_validate_words_it(self, counted, monkeypatch):
+        cfg = _config(benchmarks=("bm01",), engines=self.ROSTER)
+        roster = cfg.roster()
+        bucket_pm = harness.load_panel(cfg).subset(["A000", "A003", "A007"])
+        off = WeightSchedule({bucket_pm.dates[30]: np.full(3, 0.3), "99999": np.full(3, 0.3)})
+        monkeypatch.setitem(harness.BENCHMARKS, "bm01", replace(BENCHMARKS["bm01"], build=lambda pm, start: off))
+        [(_, _, first_w, cells)] = harness._run_grid_task(("bm01", (("b", bucket_pm),), 20, 0.0018, roster, 1e6))
+        assert first_w is None
+        assert [cell.engine for cell in cells] == [engine for engine, _ in roster]
+        message = "rebalance date '99999' not in price calendar"
+        assert {cell.error for cell in cells} == {f"schedule: ValueError: {message}"}
+        with pytest.raises(ValueError, match=message):
+            off.validate(bucket_pm, 20)
+
     @pytest.mark.parametrize("fault", ["raises", "fails the checks"])
     def test_a_failing_bucket_leaves_the_other_buckets_alone(self, counted, monkeypatch, fault):
         cfg = _config(benchmarks=("bm09",), engines=self.ROSTER)

@@ -8,7 +8,7 @@ from scipy import special
 from scipy import stats as scipy_stats
 
 from crossbt import stats as stats_mod
-from crossbt.rng import substream
+from crossbt.rng import derived_seed, substream
 from crossbt.stats import (
     SIGN_CHUNK,
     NotEnoughClusters,
@@ -661,16 +661,33 @@ class TestStackedRows:
             lin_ccc(np.ones((2, 3)), np.ones((3, 3)))
 
 
+class TestRawSignPremise:
+    """``sign_flip_permutation`` reads each sign as the top bit of a 32-bit
+    half of a raw Philox word, low half first, and equals the
+    ``integers(0, 2)`` stream only because numpy's bounded draw of [0, 1] is
+    ``u32 >> 31`` and never rejects. A numpy that changes its bounded-integer
+    algorithm fails here by name, not by moving p-values."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32, derived_seed(7, "sign"), 2**63 - 1])
+    def test_integers_are_top_bits_of_raw_words(self, seed):
+        for m in (1, 2, 3, 30, 31, 64, 1025, 4096):
+            want = substream(seed, 0).integers(0, 2, size=m)
+            words = substream(seed, 0).bit_generator.random_raw(-(-m // 2))
+            halves = np.column_stack([words & 0xFFFFFFFF, words >> 32]).ravel()[:m]
+            assert np.array_equal(want, halves >> 31), (seed, m)
+
+
 class TestSignFlipChunks:
     # Series shorter than 32 take chunks of up to 32768 rows (n = 1): one
     # chunk at 5000 draws, several at 40000.
     @pytest.mark.parametrize("draws", [1, 1023, 1025, 2049, 5000, 5003, 40000])
     def test_chunked_equals_one_shot(self, draws):
         rng = np.random.default_rng(draws)
-        for n in range(1, 34):
+        for n in [*range(1, 34), 40, 64]:
             d = rng.normal(size=n).round(2)
-            got = sign_flip_permutation(d, draws=draws, seed=n)
-            assert got.p_value == sign_flip_one_shot(d, draws, n)
+            for seed in (n, derived_seed(draws, str(n))):
+                got = sign_flip_permutation(d, draws=draws, seed=seed)
+                assert got.p_value == sign_flip_one_shot(d, draws, seed), (n, seed)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -697,18 +714,20 @@ class TestSignFlipChunks:
 
         class Spy:
             def __init__(self, seed, stream):
-                self.gen = real(seed, stream)
+                self.bits = real(seed, stream).bit_generator
+                self.bit_generator = self
 
-            def integers(self, low, high, size):
-                sizes.append(size[0])
-                return self.gen.integers(low, high, size=size)
+            def random_raw(self, size):
+                sizes.append(size)
+                return self.bits.random_raw(size)
 
         monkeypatch.setattr(stats_mod, "substream", Spy)
         expected = {1: 32768, 2: 16384, 3: 8192, 4: 8192, 16: 2048, 17: 1024, 32: 1024, 33: 1024, 200: 1024}
         for n, rows in expected.items():
             sizes.clear()
             sign_flip_permutation(np.ones(n), draws=10**5, seed=0)
-            assert set(sizes[:-1]) == {rows}, n
+            # Two signs per raw 64-bit word.
+            assert set(sizes[:-1]) == {rows * n // 2}, n
 
     def test_negative_draws_rejected(self):
         with pytest.raises(ValueError):
